@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -144,9 +145,7 @@ def _run_epoch_sweep(args) -> int:
         bundle = epoch_sweep_scenario(length, seed)
         report = run_simulation(bundle.network, list(bundle.queries), bundle.process,
                                 bundle.epoch, seed)
-        rates = [report.measured_rate(f.id) for f in bundle.network.flows
-                 if report.ever_admitted(f.id)]
-        rates = [r for r in rates if r is not None]
+        rates = measure_metrics(report).measured_rates
         q1, med, q3 = np.percentile(rates, [25, 50, 75])
         rows.append([f"{length:g}", f"{np.mean(rates):.4f}", f"{q1:.4f}",
                      f"{med:.4f}", f"{q3:.4f}", f"{q3 - q1:.4f}"])
@@ -180,16 +179,30 @@ def _run_distribution_sensitivity(args) -> int:
     return 0
 
 
+def _check_params(builder, params) -> None:
+    """Reject 'params' entries the preset builder has no keyword for."""
+    if not isinstance(params, dict):
+        raise CliError("'params' must be a JSON object")
+    accepted = {name for name, p in inspect.signature(builder).parameters.items()
+                if p.kind == inspect.Parameter.KEYWORD_ONLY}
+    for key in params:
+        if key not in accepted:
+            raise CliError(f"unknown params key {key!r} for preset "
+                           f"(accepted: {', '.join(sorted(accepted))})")
+
+
 def _bundle_builder(args):
     preset = getattr(args, "preset", None)
     params = getattr(args, "params", None) or {}
     if preset == "model-driven":
+        _check_params(model_driven_scenario, params)
         return lambda seed: model_driven_scenario(seed, **params)
     if preset == "trace-driven":
         trace = getattr(args, "trace", None)
         if not trace:
             raise CliError("trace-driven preset needs 'trace' "
                            "({path, scale_divisor, bucket}) or --trace")
+        _check_params(trace_driven_scenario, params)
         if isinstance(trace, str):
             trace = {"path": trace}
         process = load_trace(trace["path"], float(trace.get("scale_divisor", 100.0)),
@@ -267,11 +280,7 @@ def compare_algorithms(bundle_builder, algorithms: list[str], seeds: list[int]):
             admitted += summary.admitted_flows
             fully += summary.fully_sampled_flows
             times.append(summary.mean_solver_wall_time)
-            for fid in sorted({rec.flow_id for rec in report.records}):
-                if report.ever_admitted(fid):
-                    rate = report.measured_rate(fid)
-                    if rate is not None:
-                        rates.append(rate)
+            rates.extend(summary.measured_rates)
             per_seed.append({"seed": seed, "admitted": summary.admitted_flows,
                              "fully_sampled": summary.fully_sampled_flows})
         quartiles = [float(q) for q in np.percentile(rates, [25, 50, 75])] if rates else None

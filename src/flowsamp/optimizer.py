@@ -172,53 +172,6 @@ def min_required_capacity(flows: list[LoadStats], delta: float) -> float:
     return mu + normal_quantile(delta) * math.sqrt(var)
 
 
-# ---------------------------------------------------------------------------
-# Linearized integer-program model (for inspection; the solver itself
-# searches assignments directly, which is equivalent).
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IlpModel:
-    """Variable index maps and constraint descriptors of the linearized
-    program: assignment variables per (flow, on-path switch) and one
-    auxiliary variable per unordered flow pair sharing a switch."""
-
-    x_index: dict[tuple[str, str], int]
-    w_index: dict[tuple[str, str, str], int]
-    constraints: tuple[tuple, ...]
-
-    @property
-    def num_x(self) -> int:
-        return len(self.x_index)
-
-    @property
-    def num_w(self) -> int:
-        return len(self.w_index)
-
-
-def build_ilp_model(network: Network) -> IlpModel:
-    x_index: dict[tuple[str, str], int] = {}
-    for f in network.flows:
-        for sid in f.path:
-            x_index[(f.id, sid)] = len(x_index)
-    w_index: dict[tuple[str, str, str], int] = {}
-    constraints: list[tuple] = []
-    for f in network.flows:
-        constraints.append(("assign_at_most_once", f.id))
-    for s in network.switches:
-        constraints.append(("mean_within_capacity", s.id))
-        members = network.flows_at[s.id]
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                a, b = sorted((members[i], members[j]))
-                w_index[(a, b, s.id)] = len(w_index)
-                constraints.append(("pair_le_first", a, b, s.id))
-                constraints.append(("pair_le_second", a, b, s.id))
-                constraints.append(("pair_ge_sum_minus_one", a, b, s.id))
-        constraints.append(("squared_capacity", s.id))
-    return IlpModel(x_index, w_index, tuple(constraints))
-
-
 def squared_form_feasible(network: Network, alloc: Allocation, delta: float,
                           tol: float = FEAS_TOL) -> bool:
     """Feasibility of the linearized program at a given assignment.
@@ -255,29 +208,29 @@ def squared_form_feasible(network: Network, alloc: Allocation, delta: float,
 # ---------------------------------------------------------------------------
 
 class _Instance:
-    """Search-ready arrays for one solve: flows ordered by ascending charge
-    (flow id breaking ties), per-switch membership in that order, and
-    prefix sums used by the fractional-relaxation bounds."""
+    """Search-ready arrays for one solve. Every flow is charged g + z*sqrt(var)
+    against a switch's capacity, summed per switch as sum(g) + z*sqrt(sum(var)):
+    EXACT flows have g = mu and var = sigma^2, additive formulations their
+    effective load and var = 0. Flows are ordered by ascending g (flow id
+    breaking ties), with per-switch membership in that order and prefix sums
+    of g for the fractional-relaxation bounds; g is a floor on what a flow
+    adds to any switch's load."""
 
     def __init__(self, network: Network, config: SolverConfig):
-        self.network = network
-        self.exact = config.formulation == Formulation.EXACT
         self.z = normal_quantile(config.delta)
         flows = network.flows
         n = len(flows)
-        loads = [load_stats(f) for f in flows]
-        if self.exact:
-            # Charge floor for bounds: adding a flow raises a switch's cone
-            # load by at least its mean.
+        if config.formulation == Formulation.EXACT:
+            loads = [load_stats(f) for f in flows]
             g = [s.mu for s in loads]
+            var = [s.sigma ** 2 for s in loads]
         else:
             g = [effective_load(f, config) for f in flows]
+            var = [0.0] * n
         order = sorted(range(n), key=lambda i: (g[i], flows[i].id))
-        self.order = order
         self.flow_ids = [flows[i].id for i in order]
         self.g = [g[i] for i in order]
-        self.mu = [loads[i].mu for i in order]
-        self.var = [loads[i].sigma ** 2 for i in order]
+        self.var = [var[i] for i in order]
         self.prefix = [0.0] * (n + 1)
         for k in range(n):
             self.prefix[k + 1] = self.prefix[k] + self.g[k]
@@ -309,9 +262,8 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
     inst = _Instance(network, config)
     n = inst.n
     n_switch = len(inst.capacity)
-    exact = inst.exact
     z = inst.z
-    used_g = [0.0] * n_switch            # additive weight, or mean for EXACT
+    used_g = [0.0] * n_switch
     used_var = [0.0] * n_switch
     choice = [-1] * n
     best_obj = 0
@@ -320,22 +272,27 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
     nodes = 0
     limit_hit = False
 
-    def cone_used(s: int) -> float:
-        return used_g[s] + z * math.sqrt(used_var[s])
+    g, var, sqrt = inst.g, inst.var, math.sqrt
+    limit = [c + sl for c, sl in zip(inst.capacity, inst.slack)]
 
     def fits(pos: int, s: int) -> bool:
-        cap_s = inst.capacity[s] + inst.slack[s]
-        if exact:
-            return (used_g[s] + inst.mu[pos]
-                    + z * math.sqrt(used_var[s] + inst.var[pos])) <= cap_s
-        return used_g[s] + inst.g[pos] <= cap_s
+        return used_g[s] + g[pos] + z * sqrt(used_var[s] + var[pos]) <= limit[s]
+
+    def release(pos: int, s: int) -> None:
+        nonlocal admitted
+        used_g[s] -= g[pos]
+        used_var[s] -= var[pos]
+        if used_var[s] < 0:
+            used_var[s] = 0.0
+        choice[pos] = -1
+        admitted -= 1
 
     def children(depth: int) -> list[int]:
         cands = []
         for s in inst.on_path[depth]:
             if fits(depth, s):
                 cap = inst.capacity[s]
-                used = cone_used(s) if exact else used_g[s]
+                used = used_g[s] + z * sqrt(used_var[s])
                 util = used / cap if cap > 0 else 1.0
                 cands.append((util, inst.switch_ids[s], s))
         cands.sort()
@@ -384,16 +341,8 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
         depth = len(stack) - 1
         if idx >= len(kids):
             stack.pop()
-            edge = frame[2]
-            if edge >= 0:
-                pos = len(stack) - 1
-                used_g[edge] -= inst.g[pos] if not exact else inst.mu[pos]
-                if exact:
-                    used_var[edge] -= inst.var[pos]
-                    if used_var[edge] < 0:
-                        used_var[edge] = 0.0
-                choice[pos] = -1
-                admitted -= 1
+            if frame[2] >= 0:
+                release(len(stack) - 1, frame[2])
             continue
         frame[1] += 1
         s = kids[idx]
@@ -403,9 +352,8 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
             break
         applied = s >= 0
         if applied:
-            used_g[s] += inst.g[depth] if not exact else inst.mu[depth]
-            if exact:
-                used_var[s] += inst.var[depth]
+            used_g[s] += g[depth]
+            used_var[s] += var[depth]
             choice[depth] = s
             admitted += 1
             if admitted > best_obj:
@@ -415,13 +363,7 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
         if nd < n and admitted + upper_bound(nd) > best_obj:
             stack.append([children(nd), 0, s if applied else -1])
         elif applied:
-            used_g[s] -= inst.g[depth] if not exact else inst.mu[depth]
-            if exact:
-                used_var[s] -= inst.var[depth]
-                if used_var[s] < 0:
-                    used_var[s] = 0.0
-            choice[depth] = -1
-            admitted -= 1
+            release(depth, s)
 
     assignment = {
         inst.flow_ids[pos]: inst.switch_ids[s]

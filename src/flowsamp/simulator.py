@@ -16,6 +16,7 @@ sampled counts (largest-remainder rounding, ties to the earlier flow).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -61,6 +62,8 @@ class EpochConfig:
     capacity_period: str = "bucket"  # or "second"
 
     def __post_init__(self):
+        if not self.bucket > 0:
+            raise ValueError(f"bucket must be positive, got {self.bucket}")
         ratio = self.epoch_length / self.bucket
         if abs(ratio - round(ratio)) > 1e-9 or self.epoch_length <= 0:
             raise ValueError("epoch_length must be a whole number of buckets")
@@ -91,6 +94,18 @@ class FlowEpochRecord:
     dropped: int
 
 
+@dataclass(frozen=True)
+class FlowOutcome:
+    """What one flow got over the whole run."""
+
+    measured_rate: float | None   # forwarded / offered; None if nothing offered
+    ever_admitted: bool           # assigned in at least one epoch
+    fully_sampled: bool
+
+
+_NO_OUTCOME = FlowOutcome(None, False, False)
+
+
 @dataclass
 class SimReport:
     """Raw per-epoch outcomes plus per-switch per-bucket load/violation."""
@@ -107,38 +122,42 @@ class SimReport:
     bucket: float
     fully_sampled_tolerance: float
 
-    def totals(self, flow_id: str) -> tuple[int, int, int, int]:
-        off = smp = fwd = drp = 0
+    @functools.cached_property
+    def outcomes(self) -> dict[str, FlowOutcome]:
+        """Every flow with a record, by sorted flow id, from one pass over
+        ``records`` on first use.
+
+        A flow is fully sampled when it was admitted in every epoch its
+        query was active and measured at the target rate within the
+        configured tolerance.
+        """
+        offered: dict[str, int] = {}
+        forwarded: dict[str, int] = {}
+        admitted_in: dict[str, set[int]] = {}
         for r in self.records:
-            if r.flow_id == flow_id:
-                off += r.offered
-                smp += r.sampled
-                fwd += r.forwarded
-                drp += r.dropped
-        return off, smp, fwd, drp
+            offered[r.flow_id] = offered.get(r.flow_id, 0) + r.offered
+            forwarded[r.flow_id] = forwarded.get(r.flow_id, 0) + r.forwarded
+            epochs = admitted_in.setdefault(r.flow_id, set())
+            if r.assigned_switch is not None:
+                epochs.add(r.epoch)
+        table = {}
+        for fid in sorted(offered):
+            rate = forwarded[fid] / offered[fid] if offered[fid] > 0 else None
+            active = self.active_epochs.get(fid, [])
+            fully = (bool(active) and admitted_in[fid].issuperset(active)
+                     and rate is not None
+                     and rate >= self.targets[fid] * (1.0 - self.fully_sampled_tolerance))
+            table[fid] = FlowOutcome(rate, bool(admitted_in[fid]), fully)
+        return table
 
     def measured_rate(self, flow_id: str) -> float | None:
-        off, _, fwd, _ = self.totals(flow_id)
-        return fwd / off if off > 0 else None
+        return self.outcomes.get(flow_id, _NO_OUTCOME).measured_rate
 
     def ever_admitted(self, flow_id: str) -> bool:
-        return any(r.flow_id == flow_id and r.assigned_switch is not None
-                   for r in self.records)
+        return self.outcomes.get(flow_id, _NO_OUTCOME).ever_admitted
 
     def fully_sampled(self, flow_id: str) -> bool:
-        """Admitted in every epoch its query was active and measured at the
-        target rate within the configured tolerance."""
-        epochs = self.active_epochs.get(flow_id, [])
-        if not epochs:
-            return False
-        assigned = {r.epoch for r in self.records
-                    if r.flow_id == flow_id and r.assigned_switch is not None}
-        if not all(e in assigned for e in epochs):
-            return False
-        rate = self.measured_rate(flow_id)
-        if rate is None:
-            return False
-        return rate >= self.targets[flow_id] * (1.0 - self.fully_sampled_tolerance)
+        return self.outcomes.get(flow_id, _NO_OUTCOME).fully_sampled
 
     def violation_fraction(self, switch_id: str | None = None) -> float:
         if switch_id is None:
@@ -300,6 +319,7 @@ class MetricSummary:
     violation_fraction: float
     per_switch_violation: dict[str, float]
     mean_solver_wall_time: float
+    measured_rates: tuple[float, ...]  # of ever-admitted flows by flow id; not serialized
 
     def to_json_dict(self) -> dict:
         return {
@@ -317,22 +337,21 @@ def measure_metrics(report: SimReport) -> MetricSummary:
     """Admitted flows (assigned in at least one epoch), fully sampled flows,
     and the quartiles of measured sampling rates excluding never-admitted
     flows."""
-    flow_ids = sorted({r.flow_id for r in report.records})
-    admitted = [fid for fid in flow_ids if report.ever_admitted(fid)]
-    fully = sum(1 for fid in flow_ids if report.fully_sampled(fid))
-    measured = [report.measured_rate(fid) for fid in admitted]
-    measured = [m for m in measured if m is not None]
+    outcomes = report.outcomes.values()
+    measured = tuple(o.measured_rate for o in outcomes
+                     if o.ever_admitted and o.measured_rate is not None)
     quartiles = tuple(float(q) for q in np.percentile(measured, [25, 50, 75])) \
         if measured else None
     per_switch = {sid: report.violation_fraction(sid) for sid in report.switch_ids}
     times = [s["wall_time_s"] for s in report.solves]
     return MetricSummary(
-        admitted_flows=len(admitted),
-        fully_sampled_flows=fully,
+        admitted_flows=sum(o.ever_admitted for o in outcomes),
+        fully_sampled_flows=sum(o.fully_sampled for o in outcomes),
         rate_quartiles=quartiles,
         violation_fraction=report.violation_fraction(),
         per_switch_violation=per_switch,
         mean_solver_wall_time=float(np.mean(times)) if times else 0.0,
+        measured_rates=measured,
     )
 
 
@@ -357,16 +376,11 @@ def write_summary_json(report: SimReport, path: str) -> None:
     doc["epoch_length_s"] = report.epoch_length
     doc["solves"] = [{k: v for k, v in s.items() if k != "wall_time_s"}
                      for s in report.solves]
-    per_flow = {}
-    for fid in sorted({r.flow_id for r in report.records}):
-        rate = report.measured_rate(fid)
-        per_flow[fid] = {
-            "target": report.targets.get(fid),
-            "measured_rate": rate,
-            "fully_sampled": report.fully_sampled(fid),
-            "ever_admitted": report.ever_admitted(fid),
-        }
-    doc["flows"] = per_flow
+    doc["flows"] = {
+        fid: {"target": report.targets.get(fid), "measured_rate": o.measured_rate,
+              "fully_sampled": o.fully_sampled, "ever_admitted": o.ever_admitted}
+        for fid, o in report.outcomes.items()
+    }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

@@ -1,10 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from flowsamp import (Allocation, Formulation, FlowSpec, SwitchSpec,
+from flowsamp import (Allocation, EpochConfig, EstimatorMode, Formulation, FlowSpec,
+                      RateProcess, SamplingQuery, SolverConfig, SwitchSpec,
                       additive_feasible, build_network, socp_feasible)
-from flowsamp.instances import two_switch_toy
+from flowsamp.instances import ScenarioBundle, two_switch_toy
 
 
 @pytest.fixture
@@ -50,3 +52,20 @@ def all_allocations(network):
     choices = [[None] + sorted(f.path) for f in network.flows]
     for combo in itertools.product(*choices):
         yield Allocation({f.id: s for f, s in zip(network.flows, combo) if s is not None})
+
+
+def partly_admitted_bundle(seed):
+    """Two 1 s epochs on one switch (budget 50 pps) at target rate 0.5:
+    "huge" never fits; "big" is admitted in epoch 0 and evicted in epoch 1
+    by the cheaper "small"."""
+    means = {"big": 90.0, "huge": 300.0, "small": 20.0}
+    net = build_network([SwitchSpec("s", 50.0)],
+                        [FlowSpec(fid, "a", "b", ("s",), 0.5, m, 0.0)
+                         for fid, m in means.items()])
+    queries = (SamplingQuery("big", 0.0, 2.0, 0.5), SamplingQuery("huge", 0.0, 2.0, 0.5),
+               SamplingQuery("small", 1.0, 1.0, 0.5))
+    process = RateProcess(0.1, 20, {fid: np.full(20, m) for fid, m in means.items()})
+    epoch = EpochConfig(epoch_length=1.0, solver=SolverConfig(Formulation.DS),
+                        estimator_mode=EstimatorMode.DECLARED,
+                        fully_sampled_tolerance=0.5)
+    return ScenarioBundle(net, queries, process, epoch)

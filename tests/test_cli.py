@@ -5,11 +5,13 @@ import pytest
 
 from flowsamp import (EpochConfig, EstimatorMode, Formulation, FlowSpec, RateProcess,
                       SamplingQuery, SolverConfig, SwitchSpec, build_network,
-                      save_network)
+                      measure_metrics, run_simulation, save_network)
 from flowsamp.cli import CliError, compare_algorithms, main, parse_algorithm
 from flowsamp.instances import ScenarioBundle, two_switch_toy
 from flowsamp.optimizer import load_solve_result
 from flowsamp.trafficgen import TRACE_HEADER
+
+from conftest import partly_admitted_bundle
 
 
 @pytest.fixture
@@ -81,6 +83,22 @@ def test_compare_zero_variance_rows_identical():
     assert len(rows) == 1
 
 
+def test_compare_pools_per_seed_measured_rates():
+    seeds = [0, 1, 2]
+    results = compare_algorithms(partly_admitted_bundle, ["ds", "csamp+0"], seeds)
+    rates = []
+    for seed in seeds:
+        bundle = partly_admitted_bundle(seed)
+        report = run_simulation(bundle.network, list(bundle.queries), bundle.process,
+                                bundle.epoch, seed)
+        summary = measure_metrics(report)
+        assert len(summary.measured_rates) == 2   # "huge" is never admitted
+        rates.extend(summary.measured_rates)
+    expected = [float(q) for q in np.percentile(rates, [25, 50, 75])]
+    assert results["ds"]["rate_quartiles"] == expected
+    assert results["ds"]["admitted"] == 2 * len(seeds)
+
+
 def test_compare_needs_two_algorithms():
     with pytest.raises(CliError):
         compare_algorithms(_zero_variance_bundle, ["apx"], [0])
@@ -135,6 +153,16 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text(json.dumps({"net": "x.json", "frobnicate": 1}))
     assert main(["solve", "--config", str(cfg)]) == 2
     assert "frobnicate" in capsys.readouterr().err
+
+
+def test_config_rejects_unknown_params_key(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"preset": "model-driven", "params": {"bogus": 1}}))
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert "bogus" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"preset": "model-driven", "params": ["n_epochs"]}))
+    assert main(["compare", "--config", str(cfg)]) == 2
+    assert "params" in capsys.readouterr().err
 
 
 def test_solve_exit_3_when_limited_without_assignment(tmp_path, capsys):

@@ -6,9 +6,9 @@ import pytest
 
 from flowsamp import (Allocation, Formulation, FlowSpec, LoadStats, SolverConfig,
                       SwitchSpec, additive_feasible, brute_force_optimal,
-                      build_ilp_model, build_network, effective_load,
-                      min_required_capacity, socp_feasible, solve, solve_apx,
-                      solve_exact, squared_form_feasible, validate_allocation)
+                      build_network, effective_load, min_required_capacity,
+                      socp_feasible, solve, solve_apx, solve_exact,
+                      squared_form_feasible, validate_allocation)
 from flowsamp.optimizer import load_solve_result
 
 from conftest import all_allocations, enumerate_best_objective, random_instance
@@ -211,21 +211,6 @@ def test_squared_form_equivalent_to_cone():
         for alloc in all_allocations(net):
             assert squared_form_feasible(net, alloc, delta) == \
                 socp_feasible(net, alloc, delta)
-
-
-def test_ilp_model_variable_counts():
-    rng = np.random.default_rng(37)
-    for _ in range(20):
-        net = random_instance(rng, max_switches=3, max_flows=6)
-        model = build_ilp_model(net)
-        nf, ns = len(net.flows), len(net.switches)
-        assert model.num_x == sum(len(f.path) for f in net.flows) <= nf * ns
-        assert model.num_w == sum(
-            len(net.flows_at[s.id]) * (len(net.flows_at[s.id]) - 1) // 2
-            for s in net.switches) <= nf * nf * ns
-        kinds = {c[0] for c in model.constraints}
-        assert {"assign_at_most_once", "mean_within_capacity",
-                "squared_capacity"} <= kinds
 
 
 def test_zero_variance_collapse():

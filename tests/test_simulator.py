@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from flowsamp import (EpochConfig, EstimatorMode, Formulation, FlowSpec, RatePro
                       SamplingQuery, SolverConfig, SwitchSpec, build_network,
                       measure_metrics, run_simulation, write_flow_epochs_csv,
                       write_summary_json)
+
+from conftest import partly_admitted_bundle
 
 
 def constant_process(rates_by_flow, n_buckets, bucket=0.1):
@@ -161,6 +164,9 @@ def test_epoch_config_validation():
         EpochConfig(fully_sampled_tolerance=1.0)
     with pytest.raises(ValueError):
         EpochConfig(capacity_period="minute")
+    for bucket in (-0.1, 0.0):
+        with pytest.raises(ValueError, match="bucket"):
+            EpochConfig(bucket=bucket)
 
 
 def test_per_second_capacity_period():
@@ -211,3 +217,27 @@ def test_metrics_no_pressure_fully_sampled_equals_admitted():
     assert summary.fully_sampled_flows == 5
     assert summary.rate_quartiles == (1.0, 1.0, 1.0)
     assert summary.violation_fraction == 0.0
+
+
+def test_summary_flows_agree_with_report(tmp_path):
+    bundle = partly_admitted_bundle(0)
+    report = run_simulation(bundle.network, list(bundle.queries), bundle.process,
+                            bundle.epoch, 0)
+    path = tmp_path / "summary.json"
+    write_summary_json(report, str(path))
+    flows = json.loads(path.read_text())["flows"]
+    assert list(flows) == ["big", "huge", "small"]
+    for fid, entry in flows.items():
+        assert entry == {"target": 0.5, "measured_rate": report.measured_rate(fid),
+                         "fully_sampled": report.fully_sampled(fid),
+                         "ever_admitted": report.ever_admitted(fid)}
+    assert [report.ever_admitted(f) for f in flows] == [True, False, True]
+    assert [report.fully_sampled(f) for f in flows] == [False, False, True]
+    # offered but never forwarded: measured at zero, yet left out of the rates
+    assert report.measured_rate("huge") == 0.0
+    summary = measure_metrics(report)
+    assert summary.measured_rates == (report.measured_rate("big"),
+                                      report.measured_rate("small"))
+    assert (summary.admitted_flows, summary.fully_sampled_flows) == (2, 1)
+    assert report.measured_rate("ghost") is None
+    assert not report.ever_admitted("ghost") and not report.fully_sampled("ghost")
