@@ -29,8 +29,8 @@ class SwitchSpec:
     capacity_pps: float
 
     def __post_init__(self):
-        if self.capacity_pps < 0:
-            raise ModelError(f"switch {self.id!r}: capacity_pps must be >= 0")
+        if not (math.isfinite(self.capacity_pps) and self.capacity_pps >= 0):
+            raise ModelError(f"switch {self.id!r}: capacity_pps must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,10 @@ class FlowSpec:
             raise ModelError(f"flow {self.id!r}: repeated switch on path")
         if not 0.0 < self.target_rate <= 1.0:
             raise ModelError(f"flow {self.id!r}: target_rate must be in (0, 1]")
-        if self.rate_mean_pps < 0:
-            raise ModelError(f"flow {self.id!r}: rate_mean_pps must be >= 0")
-        if self.rate_var_pps2 < 0:
-            raise ModelError(f"flow {self.id!r}: rate_var_pps2 must be >= 0")
+        for name in ("rate_mean_pps", "rate_var_pps2"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ModelError(f"flow {self.id!r}: {name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .model import Allocation, FlowSpec, LoadStats, Network, load_stats
@@ -214,10 +214,18 @@ class _Instance:
     effective load and var = 0. Flows are ordered by ascending g (flow id
     breaking ties), with per-switch membership in that order and prefix sums
     of g for the fractional-relaxation bounds; g is a floor on what a flow
-    adds to any switch's load."""
+    adds to any switch's load. Every number is a plain float, so the search
+    does no numpy-scalar arithmetic (the values are the same either way).
+
+    The search keeps, per switch s, first[s] (how many of its members sit at
+    positions below the depth being bounded) and a cached term: how many of
+    the remaining members fit in the residual capacity, cheapest first. The
+    term is valid for (first[s], used_g[s]) and is refreshed whenever either
+    changes: at an apply or a release on s, and when the bounded depth moves
+    across a flow whose path contains s."""
 
     def __init__(self, network: Network, config: SolverConfig):
-        self.z = normal_quantile(config.delta)
+        self.z = float(normal_quantile(config.delta))
         flows = network.flows
         n = len(flows)
         if config.formulation == Formulation.EXACT:
@@ -229,31 +237,27 @@ class _Instance:
             var = [0.0] * n
         order = sorted(range(n), key=lambda i: (g[i], flows[i].id))
         self.flow_ids = [flows[i].id for i in order]
-        self.g = [g[i] for i in order]
-        self.var = [var[i] for i in order]
+        self.g = [float(g[i]) for i in order]
+        self.var = [float(var[i]) for i in order]
         self.prefix = [0.0] * (n + 1)
         for k in range(n):
             self.prefix[k + 1] = self.prefix[k] + self.g[k]
 
         switches = network.switches
         self.switch_ids = [s.id for s in switches]
-        self.capacity = [s.capacity_pps for s in switches]
+        self.capacity = [float(s.capacity_pps) for s in switches]
         self.slack = [_slack(c) for c in self.capacity]
         self.slack_total = sum(self.slack)
         sidx = {s.id: k for k, s in enumerate(switches)}
         self.on_path = [[sidx[sid] for sid in flows[i].path] for i in order]
-        # Per-switch members by search position; g is ascending in that
-        # order, so prefix sums give "k cheapest remaining on this switch".
-        self.members: list[list[int]] = [[] for _ in switches]
+        # Per-switch prefix sums of g over the switch's members in search
+        # order; g is ascending in that order, so they give "k cheapest
+        # remaining on this switch".
+        self.member_prefix = [[0.0] for _ in switches]
         for pos in range(n):
             for s in self.on_path[pos]:
-                self.members[s].append(pos)
-        self.member_prefix = []
-        for s, positions in enumerate(self.members):
-            acc = [0.0]
-            for pos in positions:
+                acc = self.member_prefix[s]
                 acc.append(acc[-1] + self.g[pos])
-            self.member_prefix.append(acc)
         self.n = n
 
 
@@ -273,10 +277,43 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
     limit_hit = False
 
     g, var, sqrt = inst.g, inst.var, math.sqrt
-    limit = [c + sl for c, sl in zip(inst.capacity, inst.slack)]
+    capacity, slack, on_path = inst.capacity, inst.slack, inst.on_path
+    member_prefix, prefix = inst.member_prefix, inst.prefix
+    limit = [c + sl for c, sl in zip(capacity, slack)]
+
+    # Per-switch bound terms, see _Instance; `at` is the depth first[]
+    # describes and `total` the sum of the terms.
+    n_members = [len(acc) - 1 for acc in member_prefix]
+    first = [0] * n_switch
+    term = [0] * n_switch
+    at = 0
+    total = 0
+
+    def refresh(s: int) -> None:
+        nonlocal total
+        j = first[s]
+        resid = capacity[s] - used_g[s]
+        if j >= n_members[s] or resid < 0:
+            t = 0
+        else:
+            acc = member_prefix[s]
+            t = bisect_right(acc, acc[j] + resid + slack[s], j) - 1 - j
+        total += t - term[s]
+        term[s] = t
+
+    for s in range(n_switch):
+        refresh(s)
 
     def fits(pos: int, s: int) -> bool:
         return used_g[s] + g[pos] + z * sqrt(used_var[s] + var[pos]) <= limit[s]
+
+    def apply(pos: int, s: int) -> None:
+        nonlocal admitted
+        used_g[s] += g[pos]
+        used_var[s] += var[pos]
+        choice[pos] = s
+        admitted += 1
+        refresh(s)
 
     def release(pos: int, s: int) -> None:
         nonlocal admitted
@@ -286,12 +323,13 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
             used_var[s] = 0.0
         choice[pos] = -1
         admitted -= 1
+        refresh(s)
 
     def children(depth: int) -> list[int]:
         cands = []
-        for s in inst.on_path[depth]:
+        for s in on_path[depth]:
             if fits(depth, s):
-                cap = inst.capacity[s]
+                cap = capacity[s]
                 used = used_g[s] + z * sqrt(used_var[s])
                 util = used / cap if cap > 0 else 1.0
                 cands.append((util, inst.switch_ids[s], s))
@@ -301,35 +339,32 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
         return out
 
     def upper_bound(depth: int) -> int:
+        nonlocal at
+        while at < depth:
+            for s in on_path[at]:
+                first[s] += 1
+                refresh(s)
+            at += 1
+        while at > depth:
+            at -= 1
+            for s in on_path[at]:
+                first[s] -= 1
+                refresh(s)
         rem = n - depth
         if rem == 0:
             return 0
         pool = 0.0
-        for s in range(n_switch):
-            r = inst.capacity[s] - used_g[s]
+        for c, u in zip(capacity, used_g):
+            r = c - u
             if r > 0:
                 pool += r
         # Account for the per-switch feasibility slack so the relaxation
         # stays an upper bound for assignments admitted at the boundary.
-        target = inst.prefix[depth] + pool + inst.slack_total + 1e-9 * (1.0 + pool)
-        pooled = bisect_right(inst.prefix, target, depth, n + 1) - 1 - depth
+        target = prefix[depth] + pool + inst.slack_total + 1e-9 * (1.0 + pool)
+        pooled = bisect_right(prefix, target, depth, n + 1) - 1 - depth
         if pooled <= 0:
             return max(0, pooled)
-        per_switch = 0
-        for s in range(n_switch):
-            positions = inst.members[s]
-            j = bisect_left(positions, depth)
-            if j >= len(positions):
-                continue
-            acc = inst.member_prefix[s]
-            resid = inst.capacity[s] - used_g[s]
-            if resid < 0:
-                continue
-            hi = bisect_right(acc, acc[j] + resid + inst.slack[s], j)
-            per_switch += hi - 1 - j
-            if per_switch >= pooled:
-                return min(rem, pooled)
-        return min(rem, pooled, per_switch)
+        return min(rem, pooled, total)
 
     # Frames: [children, next index, switch applied on the edge into the
     # frame (-2 for the root, -1 for a skip edge)].
@@ -352,10 +387,7 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
             break
         applied = s >= 0
         if applied:
-            used_g[s] += g[depth]
-            used_var[s] += var[depth]
-            choice[depth] = s
-            admitted += 1
+            apply(depth, s)
             if admitted > best_obj:
                 best_obj = admitted
                 best_choice = list(choice)
@@ -390,10 +422,7 @@ def solve_apx(network: Network, config: SolverConfig) -> SolveResult:
 def solve_exact(network: Network, config: SolverConfig) -> SolveResult:
     """Solve the cone-constrained formulation by branch and bound with a
     per-node cone feasibility check."""
-    cfg = config if config.formulation == Formulation.EXACT else \
-        SolverConfig(Formulation.EXACT, config.delta, config.epsilon_pps,
-                     config.time_limit, config.node_limit)
-    return _bb_solve(network, cfg)
+    return _bb_solve(network, replace(config, formulation=Formulation.EXACT))
 
 
 def solve(network: Network, config: SolverConfig) -> SolveResult:

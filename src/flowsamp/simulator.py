@@ -230,7 +230,7 @@ def run_simulation(network: Network, queries: list[SamplingQuery], rates: RatePr
             else:
                 mean, var = estimate_flow_stats(history[f.id], config.estimator_window)
             epoch_flows.append(dataclasses.replace(
-                f, target_rate=alpha[i], rate_mean_pps=mean, rate_var_pps2=var))
+                f, target_rate=float(alpha[i]), rate_mean_pps=mean, rate_var_pps2=var))
         epoch_net = build_network(network.switches, epoch_flows)
         result = solve(epoch_net, config.solver)
         solves.append({

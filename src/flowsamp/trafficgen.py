@@ -203,6 +203,9 @@ def load_trace(path: str, scale_divisor: float, bucket: float,
                 rate = float(parts[2])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed number") from None
+            for name, value in (("bucket_start_ms", start_ms), ("rate_pps", rate)):
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}:{lineno}: {name} {value} is not finite")
             fid = parts[1]
             if not fid:
                 raise ValueError(f"{path}:{lineno}: empty flow id")

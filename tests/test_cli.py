@@ -46,6 +46,14 @@ def test_solve_missing_file(capsys):
     assert main(["solve", "--net", "/does/not/exist.json"]) == 2
 
 
+def test_solve_rejects_nan_capacity(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"switches": [{"id": "s", "capacity_pps": NaN}], "flows": []}')
+    assert main(["solve", "--net", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "capacity_pps" in err and "Traceback" not in err
+
+
 def test_solve_alpha_override(toy_net_file, capsys):
     # at a tiny target rate everything fits
     assert main(["solve", "--net", toy_net_file, "--delta", "0.08",

@@ -59,6 +59,10 @@ def test_build_errors(bad):
     dict(target_rate=1.5),
     dict(rate_mean_pps=-1.0),
     dict(rate_var_pps2=-1.0),
+    dict(rate_mean_pps=math.nan),
+    dict(rate_mean_pps=math.inf),
+    dict(rate_var_pps2=math.inf),
+    dict(rate_var_pps2=math.nan),
 ])
 def test_flow_spec_invariants(kwargs):
     base = dict(id="f", src="a", dst="b", path=("s",), target_rate=0.5,
@@ -71,6 +75,12 @@ def test_flow_spec_invariants(kwargs):
 def test_negative_capacity_rejected():
     with pytest.raises(ModelError):
         SwitchSpec("s", -1.0)
+
+
+@pytest.mark.parametrize("capacity", [math.nan, math.inf, -math.inf])
+def test_non_finite_capacity_rejected(capacity):
+    with pytest.raises(ModelError, match="capacity_pps"):
+        SwitchSpec("s", capacity)
 
 
 def test_load_stats_toy_flow():

@@ -1,15 +1,22 @@
 import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsamp import (Allocation, Formulation, FlowSpec, LoadStats, SolverConfig,
                       SwitchSpec, additive_feasible, brute_force_optimal,
                       build_network, effective_load, min_required_capacity,
                       socp_feasible, solve, solve_apx, solve_exact,
                       squared_form_feasible, validate_allocation)
+from flowsamp.instances import (big_scale_free_network, model_driven_scenario,
+                                runtime_comparison_network)
 from flowsamp.optimizer import load_solve_result
+from flowsamp.simulator import run_simulation
 
 from conftest import all_allocations, enumerate_best_objective, random_instance
 from test_stats import quantile_by_bisection
@@ -242,6 +249,72 @@ def test_greedy_incumbent_under_node_limit():
     assert not result.optimal
     assert 1 <= result.objective < 6
     assert result.nodes_explored == 3
+
+
+@given(seed=st.integers(0, 2**32 - 1), form=st.sampled_from(list(Formulation)),
+       delta=st.floats(0.01, 0.5), epsilon=st.floats(0.0, 50.0),
+       node_limit=st.integers(1, 300))
+@settings(max_examples=150, deadline=None)
+def test_node_limited_search_against_oracle(seed, form, delta, epsilon, node_limit):
+    # A stale bound prunes a better subtree and still reports optimal=True.
+    net = random_instance(np.random.default_rng(seed), max_switches=3, max_flows=6)
+    cfg = SolverConfig(form, delta=delta, epsilon_pps=epsilon, node_limit=node_limit)
+    result = solve(net, cfg)
+    validate_allocation(net, result.allocation)
+    if form == Formulation.EXACT:
+        assert socp_feasible(net, result.allocation, delta)
+    else:
+        assert additive_feasible(net, result.allocation, cfg)
+    best = brute_force_optimal(net, cfg).objective
+    assert result.objective <= best
+    if result.optimal:
+        assert result.objective == best
+    assert result.nodes_explored <= node_limit
+
+
+def _fingerprint(objective, optimal, nodes, pairs):
+    digest = hashlib.sha256(json.dumps(sorted(pairs)).encode()).hexdigest()[:16]
+    return objective, optimal, nodes, digest
+
+
+# (objective, optimal, nodes_explored, digest of the sorted assignment),
+# recorded before the bound was made incremental. A change to the search
+# order, the bound or the arithmetic shows up here.
+RC7_FINGERPRINTS = {
+    Formulation.APX: (11, True, 62, "d6ae5c6662027d54"),
+    Formulation.EXACT: (22, False, 50_000, "48d1bcd11489ce1c"),
+    Formulation.DS: (33, True, 118, "6f4393cd4515aa07"),
+    Formulation.DS2SIGMA: (11, True, 62, "d6ae5c6662027d54"),
+    Formulation.CSAMP_EPS: (33, True, 118, "6f4393cd4515aa07"),
+}
+
+
+def test_search_fingerprint_cone_instance():
+    net = runtime_comparison_network(7)
+    for form, expected in RC7_FINGERPRINTS.items():
+        cfg = SolverConfig(form, delta=0.2,
+                           node_limit=50_000 if form == Formulation.EXACT else 200_000)
+        r = solve(net, cfg)
+        got = _fingerprint(r.objective, r.optimal, r.nodes_explored,
+                           r.allocation.assignment.items())
+        assert got == expected, form
+
+
+def test_search_fingerprint_scale_free_and_simulation():
+    net = big_scale_free_network(3, n_switches=50, n_flows=300)
+    r = solve(net, SolverConfig(Formulation.APX, delta=0.2, node_limit=2_000))
+    assert _fingerprint(r.objective, r.optimal, r.nodes_explored,
+                        r.allocation.assignment.items()) == \
+        (100, True, 416, "9c84813e7e2d7865")
+
+    bundle = model_driven_scenario(1, n_epochs=1, node_limit=2_000)
+    report = run_simulation(bundle.network, list(bundle.queries), bundle.process,
+                            bundle.epoch, 0)
+    [s] = report.solves
+    assigned = [(rec.flow_id, rec.assigned_switch) for rec in report.records
+                if rec.assigned_switch is not None]
+    assert _fingerprint(s["objective"], s["optimal"], s["nodes_explored"], assigned) == \
+        (53, False, 2_000, "5f34cae0bccf9c1f")
 
 
 def test_solve_result_round_trip(tmp_path, toy_network):

@@ -7,8 +7,9 @@ import pytest
 
 from flowsamp import (EpochConfig, EstimatorMode, Formulation, FlowSpec, RateProcess,
                       SamplingQuery, SolverConfig, SwitchSpec, build_network,
-                      measure_metrics, run_simulation, write_flow_epochs_csv,
+                      measure_metrics, run_simulation, solve, write_flow_epochs_csv,
                       write_summary_json)
+from flowsamp import simulator as fs
 
 from conftest import partly_admitted_bundle
 
@@ -241,3 +242,22 @@ def test_summary_flows_agree_with_report(tmp_path):
     assert (summary.admitted_flows, summary.fully_sampled_flows) == (2, 1)
     assert report.measured_rate("ghost") is None
     assert not report.ever_admitted("ghost") and not report.fully_sampled("ghost")
+
+
+@pytest.mark.parametrize("mode", list(EstimatorMode))
+def test_solver_receives_plain_float_moments(monkeypatch, mode):
+    # numpy scalars in a FlowSpec would leak numpy arithmetic into the search
+    bundle = partly_admitted_bundle(0)
+    epoch = dataclasses.replace(bundle.epoch, estimator_mode=mode)
+    seen = []
+
+    def spy(network, config):
+        seen.extend(network.flows)
+        return solve(network, config)
+
+    monkeypatch.setattr(fs, "solve", spy)
+    run_simulation(bundle.network, list(bundle.queries), bundle.process, epoch, 0)
+    assert len(seen) == 5   # "big" and "huge" in both epochs, "small" in the second
+    for flow in seen:
+        for name in ("target_rate", "rate_mean_pps", "rate_var_pps2"):
+            assert type(getattr(flow, name)) is float, (flow.id, name)

@@ -155,6 +155,10 @@ def test_empty_trace(tmp_path):
     (f"{TRACE_HEADER}\n0,f,-5\n", "negative"),
     (f"{TRACE_HEADER}\n55,f,5\n", "grid"),
     (f"{TRACE_HEADER}\n0,f,5\n0,f,6\n", "duplicate"),
+    (f"{TRACE_HEADER}\n0,f,nan\n", ":2: rate_pps"),
+    (f"{TRACE_HEADER}\n0,f,5\n100,f,inf\n", ":3: rate_pps"),
+    (f"{TRACE_HEADER}\nnan,f,5\n", ":2: bucket_start_ms"),
+    (f"{TRACE_HEADER}\n-inf,f,5\n", ":2: bucket_start_ms"),
 ])
 def test_trace_malformed_lines(tmp_path, body, match):
     path = tmp_path / "bad.trace"
