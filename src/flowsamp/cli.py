@@ -76,6 +76,12 @@ def _merge_config(args: argparse.Namespace, doc: dict) -> None:
         setattr(args, key, value)
 
 
+def _float_arg(args, name: str, default: float) -> float:
+    # an explicit 0 is kept, so that validation rejects it
+    value = getattr(args, name, None)
+    return float(default if value is None else value)
+
+
 def _solver_from_args(args) -> SolverConfig:
     base = SolverConfig()
     kwargs = {}
@@ -86,7 +92,10 @@ def _solver_from_args(args) -> SolverConfig:
     if getattr(args, "time_limit", None) is not None:
         kwargs["time_limit"] = float(args.time_limit)
     if getattr(args, "node_limit", None) is not None:
-        kwargs["node_limit"] = int(args.node_limit)
+        try:
+            kwargs["node_limit"] = int(args.node_limit)
+        except (ValueError, OverflowError):
+            raise CliError(f"node_limit must be an integer, got {args.node_limit!r}") from None
     cfg = dataclasses.replace(base, **kwargs) if kwargs else base
     form = getattr(args, "formulation", None)
     if form is not None:
@@ -231,19 +240,18 @@ def cmd_simulate(args) -> int:
         if not (getattr(args, "net", None) and getattr(args, "trace", None)):
             raise CliError("simulate needs --preset, or --net and --trace")
         network = load_network(args.net)
-        bucket = float(getattr(args, "bucket", None) or 0.1)
-        process = load_trace(args.trace, 1.0, bucket,
-                             known_flows={f.id for f in network.flows})
-        epoch_len = float(getattr(args, "epoch_len", None) or 5.0)
-        alpha = float(getattr(args, "alpha", None) or 0.1)
-        n_epochs = int(process.horizon // epoch_len)
-        if n_epochs < 1:
-            raise CliError("trace shorter than one epoch")
-        queries = [SamplingQuery(f.id, 0.0, n_epochs * epoch_len, alpha)
-                   for f in network.flows]
-        epoch = EpochConfig(epoch_length=epoch_len, bucket=bucket,
+        epoch = EpochConfig(epoch_length=_float_arg(args, "epoch_len", 5.0),
+                            bucket=_float_arg(args, "bucket", 0.1),
                             solver=_solver_from_args(args),
                             estimator_mode=EstimatorMode.WINDOWED)
+        process = load_trace(args.trace, 1.0, epoch.bucket,
+                             known_flows={f.id for f in network.flows})
+        alpha = _float_arg(args, "alpha", 0.1)
+        n_epochs = int(process.horizon // epoch.epoch_length)
+        if n_epochs < 1:
+            raise CliError("trace shorter than one epoch")
+        queries = [SamplingQuery(f.id, 0.0, n_epochs * epoch.epoch_length, alpha)
+                   for f in network.flows]
     report = run_simulation(network, queries, process, epoch, seed)
     csv_path = os.path.join(out_dir, f"flow_epochs_seed{seed}.csv")
     json_path = os.path.join(out_dir, f"summary_seed{seed}.json")

@@ -60,12 +60,13 @@ class SolverConfig:
             # delta <= 0.5 keeps z(delta) >= 0; beyond that the capacity
             # constraint loses convexity and the squared form is invalid.
             raise ValueError(f"delta must be in (0, 0.5], got {self.delta}")
-        if self.epsilon_pps < 0:
-            raise ValueError("epsilon_pps must be >= 0")
-        if self.time_limit <= 0:
-            raise ValueError("time_limit must be positive")
-        if self.node_limit < 1:
-            raise ValueError("node_limit must be >= 1")
+        # written so that NaN fails every check
+        if not (math.isfinite(self.epsilon_pps) and self.epsilon_pps >= 0):
+            raise ValueError(f"epsilon_pps must be a finite number >= 0, got {self.epsilon_pps}")
+        if not self.time_limit > 0:
+            raise ValueError(f"time_limit must be positive, got {self.time_limit}")
+        if not self.node_limit >= 1:
+            raise ValueError(f"node_limit must be >= 1, got {self.node_limit}")
 
 
 @dataclass(frozen=True)

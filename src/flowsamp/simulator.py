@@ -2,11 +2,14 @@
 
 Each epoch the control loop batches the queries that have arrived by the
 epoch boundary, estimates per-flow rate moments, solves for a sampling
-schedule, and then replays traffic bucket by bucket: admitted flows offer
-packets (fractional packets-per-bucket carry over so long-run counts are
-exact), each offered packet is sampled independently with the flow's
-target probability, and each switch forwards at most its per-bucket budget
-of sampled packets, dropping the excess and flagging a capacity violation.
+schedule, and then replays the epoch's buckets as one batch: admitted flows
+offer packets (fractional packets-per-bucket carry over so long-run counts
+are exact), one binomial draw over the (bucket, flow) matrix samples each
+offered packet independently with the flow's target probability (the
+generator yields the same variates in the same order as one draw per
+bucket), and each switch forwards at most its per-bucket budget, or what
+is left of its per-second budget, of sampled packets, dropping the excess
+and flagging a capacity violation.
 
 Queries arriving mid-epoch wait for the next boundary. Drops on an
 overloaded switch are split across its flows proportionally to their
@@ -45,8 +48,10 @@ class SamplingQuery:
     sampling_rate: float
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError(f"query for {self.flow_id!r}: duration must be positive")
+        if not math.isfinite(self.start):
+            raise ValueError(f"query for {self.flow_id!r}: start must be finite")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(f"query for {self.flow_id!r}: duration must be positive and finite")
         if not 0.0 < self.sampling_rate <= 1.0:
             raise ValueError(f"query for {self.flow_id!r}: sampling_rate must be in (0, 1]")
 
@@ -62,14 +67,17 @@ class EpochConfig:
     capacity_period: str = "bucket"  # or "second"
 
     def __post_init__(self):
-        if not self.bucket > 0:
-            raise ValueError(f"bucket must be positive, got {self.bucket}")
+        # written so that NaN fails every check
+        if not (math.isfinite(self.bucket) and self.bucket > 0):
+            raise ValueError(f"bucket must be positive and finite, got {self.bucket}")
+        if not (math.isfinite(self.epoch_length) and self.epoch_length > 0):
+            raise ValueError(f"epoch_length must be positive and finite, got {self.epoch_length}")
         ratio = self.epoch_length / self.bucket
-        if abs(ratio - round(ratio)) > 1e-9 or self.epoch_length <= 0:
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("epoch_length must be a whole number of buckets")
         if not 0.0 <= self.fully_sampled_tolerance < 1.0:
             raise ValueError("fully_sampled_tolerance must be in [0, 1)")
-        if self.estimator_window < 1:
+        if not self.estimator_window >= 1:
             raise ValueError("estimator_window must be >= 1")
         if self.capacity_period not in ("bucket", "second"):
             raise ValueError("capacity_period must be 'bucket' or 'second'")
@@ -209,15 +217,22 @@ def run_simulation(network: Network, queries: list[SamplingQuery], rates: RatePr
     active_epochs: dict[str, list[int]] = {}
     solves: list[dict] = []
     budget = cap_second.copy()
+    offered = np.zeros((bpe, nf), dtype=np.int64)
+    limit = np.empty((bpe, ns), dtype=np.int64) if per_second \
+        else np.broadcast_to(cap_bucket, (bpe, ns))
+    bucket_base = np.arange(bpe)[:, None] * ns
+
+    queries_at: list[list[SamplingQuery]] = [[] for _ in range(n_epochs)]
+    for q in queries:
+        for e in range(*_active_epoch_range(q, config.epoch_length, n_epochs)):
+            queries_at[e].append(q)
 
     for e in range(n_epochs):
-        t_e = e * config.epoch_length
         alpha = np.zeros(nf)
-        for q in queries:
-            if q.start <= t_e + 1e-9 and t_e < q.start + q.duration - 1e-9:
-                i = fidx[q.flow_id]
-                alpha[i] = max(alpha[i], q.sampling_rate)
-                targets[q.flow_id] = max(targets.get(q.flow_id, 0.0), q.sampling_rate)
+        for q in queries_at[e]:
+            i = fidx[q.flow_id]
+            alpha[i] = max(alpha[i], q.sampling_rate)
+            targets[q.flow_id] = max(targets.get(q.flow_id, 0.0), q.sampling_rate)
         active = [i for i in range(nf) if alpha[i] > 0]
         for i in active:
             active_epochs.setdefault(flow_ids[i], []).append(e)
@@ -242,35 +257,37 @@ def run_simulation(network: Network, queries: list[SamplingQuery], rates: RatePr
             assigned[fidx[fid]] = sidx[sid]
         admit_mask = assigned >= 0
 
-        off_sum = np.zeros(nf, dtype=np.int64)
-        smp_sum = np.zeros(nf, dtype=np.int64)
-        fwd_sum = np.zeros(nf, dtype=np.int64)
+        # the whole epoch as (bucket, flow) arrays, bucket-major: one binomial
+        # call draws the same variates in the same order as one call per bucket
+        k0 = e * bpe
+        arrivals = (rate_mat[:, k0:k0 + bpe] * config.bucket).T
         for b in range(bpe):
-            k = e * bpe + b
-            acc += rate_mat[:, k] * config.bucket
-            offered = np.floor(acc + 1e-9).astype(np.int64)
-            acc -= offered
-            n_vec = np.where(admit_mask, offered, 0)
-            sampled = rng.binomial(n_vec, alpha)
-            forwarded = sampled.copy()
-            if per_second and k % per_second == 0:
-                budget = cap_second.copy()
-            totals = np.bincount(assigned[admit_mask], weights=sampled[admit_mask],
-                                 minlength=ns).astype(np.int64) if admit_mask.any() \
-                else np.zeros(ns, dtype=np.int64)
-            loads[:, k] = totals
-            limit = budget if per_second else cap_bucket
-            over = np.nonzero(totals > limit)[0]
-            for s in over:
-                violations[s, k] = True
-                member = np.nonzero((assigned == s) & (sampled > 0))[0]
-                _apportion(forwarded, sampled, member, int(limit[s]))
-            if per_second:
-                budget -= np.minimum(totals, limit)
-            for i in active:
-                off_sum[i] += offered[i]
-            smp_sum += sampled
-            fwd_sum += forwarded
+            acc += arrivals[b]
+            offered[b] = np.floor(acc + 1e-9)
+            acc -= offered[b]
+        sampled = rng.binomial(np.where(admit_mask, offered, 0), alpha)
+        forwarded = sampled.copy()
+        admitted = np.nonzero(admit_mask)[0]
+        totals = np.bincount((bucket_base + assigned[admitted]).ravel(),
+                             weights=sampled[:, admitted].ravel(),
+                             minlength=bpe * ns).astype(np.int64).reshape(bpe, ns)
+        loads[:, k0:k0 + bpe] = totals.T
+        if per_second:
+            # what is left of each switch's per-second budget at each bucket;
+            # a second may start in one epoch and end in the next
+            for b in range(bpe):
+                if (k0 + b) % per_second == 0:
+                    budget = cap_second.copy()
+                limit[b] = budget
+                budget -= np.minimum(totals[b], budget)
+        for b, s in zip(*np.nonzero(totals > limit)):
+            violations[s, k0 + b] = True
+            member = np.nonzero((assigned == s) & (sampled[b] > 0))[0]
+            _apportion(forwarded[b], sampled[b], member, int(limit[b, s]))
+
+        off_sum = offered.sum(axis=0)
+        smp_sum = sampled.sum(axis=0)
+        fwd_sum = forwarded.sum(axis=0)
         for i in active:
             records.append(FlowEpochRecord(
                 epoch=e, flow_id=flow_ids[i],
@@ -279,7 +296,7 @@ def run_simulation(network: Network, queries: list[SamplingQuery], rates: RatePr
                 forwarded=int(fwd_sum[i]), dropped=int(smp_sum[i] - fwd_sum[i]),
             ))
         if nf and bpe:
-            epoch_means = rate_mat[:, e * bpe:(e + 1) * bpe].mean(axis=1)
+            epoch_means = rate_mat[:, k0:k0 + bpe].mean(axis=1)
             for i, fid in enumerate(flow_ids):
                 history[fid].append(e, float(epoch_means[i]))
 
@@ -289,6 +306,31 @@ def run_simulation(network: Network, queries: list[SamplingQuery], rates: RatePr
         solves=solves, n_epochs=n_epochs, epoch_length=config.epoch_length,
         bucket=config.bucket, fully_sampled_tolerance=config.fully_sampled_tolerance,
     )
+
+
+def _active_epoch_range(q: SamplingQuery, epoch_length: float,
+                        n_epochs: int) -> tuple[int, int]:
+    """The epochs [lo, hi) whose boundary t_e = e * epoch_length falls in the
+    query's span: start <= t_e + 1e-9 and t_e < start + duration - 1e-9.
+    Both halves are monotone in e, so a ceil guess adjusted by the exact
+    predicate gives the same epochs as testing every one."""
+    def started(e):
+        return q.start <= e * epoch_length + 1e-9
+
+    def running(e):
+        return e * epoch_length < q.start + q.duration - 1e-9
+
+    lo = min(max(math.ceil((q.start - 1e-9) / epoch_length), 0), n_epochs)
+    while lo > 0 and started(lo - 1):
+        lo -= 1
+    while lo < n_epochs and not started(lo):
+        lo += 1
+    hi = min(max(math.ceil((q.start + q.duration - 1e-9) / epoch_length), lo), n_epochs)
+    while hi > lo and not running(hi - 1):
+        hi -= 1
+    while hi < n_epochs and running(hi):
+        hi += 1
+    return lo, hi
 
 
 def _apportion(forwarded: np.ndarray, sampled: np.ndarray, member: np.ndarray,

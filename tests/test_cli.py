@@ -42,6 +42,12 @@ def test_solve_rejects_bad_delta(toy_net_file, capsys):
     assert "delta" in capsys.readouterr().err
 
 
+def test_solve_rejects_nan_epsilon(toy_net_file, capsys):
+    assert main(["solve", "--net", toy_net_file, "--formulation", "csamp",
+                 "--epsilon", "nan"]) == 2
+    assert "epsilon_pps" in capsys.readouterr().err
+
+
 def test_solve_missing_file(capsys):
     assert main(["solve", "--net", "/does/not/exist.json"]) == 2
 
@@ -145,6 +151,21 @@ def test_simulate_net_and_trace_deterministic(tmp_path, capsys):
     assert outs[0] == outs[1]
     summary = json.loads(outs[0][1])
     assert summary["version"] == "sim-summary/1"
+
+
+def test_simulate_rejects_bad_epoch_settings(tmp_path, toy_net_file, capsys):
+    trace_path = tmp_path / "t.trace"
+    _write_trace(trace_path, ["f1"], 100, 300.0)
+    for flag, field in (("--epoch-len", "epoch_length"), ("--bucket", "bucket"),
+                        ("--alpha", "sampling_rate")):
+        for value in ("nan", "inf", "0"):
+            assert main(["simulate", "--net", toy_net_file, "--trace", str(trace_path),
+                         flag, value, "--out-dir", str(tmp_path)]) == 2
+            assert field in capsys.readouterr().err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"net": toy_net_file, "node_limit": float("inf")}))
+    assert main(["solve", "--config", str(cfg)]) == 2
+    assert "node_limit" in capsys.readouterr().err
 
 
 def test_config_file_overrides_flags(tmp_path, toy_net_file, capsys):

@@ -334,3 +334,12 @@ def test_solve_result_round_trip(tmp_path, toy_network):
 def test_solver_config_validation(kwargs):
     with pytest.raises(ValueError):
         SolverConfig(**kwargs)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("delta", math.nan), ("epsilon_pps", math.nan), ("epsilon_pps", math.inf),
+    ("time_limit", math.nan), ("node_limit", math.nan),
+])
+def test_solver_config_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=name):
+        SolverConfig(**{name: value})

@@ -1,15 +1,18 @@
 import dataclasses
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from flowsamp import (EpochConfig, EstimatorMode, Formulation, FlowSpec, RateProcess,
-                      SamplingQuery, SolverConfig, SwitchSpec, build_network,
-                      measure_metrics, run_simulation, solve, write_flow_epochs_csv,
-                      write_summary_json)
+from flowsamp import (Distribution, EpochConfig, EstimatorMode, Formulation, FlowSpec,
+                      MixtureConfig, RateProcess, SamplingQuery, SolverConfig, SwitchSpec,
+                      build_network, generate_model_driven, measure_metrics,
+                      run_simulation, solve, write_flow_epochs_csv, write_summary_json)
 from flowsamp import simulator as fs
+from flowsamp.instances import (abilene_graph, model_driven_scenario, sensitivity_scenario,
+                                uniform_rate_network)
 
 from conftest import partly_admitted_bundle
 
@@ -156,6 +159,14 @@ def test_query_validation():
         SamplingQuery("f", 0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         SamplingQuery("f", 0.0, 1.0, 1.5)
+    for start in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="start"):
+            SamplingQuery("f", start, 1.0, 0.5)
+    for duration in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="duration"):
+            SamplingQuery("f", 0.0, duration, 0.5)
+    with pytest.raises(ValueError, match="sampling_rate"):
+        SamplingQuery("f", 0.0, 1.0, math.nan)
 
 
 def test_epoch_config_validation():
@@ -165,9 +176,14 @@ def test_epoch_config_validation():
         EpochConfig(fully_sampled_tolerance=1.0)
     with pytest.raises(ValueError):
         EpochConfig(capacity_period="minute")
-    for bucket in (-0.1, 0.0):
+    for bucket in (-0.1, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="bucket"):
             EpochConfig(bucket=bucket)
+    for length in (math.nan, math.inf, -math.inf, 0.0, 1e308):
+        with pytest.raises(ValueError, match="epoch_length"):
+            EpochConfig(epoch_length=length)
+    with pytest.raises(ValueError, match="estimator_window"):
+        EpochConfig(estimator_window=math.nan)
 
 
 def test_per_second_capacity_period():
@@ -182,6 +198,93 @@ def test_per_second_capacity_period():
     total_fwd = sum(r.forwarded for r in report.records)
     assert total_fwd == 100
     assert sum(r.offered for r in report.records) == 110
+
+
+def test_per_second_budget_carries_across_epoch_boundary():
+    # 6 packets per bucket at alpha 1 against 50 per second, 5-bucket
+    # epochs: each second's first epoch forwards 30, its second epoch gets
+    # the 20 left, runs out in the fourth bucket and drops 10
+    net = single_flow_net(capacity=50.0, alpha=1.0, mean=45.0)
+    process = constant_process({"f": 60.0}, 20)
+    config = EpochConfig(epoch_length=0.5, solver=SolverConfig(Formulation.DS),
+                         estimator_mode=EstimatorMode.DECLARED,
+                         capacity_period="second")
+    report = run_simulation(net, [SamplingQuery("f", 0.0, 2.0, 1.0)], process, config, 0)
+    assert [(r.offered, r.sampled, r.forwarded, r.dropped) for r in report.records] == \
+        [(30, 30, 30, 0), (30, 30, 20, 10)] * 2
+    assert (report.switch_loads[0] == 6).all()
+    assert np.nonzero(report.switch_violations[0])[0].tolist() == [8, 9, 18, 19]
+
+
+def _replay_digest(report):
+    h = hashlib.sha256(repr(report.records).encode())
+    h.update(report.switch_loads.tobytes())
+    h.update(report.switch_violations.tobytes())
+    return h.hexdigest()
+
+
+def _per_second_overloaded_run():
+    # 0.3 s epochs, so seconds straddle epoch boundaries; bursty flows on a
+    # mean-only solver overrun several per-second budgets
+    net = uniform_rate_network(abilene_graph(), 40, capacity_pps=200.0, cov=1.0,
+                               target_rate=0.5, seed=5)
+    mixture = MixtureConfig(mean_choices_kbps=(200.0,), cov_low=1.0, cov_low_prob=1.0,
+                            cov_high=1.0)
+    process = generate_model_driven(net, mixture, 3.0, 5)
+    queries = [SamplingQuery(f.id, 0.1 * (i % 7), 1.0 + 0.3 * (i % 5), 0.5)
+               for i, f in enumerate(net.flows)]
+    config = EpochConfig(epoch_length=0.3, solver=SolverConfig(Formulation.DS, node_limit=2_000),
+                         capacity_period="second")
+    return run_simulation(net, queries, process, config, 11)
+
+
+# sha256 over the records, switch loads and violation flags, recorded with
+# the replay that drew and capped one bucket at a time. A change to the
+# draw order, the carry-over or the budget shows up here.
+REPLAY_FINGERPRINTS = {
+    Distribution.TRUNC_NORMAL:
+        "68a7d9bdb38f274eb1cf59595be1e79153ec1a19f2441bb94297bf6b24836723",
+    Distribution.GAMMA:
+        "af4fa722ee9b0b312db5751a0f49bef90b76607a5fed4c6a65a1050b687251cc",
+    Distribution.UNIFORM:
+        "a9a711eb465fb1cbcaa1cb1d199a7a0cb8775e1eee6c5c0fb29d2d8efaabdd53",
+    Distribution.T_LOCATION_SCALE:
+        "94c02239e6f659eae3393bf6245b2d4ab420342371473038b0095f8819c60260",
+    "second": "863a3a040093418c30117f5e8913ac22a6517d13bbd4e2e481db69fa2a775fab",
+    "model-driven": "417dd493de4bcd37f5e828858d5cf77e9cbee2b2789478e22530918ced10f2a3",
+}
+
+
+@pytest.mark.parametrize("case", list(REPLAY_FINGERPRINTS))
+def test_replay_fingerprint(case):
+    if case == "second":
+        report = _per_second_overloaded_run()
+    elif case == "model-driven":
+        bundle = model_driven_scenario(1, n_epochs=2, node_limit=2_000)
+        report = run_simulation(bundle.network, list(bundle.queries), bundle.process,
+                                bundle.epoch, 1)
+    else:
+        bundle = sensitivity_scenario(case, 0)
+        report = run_simulation(bundle.network, list(bundle.queries), bundle.process,
+                                bundle.epoch, 0)
+    assert report.switch_violations.any()   # every case exercises _apportion
+    assert _replay_digest(report) == REPLAY_FINGERPRINTS[case]
+
+
+def test_active_epoch_range_matches_scan():
+    rng = np.random.default_rng(3)
+    for epoch_length in (0.1, 0.3, 0.7, 5.0):
+        starts = [e * epoch_length + d for e in range(6) for d in (-1e-9, 0.0, 1e-9, 0.05)]
+        starts += list(rng.uniform(-1.0, 6 * epoch_length, 30))
+        for start in starts:
+            for duration in (epoch_length, 2e-9, 0.5 * epoch_length,
+                             3 * epoch_length - 1e-9, float(rng.uniform(0.01, 4.0))):
+                q = SamplingQuery("f", float(start), duration, 0.5)
+                scan = [e for e in range(8)
+                        if q.start <= e * epoch_length + 1e-9
+                        and e * epoch_length < q.start + q.duration - 1e-9]
+                lo, hi = fs._active_epoch_range(q, epoch_length, 8)
+                assert list(range(lo, hi)) == scan, (epoch_length, start, duration)
 
 
 def test_simulation_deterministic(tmp_path):
