@@ -16,18 +16,22 @@ import sys
 
 import numpy as np
 
-from .instances import (epoch_sweep_scenario, model_driven_scenario,
+from .instances import (ScenarioBundle, epoch_sweep_scenario, model_driven_scenario,
                         sensitivity_scenario, trace_driven_scenario)
-from .model import ModelError, load_network
+from .model import ModelError, build_network, load_network
 from .optimizer import Formulation, SolverConfig, solve
 from .simulator import (EpochConfig, EstimatorMode, SamplingQuery, measure_metrics,
                         run_simulation, write_flow_epochs_csv, write_summary_json)
 from .trafficgen import Distribution, load_trace
 
 DEFAULT_COMPARE_ALGOS = ["ds", "ds2sigma", "apx", "csamp+100", "csamp+150", "csamp+200"]
-_CONFIG_KEYS = {"version", "preset", "seed", "seeds", "algorithms", "out_dir", "out",
-                "params", "trace", "net", "formulation", "delta", "epsilon", "alpha",
-                "epoch_len", "bucket", "time_limit", "node_limit"}
+# solver setting flag destinations -> the SolverConfig field each one replaces
+_SOLVER_SETTINGS = {"delta": "delta", "epsilon": "epsilon_pps", "time_limit": "time_limit",
+                    "node_limit": "node_limit"}
+# JSON types of the config keys whose value is not the scalar a flag parses to.
+_STRUCTURED = {"seeds": (list,), "algorithms": (list,), "trace": (str, dict), "params": (dict,)}
+# Builder keyword annotations that a JSON 'params' value can express.
+_PARAM_KINDS = {"int": (int,), "float": (float,), "int | None": (int, type(None))}
 
 
 class CliError(Exception):
@@ -51,7 +55,23 @@ def parse_algorithm(token: str, base: SolverConfig) -> SolverConfig:
     return dataclasses.replace(base, formulation=form, epsilon_pps=eps)
 
 
-def _load_config(path: str) -> dict:
+def _typed(name: str, value, *kinds: type):
+    """``value`` if it is one of the JSON ``kinds``; an integer passes as a
+    number, a bool as nothing."""
+    accepted = kinds + ((int,) if float in kinds else ())
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise CliError(f"{name} must be {' or '.join(k.__name__ for k in kinds)}, "
+                       f"got {value!r}")
+    return value
+
+
+def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Overlay the JSON run configuration ``args.config`` on the parsed flags.
+
+    The accepted keys are the subcommand's own settings (its flag
+    destinations and config-only defaults) plus ``version``; each value must
+    have the type its flag parses to."""
+    path = args.config
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -59,61 +79,41 @@ def _load_config(path: str) -> dict:
             raise CliError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     if not isinstance(doc, dict):
         raise CliError(f"{path}: config must be a JSON object")
-    for key in doc:
-        if key not in _CONFIG_KEYS:
-            raise CliError(f"{path}: unknown config key {key!r}")
-    version = doc.get("version", "runconfig/1")
+    version = doc.pop("version", "runconfig/1")
     if version != "runconfig/1":
         raise CliError(f"{path}: unsupported config version {version!r}")
-    return doc
-
-
-def _merge_config(args: argparse.Namespace, doc: dict) -> None:
-    # The config document overrides flags.
+    actions = {a.dest: a for a in parser._actions}
+    accepted = set(vars(args)) - {"command", "config"}
     for key, value in doc.items():
-        if key in ("version",):
-            continue
-        setattr(args, key, value)
+        if key not in accepted:
+            raise CliError(f"{path}: unknown config key {key!r} for {args.command}")
+        action = actions.get(key) or argparse.Action((), key)   # a config-only key
+        _typed(f"config key {key!r}", value, *_STRUCTURED.get(key, (action.type or str,)))
+        if action.choices and value not in action.choices:
+            raise CliError(f"config key {key!r} must be one of "
+                           f"{', '.join(action.choices)}, got {value!r}")
+        setattr(args, key, float(value) if action.type is float else value)
 
 
-def _float_arg(args, name: str, default: float) -> float:
-    # an explicit 0 is kept, so that validation rejects it
-    value = getattr(args, name, None)
-    return float(default if value is None else value)
-
-
-def _solver_from_args(args) -> SolverConfig:
-    base = SolverConfig()
-    kwargs = {}
-    if getattr(args, "delta", None) is not None:
-        kwargs["delta"] = float(args.delta)
-    if getattr(args, "epsilon", None) is not None:
-        kwargs["epsilon_pps"] = float(args.epsilon)
-    if getattr(args, "time_limit", None) is not None:
-        kwargs["time_limit"] = float(args.time_limit)
-    if getattr(args, "node_limit", None) is not None:
-        try:
-            kwargs["node_limit"] = int(args.node_limit)
-        except (ValueError, OverflowError):
-            raise CliError(f"node_limit must be an integer, got {args.node_limit!r}") from None
-    cfg = dataclasses.replace(base, **kwargs) if kwargs else base
-    form = getattr(args, "formulation", None)
+def _solver(args, base: SolverConfig) -> SolverConfig:
+    """``base`` with every solver setting the run was given replacing its
+    field; the other fields keep the base's values."""
+    given = {field: getattr(args, key) for key, field in _SOLVER_SETTINGS.items()
+             if getattr(args, key) is not None}
+    form = getattr(args, "formulation", None)   # compare sets it per algorithm token
     if form is not None:
-        cfg = parse_algorithm(form, cfg)
-    return cfg
+        given["formulation"] = Formulation(form)
+    return dataclasses.replace(base, **given)
 
 
 def cmd_solve(args) -> int:
     if not args.net:
         raise CliError("solve needs --net (or a config with 'net')")
     network = load_network(args.net)
-    if getattr(args, "alpha", None) is not None:
-        alpha = float(args.alpha)
-        flows = [dataclasses.replace(f, target_rate=alpha) for f in network.flows]
-        from .model import build_network
+    if args.alpha is not None:
+        flows = [dataclasses.replace(f, target_rate=args.alpha) for f in network.flows]
         network = build_network(network.switches, flows)
-    config = _solver_from_args(args)
-    result = solve(network, config)
+    result = solve(network, _solver(args, SolverConfig()))
     print(f"objective={result.objective} optimal={result.optimal} "
           f"nodes={result.nodes_explored} wall_time={result.wall_time:.3f}s")
     if args.out:
@@ -121,12 +121,6 @@ def cmd_solve(args) -> int:
     if not result.optimal and result.objective == 0 and network.flows:
         return 3
     return 0
-
-
-def _sim_out_dir(args) -> str:
-    out_dir = getattr(args, "out_dir", None) or "out"
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir
 
 
 def _write_table(path: str, header: list[str], rows: list[list]) -> None:
@@ -145,18 +139,17 @@ def _print_table(header: list[str], rows: list[list]) -> None:
         print(fmt.format(*[str(c) for c in row]))
 
 
-def _run_epoch_sweep(args) -> int:
-    out_dir = _sim_out_dir(args)
-    seed = int(getattr(args, "seed", None) or 0)
-    lengths = (1.0, 5.0, 20.0)
+def _run_epoch_sweep(args, seed: int, out_dir: str) -> int:
     rows = []
-    for length in lengths:
-        bundle = epoch_sweep_scenario(length, seed)
+    for length in (1.0, 5.0, 20.0):
+        bundle = _scenario(args, epoch_sweep_scenario, length, seed)
         report = run_simulation(bundle.network, list(bundle.queries), bundle.process,
                                 bundle.epoch, seed)
-        rates = measure_metrics(report).measured_rates
-        q1, med, q3 = np.percentile(rates, [25, 50, 75])
-        rows.append([f"{length:g}", f"{np.mean(rates):.4f}", f"{q1:.4f}",
+        summary = measure_metrics(report)
+        if summary.rate_quartiles is None:
+            raise CliError(f"no flow measured a sampling rate in the {length:g} s epoch")
+        q1, med, q3 = summary.rate_quartiles
+        rows.append([f"{length:g}", f"{np.mean(summary.measured_rates):.4f}", f"{q1:.4f}",
                      f"{med:.4f}", f"{q3:.4f}", f"{q3 - q1:.4f}"])
     header = ["epoch_s", "mean_rate", "q1", "median", "q3", "iqr"]
     _print_table(header, rows)
@@ -164,20 +157,21 @@ def _run_epoch_sweep(args) -> int:
     return 0
 
 
-def _run_distribution_sensitivity(args) -> int:
-    out_dir = _sim_out_dir(args)
-    seeds = getattr(args, "seeds", None) or list(range(20))
+def _run_distribution_sensitivity(args, out_dir: str) -> int:
+    seeds = [_typed("'seeds' entry", s, int) for s in args.seeds or range(20)]
     rows = []
     for dist in Distribution:
         violations = []
         loads_pps = []
         for seed in seeds:
-            bundle = sensitivity_scenario(dist, int(seed))
+            bundle = _scenario(args, sensitivity_scenario, dist, seed)
             report = run_simulation(bundle.network, list(bundle.queries),
-                                    bundle.process, bundle.epoch, int(seed))
+                                    bundle.process, bundle.epoch, seed)
             violations.append(report.violation_fraction("SW"))
             loads_pps.append(report.switch_loads[0] / report.bucket)
         pooled = np.concatenate(loads_pps)
+        if not len(pooled):
+            raise CliError("the distribution-sensitivity runs replayed no bucket")
         q1, med, q3 = np.percentile(pooled, [25, 50, 75])
         rows.append([dist.value, f"{np.mean(violations):.4f}", f"{q1:.0f}",
                      f"{med:.0f}", f"{q3:.0f}"])
@@ -188,65 +182,74 @@ def _run_distribution_sensitivity(args) -> int:
     return 0
 
 
-def _check_params(builder, params) -> None:
-    """Reject 'params' entries the preset builder has no keyword for."""
-    if not isinstance(params, dict):
-        raise CliError("'params' must be a JSON object")
-    accepted = {name for name, p in inspect.signature(builder).parameters.items()
-                if p.kind == inspect.Parameter.KEYWORD_ONLY}
-    for key in params:
+def _params(args, builder) -> dict:
+    """The run's 'params', checked against the keyword-only arguments of the
+    preset's scenario builder."""
+    params = args.params or {}
+    accepted = {name: _PARAM_KINDS[p.annotation]
+                for name, p in inspect.signature(builder).parameters.items()
+                if p.kind == inspect.Parameter.KEYWORD_ONLY and p.annotation in _PARAM_KINDS}
+    for key, value in params.items():
         if key not in accepted:
             raise CliError(f"unknown params key {key!r} for preset "
                            f"(accepted: {', '.join(sorted(accepted))})")
+        _typed(f"params key {key!r}", value, *accepted[key])
+    return params
 
 
-def _bundle_builder(args):
-    preset = getattr(args, "preset", None)
-    params = getattr(args, "params", None) or {}
-    if preset == "model-driven":
-        _check_params(model_driven_scenario, params)
-        return lambda seed: model_driven_scenario(seed, **params)
-    if preset == "trace-driven":
-        trace = getattr(args, "trace", None)
-        if not trace:
-            raise CliError("trace-driven preset needs 'trace' "
-                           "({path, scale_divisor, bucket}) or --trace")
-        _check_params(trace_driven_scenario, params)
-        if isinstance(trace, str):
-            trace = {"path": trace}
-        process = load_trace(trace["path"], float(trace.get("scale_divisor", 100.0)),
-                             float(trace.get("bucket", 0.1)))
-        return lambda seed: trace_driven_scenario(process, seed, **params)
-    raise CliError(f"unknown preset {preset!r}")
+def _scenario(args, builder, *positional) -> ScenarioBundle:
+    """The preset's bundle built with the run's 'params', its solver
+    overlaid with the run's solver settings."""
+    bundle = builder(*positional, **_params(args, builder))
+    return bundle.with_solver(_solver(args, bundle.epoch.solver))
+
+
+def _preset_builder(args):
+    """seed -> bundle for the model-driven and trace-driven presets."""
+    if args.preset == "model-driven":
+        return lambda seed: _scenario(args, model_driven_scenario, seed)
+    if args.preset != "trace-driven":
+        raise CliError("compare needs --preset model-driven or trace-driven")
+    trace = {"path": args.trace} if isinstance(args.trace, str) else args.trace or {}
+    if set(trace) - {"path", "scale_divisor", "bucket"} or \
+            not isinstance(trace.get("path"), str):
+        raise CliError("trace-driven preset needs 'trace' ({path, scale_divisor, bucket}) "
+                       f"or --trace, got {args.trace!r}")
+    process = load_trace(
+        trace["path"],
+        float(_typed("'trace.scale_divisor'", trace.get("scale_divisor", 100.0), float)),
+        float(_typed("'trace.bucket'", trace.get("bucket", 0.1), float)))
+    return lambda seed: _scenario(args, trace_driven_scenario, process, seed)
 
 
 def cmd_simulate(args) -> int:
-    preset = getattr(args, "preset", None)
-    if preset == "epoch-sweep":
-        return _run_epoch_sweep(args)
-    if preset == "distribution-sensitivity":
-        return _run_distribution_sensitivity(args)
-    seed = int(getattr(args, "seed", None) or 0)
-    out_dir = _sim_out_dir(args)
-    if preset:
-        bundle = _bundle_builder(args)(seed)
+    seed = args.seed or 0
+    out_dir = args.out_dir or "out"
+    os.makedirs(out_dir, exist_ok=True)
+    if args.preset:
+        for key in ("net", "alpha", "epoch_len", "bucket"):
+            if getattr(args, key) is not None:
+                raise CliError(f"{key!r} does not apply to --preset {args.preset}; "
+                               "presets take their scenario settings through 'params'")
+        if args.preset == "epoch-sweep":
+            return _run_epoch_sweep(args, seed, out_dir)
+        if args.preset == "distribution-sensitivity":
+            return _run_distribution_sensitivity(args, out_dir)
+        bundle = _preset_builder(args)(seed)
         network, queries, process, epoch = (bundle.network, list(bundle.queries),
                                             bundle.process, bundle.epoch)
-        solver = _solver_from_args(args)
-        if getattr(args, "formulation", None) is not None or \
-                getattr(args, "delta", None) is not None:
-            epoch = dataclasses.replace(epoch, solver=solver)
     else:
-        if not (getattr(args, "net", None) and getattr(args, "trace", None)):
-            raise CliError("simulate needs --preset, or --net and --trace")
+        if not (args.net and isinstance(args.trace, str)):
+            raise CliError("simulate needs --preset, or --net and --trace (a file path)")
         network = load_network(args.net)
-        epoch = EpochConfig(epoch_length=_float_arg(args, "epoch_len", 5.0),
-                            bucket=_float_arg(args, "bucket", 0.1),
-                            solver=_solver_from_args(args),
+        # an explicit 0 is kept, so that validation rejects it
+        epoch = EpochConfig(epoch_length=5.0 if args.epoch_len is None else args.epoch_len,
+                            bucket=0.1 if args.bucket is None else args.bucket,
+                            solver=_solver(args, SolverConfig()),
                             estimator_mode=EstimatorMode.WINDOWED)
         process = load_trace(args.trace, 1.0, epoch.bucket,
                              known_flows={f.id for f in network.flows})
-        alpha = _float_arg(args, "alpha", 0.1)
+        alpha = 0.1 if args.alpha is None else args.alpha
         n_epochs = int(process.horizon // epoch.epoch_length)
         if n_epochs < 1:
             raise CliError("trace shorter than one epoch")
@@ -303,17 +306,10 @@ def compare_algorithms(bundle_builder, algorithms: list[str], seeds: list[int]):
 
 
 def cmd_compare(args) -> int:
-    algorithms = getattr(args, "algorithms", None) or DEFAULT_COMPARE_ALGOS
-    if isinstance(algorithms, str):
-        algorithms = [a for a in algorithms.split(",") if a]
-    seeds = getattr(args, "seeds", None)
-    if seeds is None:
-        seeds = [1, 2, 3, 4, 5]
-    elif isinstance(seeds, str):
-        seeds = [int(s) for s in seeds.split(",") if s]
-    seeds = [int(s) for s in seeds]
-    builder = _bundle_builder(args)
-    results = compare_algorithms(builder, algorithms, seeds)
+    algorithms = [_typed("'algorithms' entry", a, str)
+                  for a in args.algorithms or DEFAULT_COMPARE_ALGOS]
+    seeds = [_typed("'seeds' entry", s, int) for s in args.seeds or [1, 2, 3, 4, 5]]
+    results = compare_algorithms(_preset_builder(args), algorithms, seeds)
     header = ["algorithm", "admitted", "fully_sampled", "rate_q1", "rate_median",
               "rate_q3", "mean_solve_s"]
     rows = []
@@ -323,38 +319,31 @@ def cmd_compare(args) -> int:
                      *(f"{v:.4f}" if v != "" else "" for v in q),
                      f"{res['mean_solver_wall_time_s']:.4f}"])
     _print_table(header, rows)
-    out = getattr(args, "out", None)
-    if out:
-        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-        with open(out, "w") as fh:
+    if args.out:
+        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
+        with open(args.out, "w") as fh:
             json.dump({"version": "compare/1", "seeds": seeds, "results": results},
                       fh, indent=1)
             fh.write("\n")
-        print(f"wrote {out}")
+        print(f"wrote {args.out}")
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON run configuration (overrides flags)")
-    p.add_argument("--formulation", choices=["apx", "exact", "ds", "ds2sigma", "csamp"])
-    p.add_argument("--delta", type=float)
-    p.add_argument("--epsilon", type=float, help="csamp rate headroom, pps")
-    p.add_argument("--alpha", type=float, help="uniform target sampling rate override")
-    p.add_argument("--time-limit", dest="time_limit", type=float)
-    p.add_argument("--node-limit", dest="node_limit", type=int)
-    p.add_argument("--seed", type=int)
+_COMMANDS = {"solve": cmd_solve, "simulate": cmd_simulate, "compare": cmd_compare}
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse the command line and overlay its ``--config`` document."""
     parser = argparse.ArgumentParser(prog="flowsamp")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="solve one allocation instance")
+    # no abbreviations: "compare --seed" must not read as --seeds
+    p_solve = sub.add_parser("solve", allow_abbrev=False, help="solve one allocation instance")
     p_solve.add_argument("--net", help="network JSON file")
     p_solve.add_argument("--out", help="write the result JSON here")
-    _add_common(p_solve)
 
-    p_sim = sub.add_parser("simulate", help="run an epoch-driven simulation")
+    p_sim = sub.add_parser("simulate", allow_abbrev=False,
+                           help="run an epoch-driven simulation")
     p_sim.add_argument("--preset",
                        choices=["epoch-sweep", "distribution-sensitivity",
                                 "model-driven", "trace-driven"])
@@ -363,26 +352,40 @@ def main(argv=None) -> int:
     p_sim.add_argument("--epoch-len", dest="epoch_len", type=float)
     p_sim.add_argument("--bucket", type=float)
     p_sim.add_argument("--out-dir", dest="out_dir")
-    _add_common(p_sim)
+    p_sim.add_argument("--seed", type=int)
+    p_sim.set_defaults(params=None, seeds=None)   # settable from a config only
 
-    p_cmp = sub.add_parser("compare", help="compare algorithms on one scenario")
+    p_cmp = sub.add_parser("compare", allow_abbrev=False,
+                           help="compare algorithms on one scenario")
     p_cmp.add_argument("--preset", choices=["model-driven", "trace-driven"])
     p_cmp.add_argument("--trace")
-    p_cmp.add_argument("--algorithms", help="comma-separated tokens")
-    p_cmp.add_argument("--seeds", help="comma-separated seeds")
+    p_cmp.add_argument("--algorithms", type=lambda text: [a for a in text.split(",") if a],
+                       help="comma-separated tokens")
+    p_cmp.add_argument("--seeds", type=lambda text: [int(s) for s in text.split(",") if s],
+                       help="comma-separated seeds")
     p_cmp.add_argument("--out", help="write aggregate JSON here")
-    p_cmp.add_argument("--out-dir", dest="out_dir")
-    _add_common(p_cmp)
+    p_cmp.set_defaults(params=None)   # settable from a config only
+
+    for p in (p_solve, p_sim):
+        p.add_argument("--formulation", choices=[f.value for f in Formulation])
+        p.add_argument("--alpha", type=float, help="uniform target sampling rate override")
+    for p in (p_solve, p_sim, p_cmp):
+        p.add_argument("--config", help="JSON run configuration (overrides flags)")
+        p.add_argument("--delta", type=float)
+        p.add_argument("--epsilon", type=float, help="csamp rate headroom, pps")
+        p.add_argument("--time-limit", dest="time_limit", type=float)
+        p.add_argument("--node-limit", dest="node_limit", type=int)
 
     args = parser.parse_args(argv)
+    if args.config:
+        _merge_config(args, sub.choices[args.command])
+    return args
+
+
+def main(argv=None) -> int:
     try:
-        if getattr(args, "config", None):
-            _merge_config(args, _load_config(args.config))
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        return cmd_compare(args)
+        args = parse_args(argv)
+        return _COMMANDS[args.command](args)
     except (CliError, ModelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

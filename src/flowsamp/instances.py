@@ -103,6 +103,25 @@ class ScenarioBundle:
             self, epoch=dataclasses.replace(self.epoch, solver=solver))
 
 
+def _random_query_bundle(network: Network, process: RateProcess, seed: int,
+                         n_epochs: int, epoch_length: float, target_rate: float,
+                         inclusion_prob: float, delta: float,
+                         node_limit: int) -> ScenarioBundle:
+    """Each epoch queries every flow independently with ``inclusion_prob``;
+    the declared moments feed the APX solver."""
+    qrng = np.random.default_rng([seed, 4294967296])
+    queries = tuple(SamplingQuery(f.id, e * epoch_length, epoch_length, target_rate)
+                    for e in range(n_epochs) for f in network.flows
+                    if qrng.random() < inclusion_prob)
+    epoch = EpochConfig(
+        epoch_length=epoch_length, bucket=process.bucket,
+        solver=SolverConfig(Formulation.APX, delta=delta, node_limit=node_limit,
+                            time_limit=60.0),
+        estimator_mode=EstimatorMode.DECLARED,
+    )
+    return ScenarioBundle(network, queries, process, epoch)
+
+
 def model_driven_scenario(seed: int, *, n_epochs: int = 5, epoch_length: float = 5.0,
                           capacity_pps: float = 400.0, target_rate: float = 0.1,
                           inclusion_prob: float = 0.8,
@@ -131,21 +150,9 @@ def model_driven_scenario(seed: int, *, n_epochs: int = 5, epoch_length: float =
             flows.append(FlowSpec(fid, src, dst, path, target_rate,
                                   model.mean_pps, (model.cov * model.mean_pps) ** 2))
     network = build_network(switches, flows)
-    qrng = np.random.default_rng([seed, 4294967296])
-    queries = []
-    for e in range(n_epochs):
-        for f in network.flows:
-            if qrng.random() < inclusion_prob:
-                queries.append(SamplingQuery(f.id, e * epoch_length, epoch_length,
-                                             target_rate))
     process = generate_model_driven(network, mixture, n_epochs * epoch_length, seed)
-    epoch = EpochConfig(
-        epoch_length=epoch_length, bucket=mixture.update_interval,
-        solver=SolverConfig(Formulation.APX, delta=delta, node_limit=node_limit,
-                            time_limit=60.0),
-        estimator_mode=EstimatorMode.DECLARED,
-    )
-    return ScenarioBundle(network, tuple(queries), process, epoch)
+    return _random_query_bundle(network, process, seed, n_epochs, epoch_length,
+                                target_rate, inclusion_prob, delta, node_limit)
 
 
 def sensitivity_scenario(distribution: Distribution, seed: int, *,
@@ -220,7 +227,6 @@ def trace_driven_scenario(process: RateProcess, seed: int, *,
     pairs = [(s, d) for s in nodes for d in nodes if s != d]
     switches = [SwitchSpec(v, capacity_pps) for v in nodes]
     flows = []
-    series_by_flow = {}
     for i, fid in enumerate(sorted(process.rates)):
         src, dst = pairs[i % len(pairs)]
         series = process.rates[fid]
@@ -228,21 +234,8 @@ def trace_driven_scenario(process: RateProcess, seed: int, *,
         var = float(series.var(ddof=1)) if len(series) > 1 else 0.0
         flows.append(FlowSpec(fid, src, dst, tuple(nx.shortest_path(graph, src, dst)),
                               target_rate, mean, var))
-        series_by_flow[fid] = series
     network = build_network(switches, flows)
     max_epochs = int(process.horizon // epoch_length)
     n_epochs = max_epochs if n_epochs is None else min(n_epochs, max_epochs)
-    qrng = np.random.default_rng([seed, 4294967296])
-    queries = []
-    for e in range(n_epochs):
-        for f in network.flows:
-            if qrng.random() < inclusion_prob:
-                queries.append(SamplingQuery(f.id, e * epoch_length, epoch_length,
-                                             target_rate))
-    epoch = EpochConfig(
-        epoch_length=epoch_length, bucket=process.bucket,
-        solver=SolverConfig(Formulation.APX, delta=delta, node_limit=node_limit,
-                            time_limit=60.0),
-        estimator_mode=EstimatorMode.DECLARED,
-    )
-    return ScenarioBundle(network, tuple(queries), process, epoch)
+    return _random_query_bundle(network, process, seed, n_epochs, epoch_length,
+                                target_rate, inclusion_prob, delta, node_limit)

@@ -182,8 +182,9 @@ def load_trace(path: str, scale_divisor: float, bucket: float,
     Scaling preserves each flow's coefficient of variation. Flow ids not in
     ``known_flows`` (when given) are rejected unless ``allow_unknown``.
     """
-    if scale_divisor <= 0:
-        raise ValueError("scale_divisor must be positive")
+    for name, value in (("scale_divisor", scale_divisor), ("bucket", bucket)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be a finite positive number, got {value}")
     bucket_ms = bucket * 1000.0
     entries: dict[str, dict[int, float]] = {}
     n_buckets = 0

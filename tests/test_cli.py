@@ -1,15 +1,19 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from flowsamp import (EpochConfig, EstimatorMode, Formulation, FlowSpec, RateProcess,
                       SamplingQuery, SolverConfig, SwitchSpec, build_network,
-                      measure_metrics, run_simulation, save_network)
-from flowsamp.cli import CliError, compare_algorithms, main, parse_algorithm
-from flowsamp.instances import ScenarioBundle, two_switch_toy
+                      measure_metrics, run_simulation, save_network, simulator)
+from flowsamp.cli import CliError, compare_algorithms, main, parse_algorithm, parse_args
+from flowsamp.instances import (ScenarioBundle, epoch_sweep_scenario, model_driven_scenario,
+                                sensitivity_scenario, trace_driven_scenario, two_switch_toy)
 from flowsamp.optimizer import load_solve_result
-from flowsamp.trafficgen import TRACE_HEADER
+from flowsamp.trafficgen import TRACE_HEADER, Distribution, load_trace
 
 from conftest import partly_admitted_bundle
 
@@ -182,6 +186,13 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text(json.dumps({"net": "x.json", "frobnicate": 1}))
     assert main(["solve", "--config", str(cfg)]) == 2
     assert "frobnicate" in capsys.readouterr().err
+    # keys another subcommand reads are unknown to this one
+    for command, key in (("compare", "alpha"), ("compare", "formulation"),
+                         ("compare", "out_dir"), ("compare", "seed"), ("solve", "preset"),
+                         ("solve", "seed"), ("solve", "params")):
+        cfg.write_text(json.dumps({key: 1}))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert repr(key) in capsys.readouterr().err
 
 
 def test_config_rejects_unknown_params_key(tmp_path, capsys):
@@ -201,3 +212,155 @@ def test_solve_exit_3_when_limited_without_assignment(tmp_path, capsys):
     path = tmp_path / "n.json"
     save_network(net, str(path))
     assert main(["solve", "--net", str(path), "--node-limit", "1"]) == 3
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.fixture
+def first_solver(monkeypatch):
+    """Record the SolverConfig of a run's first solve, then stop the run."""
+    seen = []
+
+    def spy(network, config):
+        seen.append(config)
+        raise _Stop
+
+    monkeypatch.setattr(simulator, "solve", spy)
+    return seen
+
+
+def _preset_runs(tmp_path):
+    """(argv, the solver the first solve gets when no setting is given)."""
+    trace = tmp_path / "t.trace"
+    _write_trace(trace, ["a", "b", "c"], 60, 300.0)
+    process = load_trace(str(trace), 100.0, 0.1)
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"params": {"n_epochs": 1}}))
+    out = ["--out-dir", str(tmp_path)]
+    md_solver = model_driven_scenario(1, n_epochs=1).epoch.solver
+    td_solver = trace_driven_scenario(process, 1).epoch.solver
+    ds = Formulation.DS
+    return [
+        (["simulate", "--preset", "model-driven", "--seed", "1", "--config", str(params), *out],
+         md_solver),
+        (["simulate", "--preset", "trace-driven", "--trace", str(trace), *out], td_solver),
+        (["simulate", "--preset", "epoch-sweep", *out],
+         epoch_sweep_scenario(1.0, 0).epoch.solver),
+        (["simulate", "--preset", "distribution-sensitivity", *out],
+         sensitivity_scenario(Distribution.TRUNC_NORMAL, 0).epoch.solver),
+        (["compare", "--preset", "model-driven", "--seeds", "1", "--algorithms", "ds,apx",
+          "--config", str(params)], dataclasses.replace(md_solver, formulation=ds)),
+        (["compare", "--preset", "trace-driven", "--trace", str(trace), "--seeds", "1",
+          "--algorithms", "ds,apx"], dataclasses.replace(td_solver, formulation=ds)),
+    ]
+
+
+_SETTINGS = [("--delta", "0.3", "delta", 0.3), ("--epsilon", "7", "epsilon_pps", 7.0),
+             ("--time-limit", "9", "time_limit", 9.0), ("--node-limit", "11", "node_limit", 11)]
+
+
+@pytest.mark.parametrize("flag,text,field,value", _SETTINGS)
+def test_solver_settings_reach_every_preset_solve(tmp_path, first_solver, flag, text,
+                                                  field, value):
+    for argv, preset_solver in _preset_runs(tmp_path):
+        first_solver.clear()
+        with pytest.raises(_Stop):
+            main([*argv, flag, text])
+        assert first_solver == [dataclasses.replace(preset_solver, **{field: value})], argv
+
+
+def test_solver_settings_from_config_reach_compare(tmp_path, first_solver):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"preset": "model-driven",
+                               "params": {"n_epochs": 1, "delta": 0.1},
+                               "seeds": [1], "algorithms": ["csamp+5", "apx"],
+                               "node_limit": 5, "delta": 0.3, "time_limit": 2}))
+    with pytest.raises(_Stop):
+        main(["compare", "--config", str(cfg)])
+    # the top-level delta wins over the params one; the algorithm token
+    # sets the formulation and epsilon on top
+    assert first_solver == [SolverConfig(Formulation.CSAMP_EPS, delta=0.3, epsilon_pps=5.0,
+                                         time_limit=2.0, node_limit=5)]
+
+
+def test_preset_formulation_flag_keeps_preset_solver(tmp_path, first_solver):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"params": {"n_epochs": 1}}))
+    base = ["simulate", "--preset", "model-driven", "--seed", "1", "--config", str(params)]
+    with pytest.raises(_Stop):
+        main([*base, "--out-dir", str(tmp_path), "--formulation", "ds"])
+    assert first_solver == [dataclasses.replace(
+        model_driven_scenario(1, n_epochs=1).epoch.solver, formulation=Formulation.DS)]
+
+
+def test_preset_formulation_flag_equal_to_preset_changes_nothing(tmp_path, capsys):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"params": {"n_epochs": 1}}))
+    base = ["simulate", "--preset", "model-driven", "--seed", "1", "--config", str(params)]
+    assert main([*base, "--out-dir", str(tmp_path / "a")]) == 0
+    assert main([*base, "--out-dir", str(tmp_path / "b"), "--formulation", "apx"]) == 0
+    assert (tmp_path / "a" / "summary_seed1.json").read_bytes() == \
+        (tmp_path / "b" / "summary_seed1.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--seed", "1"],
+    ["compare", "--formulation", "apx"],
+    ["compare", "--alpha", "0.1"],
+    ["compare", "--seed", "1"],
+    ["compare", "--out-dir", "out"],
+])
+def test_deleted_flags_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert argv[1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["net", "alpha", "epoch_len", "bucket"])
+def test_preset_rejects_scenario_settings(tmp_path, key, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"preset": "epoch-sweep", key: "x.json" if key == "net" else 1}))
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and "params" in err
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({"preset": "model-driven", "params": {"n_epochs": "x"}}, "n_epochs"),
+    ({"preset": "model-driven", "params": {"mixture": {}}}, "mixture"),
+    ({"preset": "trace-driven", "trace": {"scale_divisor": 100}}, "trace"),
+    ({"preset": "trace-driven", "trace": ["t.trace"]}, "trace"),
+    ({"preset": "model-driven", "node_limit": 1.5}, "node_limit"),
+    ({"preset": "model-driven", "node_limit": True}, "node_limit"),
+])
+def test_malformed_config_value_exits_2_naming_key(tmp_path, doc, key, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["compare", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
+def test_trace_driven_rejects_nan_scale_divisor(tmp_path, capsys):
+    trace = tmp_path / "t.trace"
+    _write_trace(trace, ["a"], 60, 300.0)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"preset": "trace-driven",
+                               "trace": {"path": str(trace), "scale_divisor": float("nan")}}))
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert "scale_divisor" in capsys.readouterr().err
+
+
+def test_readme_configs_load(monkeypatch):
+    root = Path(__file__).resolve().parents[1]
+    runs = re.findall(r"flowsamp (\w+) --config (configs/\S+\.json)",
+                      (root / "README.md").read_text())
+    assert {path for _, path in runs} == \
+        {str(p.relative_to(root)) for p in (root / "configs").glob("*.json")}
+    monkeypatch.chdir(root)
+    for command, path in runs:
+        args = parse_args([command, "--config", path])
+        assert args.preset == json.loads((root / path).read_text())["preset"]

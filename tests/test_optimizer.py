@@ -15,7 +15,7 @@ from flowsamp import (Allocation, Formulation, FlowSpec, LoadStats, SolverConfig
                       squared_form_feasible, validate_allocation)
 from flowsamp.instances import (big_scale_free_network, model_driven_scenario,
                                 runtime_comparison_network)
-from flowsamp.optimizer import load_solve_result
+from flowsamp.optimizer import FEAS_TOL, load_solve_result
 from flowsamp.simulator import run_simulation
 
 from conftest import all_allocations, enumerate_best_objective, random_instance
@@ -343,3 +343,50 @@ def test_solver_config_validation(kwargs):
 def test_solver_config_rejects_non_finite(name, value):
     with pytest.raises(ValueError, match=name):
         SolverConfig(**{name: value})
+
+
+def _highs_optimum(net, cfg):
+    """The additive program as plain knapsack rows, solved by HiGHS: one
+    binary per (flow, switch on its path), at most one switch per flow, and
+    each switch's summed charges within its capacity plus the search's slack."""
+    opt = pytest.importorskip("scipy.optimize")
+    pairs = [(i, net.switches.index(net.switch(sid)))
+             for i, f in enumerate(net.flows) for sid in f.path]
+    rows = np.zeros((len(net.flows) + len(net.switches), len(pairs)))
+    for j, (i, s) in enumerate(pairs):
+        rows[i, j] = 1.0
+        rows[len(net.flows) + s, j] = effective_load(net.flows[i], cfg)
+    caps = [sw.capacity_pps + FEAS_TOL * max(1.0, sw.capacity_pps) for sw in net.switches]
+    res = opt.milp(-np.ones(len(pairs)), integrality=np.ones(len(pairs)),
+                   bounds=opt.Bounds(0, 1),
+                   constraints=opt.LinearConstraint(rows, -np.inf,
+                                                    [1.0] * len(net.flows) + caps))
+    assert res.success
+    return round(-res.fun)
+
+
+def test_additive_search_against_highs():
+    proven = limited = 0
+    for seed in range(12):
+        rng = np.random.default_rng([seed, 7])
+        ns, nf = int(rng.integers(4, 7)), int(rng.integers(20, 31))
+        switches = [SwitchSpec(f"s{i}", float(rng.uniform(20, 120))) for i in range(ns)]
+        flows = [FlowSpec(f"f{j}", "a", "b",
+                          tuple(f"s{i}" for i in rng.choice(ns, int(rng.integers(1, 4)),
+                                                            replace=False)),
+                          float(rng.uniform(0.05, 0.5)), float(rng.uniform(10, 200)),
+                          float(rng.uniform(0, 2000)))
+                 for j in range(nf)]
+        net = build_network(switches, flows)
+        for form in (Formulation.APX, Formulation.DS, Formulation.DS2SIGMA,
+                     Formulation.CSAMP_EPS):
+            cfg = SolverConfig(form, delta=0.1, epsilon_pps=20.0, node_limit=3_000)
+            result = solve(net, cfg)
+            best = _highs_optimum(net, cfg)
+            assert additive_feasible(net, result.allocation, cfg)
+            assert result.objective <= best, (seed, form)
+            if result.optimal:
+                assert result.objective == best, (seed, form)
+            proven += result.optimal
+            limited += not result.optimal
+    assert proven and limited   # both outcomes of the search are checked

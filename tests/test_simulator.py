@@ -11,7 +11,8 @@ from flowsamp import (Distribution, EpochConfig, EstimatorMode, Formulation, Flo
                       build_network, generate_model_driven, measure_metrics,
                       run_simulation, solve, write_flow_epochs_csv, write_summary_json)
 from flowsamp import simulator as fs
-from flowsamp.instances import (abilene_graph, model_driven_scenario, sensitivity_scenario,
+from flowsamp.instances import (TWO_SIGMA_DELTA, abilene_graph, model_driven_scenario,
+                                sensitivity_scenario, trace_driven_scenario,
                                 uniform_rate_network)
 
 from conftest import partly_admitted_bundle
@@ -364,3 +365,22 @@ def test_solver_receives_plain_float_moments(monkeypatch, mode):
     for flow in seen:
         for name in ("target_rate", "rate_mean_pps", "rate_var_pps2"):
             assert type(getattr(flow, name)) is float, (flow.id, name)
+
+
+def test_random_query_presets_unchanged():
+    # sha256 of the queries' field tuples, recorded before the two presets
+    # shared one query-subset builder; a change to the qrng draw order shows here
+    def digest(bundle):
+        fields = [dataclasses.astuple(q) for q in bundle.queries]
+        return len(fields), hashlib.sha256(repr(fields).encode()).hexdigest()[:16]
+
+    process = RateProcess(0.1, 200, {f"t{i:02d}": np.full(200, 10.0 + i) for i in range(12)})
+    model = model_driven_scenario(1, n_epochs=3)
+    trace = trace_driven_scenario(process, 2, n_epochs=3, inclusion_prob=0.5)
+    assert digest(model) == (269, "f995f4ee161958e6")
+    assert digest(trace) == (15, "754da25bc66c9b3e")
+    expected = EpochConfig(epoch_length=5.0, bucket=0.1,
+                           solver=SolverConfig(Formulation.APX, delta=TWO_SIGMA_DELTA,
+                                               node_limit=20_000, time_limit=60.0),
+                           estimator_mode=EstimatorMode.DECLARED)
+    assert model.epoch == expected and trace.epoch == expected

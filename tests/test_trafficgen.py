@@ -174,3 +174,13 @@ def test_trace_unknown_flow_gate(tmp_path):
         load_trace(str(path), 1.0, 0.1, known_flows={"f"})
     p = load_trace(str(path), 1.0, 0.1, known_flows={"f"}, allow_unknown=True)
     assert "ghost" in p.rates
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+def test_trace_rejects_bad_scale_divisor_and_bucket(tmp_path, value):
+    path = tmp_path / "t.trace"
+    path.write_text(f"{TRACE_HEADER}\n0,f,5\n")
+    with pytest.raises(ValueError, match="scale_divisor"):
+        load_trace(str(path), value, 0.1)
+    with pytest.raises(ValueError, match="bucket"):
+        load_trace(str(path), 1.0, value)
