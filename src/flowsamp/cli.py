@@ -123,20 +123,15 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _write_table(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(c) for c in row) + "\n")
-
-
-def _print_table(header: list[str], rows: list[list]) -> None:
-    widths = [max(len(str(c)) for c in [h] + [r[i] for r in rows])
-              for i, h in enumerate(header)]
-    fmt = "  ".join(f"{{:>{w}}}" for w in widths)
-    print(fmt.format(*header))
-    for row in rows:
-        print(fmt.format(*[str(c) for c in row]))
+def _table(header: list[str], rows: list[list], path: str | None = None) -> None:
+    """Print the rows aligned under ``header``; with ``path``, also write them as CSV."""
+    lines = [[str(c) for c in row] for row in [header, *rows]]
+    widths = [max(len(line[i]) for line in lines) for i in range(len(header))]
+    for line in lines:
+        print("  ".join(c.rjust(w) for c, w in zip(line, widths)))
+    if path:
+        with open(path, "w") as fh:
+            fh.write("".join(",".join(line) + "\n" for line in lines))
 
 
 def _run_epoch_sweep(args, seed: int, out_dir: str) -> int:
@@ -146,19 +141,18 @@ def _run_epoch_sweep(args, seed: int, out_dir: str) -> int:
         report = run_simulation(bundle.network, list(bundle.queries), bundle.process,
                                 bundle.epoch, seed)
         summary = measure_metrics(report)
-        if summary.rate_quartiles is None:
+        if summary.rate_quartiles is None:   # e.g. --node-limit 1 admits no flow
             raise CliError(f"no flow measured a sampling rate in the {length:g} s epoch")
         q1, med, q3 = summary.rate_quartiles
         rows.append([f"{length:g}", f"{np.mean(summary.measured_rates):.4f}", f"{q1:.4f}",
                      f"{med:.4f}", f"{q3:.4f}", f"{q3 - q1:.4f}"])
-    header = ["epoch_s", "mean_rate", "q1", "median", "q3", "iqr"]
-    _print_table(header, rows)
-    _write_table(os.path.join(out_dir, "epoch_sweep.csv"), header, rows)
+    _table(["epoch_s", "mean_rate", "q1", "median", "q3", "iqr"], rows,
+           os.path.join(out_dir, "epoch_sweep.csv"))
     return 0
 
 
 def _run_distribution_sensitivity(args, out_dir: str) -> int:
-    seeds = [_typed("'seeds' entry", s, int) for s in args.seeds or range(20)]
+    seeds = _seeds(args, range(20))
     rows = []
     for dist in Distribution:
         violations = []
@@ -169,27 +163,33 @@ def _run_distribution_sensitivity(args, out_dir: str) -> int:
                                     bundle.process, bundle.epoch, seed)
             violations.append(report.violation_fraction("SW"))
             loads_pps.append(report.switch_loads[0] / report.bucket)
-        pooled = np.concatenate(loads_pps)
-        if not len(pooled):
-            raise CliError("the distribution-sensitivity runs replayed no bucket")
-        q1, med, q3 = np.percentile(pooled, [25, 50, 75])
+        q1, med, q3 = np.percentile(np.concatenate(loads_pps), [25, 50, 75])
         rows.append([dist.value, f"{np.mean(violations):.4f}", f"{q1:.0f}",
                      f"{med:.0f}", f"{q3:.0f}"])
-    header = ["distribution", "violation_freq", "load_q1_pps", "load_median_pps",
-              "load_q3_pps"]
-    _print_table(header, rows)
-    _write_table(os.path.join(out_dir, "distribution_sensitivity.csv"), header, rows)
+    _table(["distribution", "violation_freq", "load_q1_pps", "load_median_pps",
+            "load_q3_pps"], rows, os.path.join(out_dir, "distribution_sensitivity.csv"))
     return 0
+
+
+def _seeds(args, default) -> list[int]:
+    """The run's 'seeds', or ``default`` when none were given."""
+    if args.seeds == []:
+        raise CliError("'seeds' must list at least one seed")
+    return [_typed("'seeds' entry", s, int) for s in args.seeds or default]
 
 
 def _params(args, builder) -> dict:
     """The run's 'params', checked against the keyword-only arguments of the
-    preset's scenario builder."""
+    preset's scenario builder; the solver settings have top-level keys."""
     params = args.params or {}
     accepted = {name: _PARAM_KINDS[p.annotation]
                 for name, p in inspect.signature(builder).parameters.items()
-                if p.kind == inspect.Parameter.KEYWORD_ONLY and p.annotation in _PARAM_KINDS}
+                if p.kind == inspect.Parameter.KEYWORD_ONLY and p.annotation in _PARAM_KINDS
+                and name not in _SOLVER_SETTINGS}
     for key, value in params.items():
+        if key in _SOLVER_SETTINGS:
+            raise CliError(f"params key {key!r} is a solver setting; "
+                           f"give it as the top-level config key {key!r}")
         if key not in accepted:
             raise CliError(f"unknown params key {key!r} for preset "
                            f"(accepted: {', '.join(sorted(accepted))})")
@@ -227,10 +227,12 @@ def cmd_simulate(args) -> int:
     out_dir = args.out_dir or "out"
     os.makedirs(out_dir, exist_ok=True)
     if args.preset:
-        for key in ("net", "alpha", "epoch_len", "bucket"):
-            if getattr(args, key) is not None:
-                raise CliError(f"{key!r} does not apply to --preset {args.preset}; "
-                               "presets take their scenario settings through 'params'")
+        # only the random-query presets build their scenario from 'params'
+        takes_params = args.preset in ("model-driven", "trace-driven")
+        for key in ("net", "alpha", "epoch_len", "bucket", "params"):
+            if getattr(args, key) is not None and not (key == "params" and takes_params):
+                hint = "; it takes scenario settings through 'params'" if takes_params else ""
+                raise CliError(f"{key!r} does not apply to --preset {args.preset}{hint}")
         if args.preset == "epoch-sweep":
             return _run_epoch_sweep(args, seed, out_dir)
         if args.preset == "distribution-sensitivity":
@@ -308,7 +310,7 @@ def compare_algorithms(bundle_builder, algorithms: list[str], seeds: list[int]):
 def cmd_compare(args) -> int:
     algorithms = [_typed("'algorithms' entry", a, str)
                   for a in args.algorithms or DEFAULT_COMPARE_ALGOS]
-    seeds = [_typed("'seeds' entry", s, int) for s in args.seeds or [1, 2, 3, 4, 5]]
+    seeds = _seeds(args, [1, 2, 3, 4, 5])
     results = compare_algorithms(_preset_builder(args), algorithms, seeds)
     header = ["algorithm", "admitted", "fully_sampled", "rate_q1", "rate_median",
               "rate_q3", "mean_solve_s"]
@@ -318,7 +320,7 @@ def cmd_compare(args) -> int:
         rows.append([token, res["admitted"], res["fully_sampled"],
                      *(f"{v:.4f}" if v != "" else "" for v in q),
                      f"{res['mean_solver_wall_time_s']:.4f}"])
-    _print_table(header, rows)
+    _table(header, rows)
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
         with open(args.out, "w") as fh:

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import re
 from pathlib import Path
@@ -273,14 +274,12 @@ def test_solver_settings_reach_every_preset_solve(tmp_path, first_solver, flag, 
 
 def test_solver_settings_from_config_reach_compare(tmp_path, first_solver):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"preset": "model-driven",
-                               "params": {"n_epochs": 1, "delta": 0.1},
+    cfg.write_text(json.dumps({"preset": "model-driven", "params": {"n_epochs": 1},
                                "seeds": [1], "algorithms": ["csamp+5", "apx"],
                                "node_limit": 5, "delta": 0.3, "time_limit": 2}))
     with pytest.raises(_Stop):
         main(["compare", "--config", str(cfg)])
-    # the top-level delta wins over the params one; the algorithm token
-    # sets the formulation and epsilon on top
+    # the algorithm token sets the formulation and epsilon on top
     assert first_solver == [SolverConfig(Formulation.CSAMP_EPS, delta=0.3, epsilon_pps=5.0,
                                          time_limit=2.0, node_limit=5)]
 
@@ -319,13 +318,66 @@ def test_deleted_flags_exit_2(argv, capsys):
     assert argv[1] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("preset", ["model-driven", "epoch-sweep"])
 @pytest.mark.parametrize("key", ["net", "alpha", "epoch_len", "bucket"])
-def test_preset_rejects_scenario_settings(tmp_path, key, capsys):
+def test_preset_rejects_scenario_settings(tmp_path, preset, key, capsys):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"preset": "epoch-sweep", key: "x.json" if key == "net" else 1}))
+    cfg.write_text(json.dumps({"preset": preset, key: "x.json" if key == "net" else 1}))
     assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert repr(key) in err and "params" in err
+    assert repr(key) in err and ("params" in err) == (preset == "model-driven")
+
+
+@pytest.mark.parametrize("preset", ["epoch-sweep", "distribution-sensitivity"])
+def test_fixed_presets_reject_params(tmp_path, preset, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"preset": preset, "params": {}}))
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert "'params'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["delta", "node_limit"])
+def test_params_rejects_solver_settings(tmp_path, key, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"preset": "model-driven", "params": {key: 1}}))
+    assert main(["compare", "--config", str(cfg)]) == 2
+    assert f"top-level config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset,builder", [("model-driven", model_driven_scenario),
+                                            ("trace-driven", trace_driven_scenario)])
+def test_params_accepts_every_json_expressible_builder_keyword(tmp_path, preset, builder,
+                                                               capsys):
+    # an annotation spelled differently from the ones 'params' knows would
+    # silently drop its keyword from the accepted set
+    trace = tmp_path / "t.trace"
+    _write_trace(trace, ["a"], 60, 300.0)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"preset": preset, "trace": str(trace), "params": {"bogus": 1}}))
+    assert main(["compare", "--config", str(cfg)]) == 2
+    accepted = re.search(r"accepted: ([^)]*)\)", capsys.readouterr().err).group(1)
+    keywords = {name for name, p in inspect.signature(builder).parameters.items()
+                if p.kind == inspect.Parameter.KEYWORD_ONLY}
+    assert set(accepted.split(", ")) == keywords - {"mixture", "delta", "node_limit"}
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["compare", "--preset", "model-driven", "--seeds", ""], {}),
+    (["simulate", "--preset", "distribution-sensitivity"], {"seeds": []}),
+])
+def test_empty_seeds_exit_2(tmp_path, argv, doc, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([*argv, "--config", str(cfg), *(["--out-dir", str(tmp_path)]
+                                                 if argv[0] == "simulate" else [])]) == 2
+    assert "'seeds'" in capsys.readouterr().err
+
+
+def test_epoch_sweep_without_measured_rate_exits_2(tmp_path, capsys):
+    # one search node admits no flow, so no rate is measured
+    assert main(["simulate", "--preset", "epoch-sweep", "--node-limit", "1",
+                 "--out-dir", str(tmp_path)]) == 2
+    assert "no flow measured" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("doc,key", [
