@@ -32,6 +32,11 @@ _SOLVER_SETTINGS = {"delta": "delta", "epsilon": "epsilon_pps", "time_limit": "t
 _STRUCTURED = {"seeds": (list,), "algorithms": (list,), "trace": (str, dict), "params": (dict,)}
 # Builder keyword annotations that a JSON 'params' value can express.
 _PARAM_KINDS = {"int": (int,), "float": (float,), "int | None": (int, type(None))}
+# The non-solver settings each simulate preset reads; it rejects the others.
+_PRESET_READS = {"model-driven": {"seed", "params"},
+                 "trace-driven": {"seed", "params", "trace"},
+                 "epoch-sweep": {"seed"},
+                 "distribution-sensitivity": {"seeds"}}
 
 
 class CliError(Exception):
@@ -227,11 +232,12 @@ def cmd_simulate(args) -> int:
     out_dir = args.out_dir or "out"
     os.makedirs(out_dir, exist_ok=True)
     if args.preset:
-        # only the random-query presets build their scenario from 'params'
-        takes_params = args.preset in ("model-driven", "trace-driven")
-        for key in ("net", "alpha", "epoch_len", "bucket", "params"):
-            if getattr(args, key) is not None and not (key == "params" and takes_params):
-                hint = "; it takes scenario settings through 'params'" if takes_params else ""
+        reads = _PRESET_READS[args.preset]
+        scenario = ("net", "alpha", "epoch_len", "bucket")
+        for key in (*scenario, "params", "seed", "seeds", "trace"):
+            if getattr(args, key) is not None and key not in reads:
+                hint = ("; it takes scenario settings through 'params'"
+                        if key in scenario and "params" in reads else "")
                 raise CliError(f"{key!r} does not apply to --preset {args.preset}{hint}")
         if args.preset == "epoch-sweep":
             return _run_epoch_sweep(args, seed, out_dir)

@@ -9,6 +9,7 @@ given graph); the core model itself treats paths as inputs.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import networkx as nx
@@ -103,6 +104,18 @@ class ScenarioBundle:
             self, epoch=dataclasses.replace(self.epoch, solver=solver))
 
 
+def _check_random_query_settings(n_epochs: int | None, epoch_length: float,
+                                 inclusion_prob: float) -> None:
+    """Reject settings that would give an empty or meaningless random-query
+    run, naming the keyword."""
+    if n_epochs is not None and not n_epochs >= 1:
+        raise ValueError(f"n_epochs must be >= 1, got {n_epochs}")
+    if not (math.isfinite(epoch_length) and epoch_length > 0):
+        raise ValueError(f"epoch_length must be finite and > 0, got {epoch_length}")
+    if not 0 < inclusion_prob <= 1:
+        raise ValueError(f"inclusion_prob must be in (0, 1], got {inclusion_prob}")
+
+
 def _random_query_bundle(network: Network, process: RateProcess, seed: int,
                          n_epochs: int, epoch_length: float, target_rate: float,
                          inclusion_prob: float, delta: float,
@@ -136,6 +149,7 @@ def model_driven_scenario(seed: int, *, n_epochs: int = 5, epoch_length: float =
     flow moments match the generator's nominal parameters, so the solvers
     see the statistics the queries would carry.
     """
+    _check_random_query_settings(n_epochs, epoch_length, inclusion_prob)
     graph = abilene_graph()
     nodes = sorted(graph.nodes)
     switches = [SwitchSpec(v, capacity_pps) for v in nodes]
@@ -222,6 +236,7 @@ def trace_driven_scenario(process: RateProcess, seed: int, *,
     """Replay a loaded trace on Abilene: trace flow ids are mapped onto the
     ordered node pairs round-robin, declared moments are measured from the
     trace itself, and queries follow the per-epoch random-subset pattern."""
+    _check_random_query_settings(n_epochs, epoch_length, inclusion_prob)
     graph = abilene_graph()
     nodes = sorted(graph.nodes)
     pairs = [(s, d) for s in nodes for d in nodes if s != d]
@@ -236,6 +251,9 @@ def trace_driven_scenario(process: RateProcess, seed: int, *,
                               target_rate, mean, var))
     network = build_network(switches, flows)
     max_epochs = int(process.horizon // epoch_length)
+    if max_epochs < 1:
+        raise ValueError(f"epoch_length {epoch_length:g} s is longer than the trace "
+                         f"({process.horizon:g} s)")
     n_epochs = max_epochs if n_epochs is None else min(n_epochs, max_epochs)
     return _random_query_bundle(network, process, seed, n_epochs, epoch_length,
                                 target_rate, inclusion_prob, delta, node_limit)

@@ -223,7 +223,10 @@ class _Instance:
     the remaining members fit in the residual capacity, cheapest first. The
     term is valid for (first[s], used_g[s]) and is refreshed whenever either
     changes: at an apply or a release on s, and when the bounded depth moves
-    across a flow whose path contains s."""
+    across a flow whose path contains s. The depth moves only when a prune
+    decision gets past its first test (see _bb_solve), so it may lag the
+    search; the terms stay valid because every refresh reads the current
+    first[s] and used_g[s]."""
 
     def __init__(self, network: Network, config: SolverConfig):
         self.z = float(normal_quantile(config.delta))
@@ -263,6 +266,22 @@ class _Instance:
 
 
 def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
+    """Depth-first branch and bound over the flows in _Instance order: each
+    flow goes to one of the switches on its path that still fit it, least
+    utilized first, or is left unsampled last.
+
+    A child at depth d is pruned unless the flows at positions >= d may
+    still admit more than need = best_obj - admitted. Three upper bounds on
+    that count are tested, cheapest first, and the first that is <= need
+    prunes: (1) rem = n - d, before any bookkeeping moves; (2) total, the
+    sum of the cached per-switch terms, once first[] is moved to d; (3)
+    pooled, how many of the cheapest remaining flows fit in the residual
+    capacity summed over all switches plus slack, an O(switches) sum. This
+    is the same decision as admitted + min(rem, max(0, pooled), total) >
+    best_obj: every term is >= 0 and need >= 0 at the test (the incumbent
+    is updated right after an apply), so a pooled <= 0 prunes either way.
+    The search thus visits the same nodes in the same order whatever the
+    test order."""
     t0 = time.perf_counter()
     inst = _Instance(network, config)
     n = inst.n
@@ -339,7 +358,9 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
         out.append(-1)  # leave the flow unsampled
         return out
 
-    def upper_bound(depth: int) -> int:
+    def beats(depth: int, need: int) -> bool:
+        """Stages 2 and 3 of the prune (see _bb_solve): whether the flows at
+        positions >= depth may still admit more than `need` flows."""
         nonlocal at
         while at < depth:
             for s in on_path[at]:
@@ -351,9 +372,8 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
             for s in on_path[at]:
                 first[s] -= 1
                 refresh(s)
-        rem = n - depth
-        if rem == 0:
-            return 0
+        if total <= need:
+            return False
         pool = 0.0
         for c, u in zip(capacity, used_g):
             r = c - u
@@ -362,10 +382,7 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
         # Account for the per-switch feasibility slack so the relaxation
         # stays an upper bound for assignments admitted at the boundary.
         target = prefix[depth] + pool + inst.slack_total + 1e-9 * (1.0 + pool)
-        pooled = bisect_right(prefix, target, depth, n + 1) - 1 - depth
-        if pooled <= 0:
-            return max(0, pooled)
-        return min(rem, pooled, total)
+        return bisect_right(prefix, target, depth, n + 1) - 1 - depth > need
 
     # Frames: [children, next index, switch applied on the edge into the
     # frame (-2 for the root, -1 for a skip edge)].
@@ -393,7 +410,8 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
                 best_obj = admitted
                 best_choice = list(choice)
         nd = depth + 1
-        if nd < n and admitted + upper_bound(nd) > best_obj:
+        need = best_obj - admitted       # a subtree must admit more than this
+        if nd < n and n - nd > need and beats(nd, need):
             stack.append([children(nd), 0, s if applied else -1])
         elif applied:
             release(depth, s)

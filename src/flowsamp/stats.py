@@ -28,10 +28,6 @@ _D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
 _P_LOW = 0.02425
 
 
-def standard_normal_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / _SQRT2))
-
-
 def standard_normal_sf(x: float) -> float:
     """Upper tail P(Z > x); erfc keeps precision for large x."""
     return 0.5 * math.erfc(x / _SQRT2)

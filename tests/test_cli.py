@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import math
 import re
 from pathlib import Path
 
@@ -334,6 +335,49 @@ def test_fixed_presets_reject_params(tmp_path, preset, capsys):
     cfg.write_text(json.dumps({"preset": preset, "params": {}}))
     assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
     assert "'params'" in capsys.readouterr().err
+
+
+def _preset_config(tmp_path, preset, doc):
+    """A config file for ``preset`` with the keys of ``doc``; trace-driven
+    also gets a 6 s trace."""
+    doc = {"preset": preset, **doc}
+    if preset == "trace-driven":
+        _write_trace(tmp_path / "t.trace", ["a"], 60, 300.0)
+        doc.setdefault("trace", str(tmp_path / "t.trace"))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    return cfg
+
+
+@pytest.mark.parametrize("preset,doc,key", [
+    ("model-driven", {"seeds": [4, 5]}, "seeds"),
+    ("trace-driven", {"seeds": [4, 5]}, "seeds"),
+    ("epoch-sweep", {"seeds": [4, 5]}, "seeds"),
+    ("distribution-sensitivity", {"seed": 4}, "seed"),
+    ("model-driven", {"trace": "t.trace"}, "trace"),
+    ("epoch-sweep", {"trace": "t.trace"}, "trace"),
+    ("distribution-sensitivity", {"trace": "t.trace"}, "trace"),
+])
+def test_preset_rejects_settings_it_does_not_read(tmp_path, preset, doc, key, capsys):
+    cfg = _preset_config(tmp_path, preset, doc)
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert f"{key!r} does not apply to --preset {preset}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset,params,key", [
+    ("model-driven", {"n_epochs": 0}, "n_epochs"),
+    ("model-driven", {"n_epochs": -1}, "n_epochs"),
+    ("model-driven", {"epoch_length": math.nan}, "epoch_length"),
+    ("model-driven", {"inclusion_prob": math.nan}, "inclusion_prob"),
+    ("model-driven", {"inclusion_prob": 1.5}, "inclusion_prob"),
+    ("trace-driven", {"inclusion_prob": 0.0}, "inclusion_prob"),
+    ("trace-driven", {"epoch_length": 10.0}, "epoch_length"),   # the trace lasts 6 s
+])
+def test_random_query_presets_range_check_params(tmp_path, preset, params, key, capsys):
+    cfg = _preset_config(tmp_path, preset, {"params": params})
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("key", ["delta", "node_limit"])

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import hashlib
 import json
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowsamp import optimizer
 from flowsamp import (Allocation, Formulation, FlowSpec, LoadStats, SolverConfig,
                       SwitchSpec, additive_feasible, brute_force_optimal,
                       build_network, effective_load, min_required_capacity,
@@ -315,6 +317,40 @@ def test_search_fingerprint_scale_free_and_simulation():
                 if rec.assigned_switch is not None]
     assert _fingerprint(s["objective"], s["optimal"], s["nodes_explored"], assigned) == \
         (53, False, 2_000, "5f34cae0bccf9c1f")
+
+
+def test_search_fingerprint_pooled_bound():
+    # Every flow crosses all four switches, so each per-switch term counts
+    # the same cheap flows four times over; only the pooled residual bound
+    # sees that they share one budget (without it the search takes over
+    # 20,000 nodes).
+    means = np.random.default_rng(101).uniform(10, 40, 16)
+    switches = [SwitchSpec(f"s{i}", 100.0) for i in range(4)]
+    path = tuple(s.id for s in switches)
+    flows = [FlowSpec(f"f{j}", "a", "b", path, 1.0, float(m), 0.0)
+             for j, m in enumerate(means)]
+    r = solve(build_network(switches, flows), SolverConfig(Formulation.DS, delta=0.2))
+    assert _fingerprint(r.objective, r.optimal, r.nodes_explored,
+                        r.allocation.assignment.items()) == \
+        (14, True, 80, "f83ec584a1f09e8c")
+
+
+def test_prune_work_on_cone_instance(monkeypatch):
+    # Every per-switch term refresh and every pooled test bisects once. The
+    # rem test decides nothing the pooled test would not (pooled <= rem), so
+    # only this count shows that it prunes first, before the bound's depth
+    # moves: without it the same search takes 11,761 bisections.
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return bisect.bisect_right(*args)
+
+    monkeypatch.setattr(optimizer, "bisect_right", counting)
+    r = solve(runtime_comparison_network(7),
+              SolverConfig(Formulation.EXACT, delta=0.2, node_limit=2_000))
+    assert (r.objective, r.nodes_explored, calls) == (22, 2_000, 11_217)
 
 
 def test_solve_result_round_trip(tmp_path, toy_network):
