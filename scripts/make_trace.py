@@ -13,42 +13,69 @@ to this text form first, e.g. with tshark:
 """
 
 import argparse
+import math
 import sys
 from collections import defaultdict
+
+
+def _bucket_ms(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
+
+
+def count_packets(path: str, bucket_ms: float) -> dict[tuple[int, str], int]:
+    """Packets per (bucket, flow id), buckets counted from the first line's
+    timestamp; a malformed line raises ``ValueError`` naming it."""
+    counts: dict[tuple[int, str], int] = defaultdict(int)
+    t0 = None
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = [p.strip() for p in line.split(",")]
+            if len(parts) not in (2, 3):
+                raise ValueError(f"{path}:{lineno}: expected 2 or 3 fields")
+            try:
+                ts = float(parts[0])
+            except ValueError:
+                ts = math.nan
+            if not math.isfinite(ts):
+                raise ValueError(f"{path}:{lineno}: timestamp {parts[0]!r} is not a finite "
+                                 "number")
+            if not all(parts[1:]):
+                raise ValueError(f"{path}:{lineno}: empty flow id field")
+            fid = "-".join(parts[1:])
+            if t0 is None:
+                t0 = ts
+            if ts < t0:
+                raise ValueError(f"{path}:{lineno}: timestamp {parts[0]} is before the first "
+                                 f"line's {t0!r}")
+            counts[(int((ts - t0) * 1000.0 // bucket_ms), fid)] += 1
+    return counts
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("input", help="packet log (CSV lines, see module docstring)")
     parser.add_argument("output", help="trace file to write")
-    parser.add_argument("--bucket-ms", type=float, default=100.0)
+    parser.add_argument("--bucket-ms", type=_bucket_ms, default=100.0)
     args = parser.parse_args()
-
-    counts: dict[tuple[int, str], int] = defaultdict(int)
-    t0 = None
-    with open(args.input) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) == 2:
-                ts, fid = float(parts[0]), parts[1]
-            elif len(parts) == 3:
-                ts, fid = float(parts[0]), f"{parts[1]}-{parts[2]}"
-            else:
-                print(f"{args.input}:{lineno}: expected 2 or 3 fields", file=sys.stderr)
-                return 2
-            if t0 is None:
-                t0 = ts
-            bucket = int((ts - t0) * 1000.0 // args.bucket_ms)
-            counts[(bucket, fid)] += 1
-
-    bucket_s = args.bucket_ms / 1000.0
-    with open(args.output, "w") as out:
-        out.write("#dsamp-trace v1\n")
-        for (bucket, fid), n in sorted(counts.items()):
-            out.write(f"{bucket * args.bucket_ms:g},{fid},{n / bucket_s!r}\n")
+    try:
+        counts = count_packets(args.input, args.bucket_ms)
+        bucket_s = args.bucket_ms / 1000.0
+        with open(args.output, "w") as out:
+            out.write("#dsamp-trace v1\n")
+            for (bucket, fid), n in sorted(counts.items()):
+                out.write(f"{bucket * args.bucket_ms:g},{fid},{n / bucket_s!r}\n")
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {args.output}: {len(counts)} entries, "
           f"{len({f for _, f in counts})} flows")
     return 0

@@ -13,6 +13,7 @@ import inspect
 import json
 import os
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -32,11 +33,6 @@ _SOLVER_SETTINGS = {"delta": "delta", "epsilon": "epsilon_pps", "time_limit": "t
 _STRUCTURED = {"seeds": (list,), "algorithms": (list,), "trace": (str, dict), "params": (dict,)}
 # Builder keyword annotations that a JSON 'params' value can express.
 _PARAM_KINDS = {"int": (int,), "float": (float,), "int | None": (int, type(None))}
-# The non-solver settings each simulate preset reads; it rejects the others.
-_PRESET_READS = {"model-driven": {"seed", "params"},
-                 "trace-driven": {"seed", "params", "trace"},
-                 "epoch-sweep": {"seed"},
-                 "distribution-sensitivity": {"seeds"}}
 
 
 class CliError(Exception):
@@ -139,13 +135,17 @@ def _table(header: list[str], rows: list[list], path: str | None = None) -> None
             fh.write("".join(",".join(line) + "\n" for line in lines))
 
 
-def _run_epoch_sweep(args, seed: int, out_dir: str) -> int:
+def _simulate(bundle: ScenarioBundle, seed: int):
+    return run_simulation(bundle.network, list(bundle.queries), bundle.process,
+                          bundle.epoch, seed)
+
+
+def _run_epoch_sweep(args, out_dir: str) -> int:
+    seed = args.seed or 0
     rows = []
     for length in (1.0, 5.0, 20.0):
-        bundle = _scenario(args, epoch_sweep_scenario, length, seed)
-        report = run_simulation(bundle.network, list(bundle.queries), bundle.process,
-                                bundle.epoch, seed)
-        summary = measure_metrics(report)
+        summary = measure_metrics(_simulate(_scenario(args, epoch_sweep_scenario, length,
+                                                      seed), seed))
         if summary.rate_quartiles is None:   # e.g. --node-limit 1 admits no flow
             raise CliError(f"no flow measured a sampling rate in the {length:g} s epoch")
         q1, med, q3 = summary.rate_quartiles
@@ -160,12 +160,9 @@ def _run_distribution_sensitivity(args, out_dir: str) -> int:
     seeds = _seeds(args, range(20))
     rows = []
     for dist in Distribution:
-        violations = []
-        loads_pps = []
+        violations, loads_pps = [], []
         for seed in seeds:
-            bundle = _scenario(args, sensitivity_scenario, dist, seed)
-            report = run_simulation(bundle.network, list(bundle.queries),
-                                    bundle.process, bundle.epoch, seed)
+            report = _simulate(_scenario(args, sensitivity_scenario, dist, seed), seed)
             violations.append(report.violation_fraction("SW"))
             loads_pps.append(report.switch_loads[0] / report.bucket)
         q1, med, q3 = np.percentile(np.concatenate(loads_pps), [25, 50, 75])
@@ -209,12 +206,8 @@ def _scenario(args, builder, *positional) -> ScenarioBundle:
     return bundle.with_solver(_solver(args, bundle.epoch.solver))
 
 
-def _preset_builder(args):
-    """seed -> bundle for the model-driven and trace-driven presets."""
-    if args.preset == "model-driven":
-        return lambda seed: _scenario(args, model_driven_scenario, seed)
-    if args.preset != "trace-driven":
-        raise CliError("compare needs --preset model-driven or trace-driven")
+def _trace_driven(args):
+    """seed -> bundle for the trace-driven preset."""
     trace = {"path": args.trace} if isinstance(args.trace, str) else args.trace or {}
     if set(trace) - {"path", "scale_divisor", "bucket"} or \
             not isinstance(trace.get("path"), str):
@@ -227,43 +220,66 @@ def _preset_builder(args):
     return lambda seed: _scenario(args, trace_driven_scenario, process, seed)
 
 
+def _net_trace(args):
+    """seed -> bundle for simulate --net and --trace."""
+    network = load_network(args.net)
+    # an explicit 0 is kept, so that validation rejects it
+    epoch = EpochConfig(epoch_length=5.0 if args.epoch_len is None else args.epoch_len,
+                        bucket=0.1 if args.bucket is None else args.bucket,
+                        solver=_solver(args, SolverConfig()),
+                        estimator_mode=EstimatorMode.WINDOWED)
+    process = load_trace(args.trace, 1.0, epoch.bucket,
+                         known_flows={f.id for f in network.flows})
+    alpha = 0.1 if args.alpha is None else args.alpha
+    n_epochs = int(process.horizon // epoch.epoch_length)
+    if n_epochs < 1:
+        raise CliError("trace shorter than one epoch")
+    queries = tuple(SamplingQuery(f.id, 0.0, n_epochs * epoch.epoch_length, alpha)
+                    for f in network.flows)
+    return lambda seed: ScenarioBundle(network, queries, process, epoch)
+
+
+# A run: the non-solver settings it reads (it rejects the others), and either
+# ``bundles``, args -> (seed -> ScenarioBundle), for a single simulation, which
+# compare also runs, or ``table``, (args, out_dir) -> exit code, for a run that
+# writes its own table.
+_Run = namedtuple("_Run", "reads bundles table", defaults=(None, None))
+# Every simulate run, keyed by --preset; None is the --net and --trace run.
+_RUNS = {
+    None: _Run({"net", "trace", "epoch_len", "bucket", "alpha", "seed"}, _net_trace),
+    "epoch-sweep": _Run({"seed"}, table=_run_epoch_sweep),
+    "distribution-sensitivity": _Run({"seeds"}, table=_run_distribution_sensitivity),
+    "model-driven": _Run({"seed", "params"}, lambda args: lambda seed: _scenario(
+        args, model_driven_scenario, seed)),
+    "trace-driven": _Run({"seed", "params", "trace"}, _trace_driven),
+}
+_COMPARED = [name for name, run in _RUNS.items() if name and run.bundles]
+
+
+def _run(args) -> _Run:
+    """The run ``args`` selects. The first non-solver setting that it does not
+    read, in name order, exits 2; compare also reads 'seeds'."""
+    run = _RUNS[args.preset]
+    reads = run.reads | ({"seeds"} if args.command == "compare" else set())
+    for key in sorted(set().union(*(r.reads for r in _RUNS.values())) - reads):
+        if getattr(args, key, None) is not None:
+            hint = ("; it takes scenario settings through 'params'" if "params" in reads
+                    and key in ("net", "alpha", "epoch_len", "bucket") else "")
+            where = f"--preset {args.preset}" if args.preset else "--net"
+            raise CliError(f"{key!r} does not apply to {where}{hint}")
+    return run
+
+
 def cmd_simulate(args) -> int:
-    seed = args.seed or 0
+    if not (args.preset or args.net and isinstance(args.trace, str)):
+        raise CliError("simulate needs --preset, or --net and --trace (a file path)")
+    run = _run(args)
     out_dir = args.out_dir or "out"
     os.makedirs(out_dir, exist_ok=True)
-    if args.preset:
-        reads = _PRESET_READS[args.preset]
-        scenario = ("net", "alpha", "epoch_len", "bucket")
-        for key in (*scenario, "params", "seed", "seeds", "trace"):
-            if getattr(args, key) is not None and key not in reads:
-                hint = ("; it takes scenario settings through 'params'"
-                        if key in scenario and "params" in reads else "")
-                raise CliError(f"{key!r} does not apply to --preset {args.preset}{hint}")
-        if args.preset == "epoch-sweep":
-            return _run_epoch_sweep(args, seed, out_dir)
-        if args.preset == "distribution-sensitivity":
-            return _run_distribution_sensitivity(args, out_dir)
-        bundle = _preset_builder(args)(seed)
-        network, queries, process, epoch = (bundle.network, list(bundle.queries),
-                                            bundle.process, bundle.epoch)
-    else:
-        if not (args.net and isinstance(args.trace, str)):
-            raise CliError("simulate needs --preset, or --net and --trace (a file path)")
-        network = load_network(args.net)
-        # an explicit 0 is kept, so that validation rejects it
-        epoch = EpochConfig(epoch_length=5.0 if args.epoch_len is None else args.epoch_len,
-                            bucket=0.1 if args.bucket is None else args.bucket,
-                            solver=_solver(args, SolverConfig()),
-                            estimator_mode=EstimatorMode.WINDOWED)
-        process = load_trace(args.trace, 1.0, epoch.bucket,
-                             known_flows={f.id for f in network.flows})
-        alpha = 0.1 if args.alpha is None else args.alpha
-        n_epochs = int(process.horizon // epoch.epoch_length)
-        if n_epochs < 1:
-            raise CliError("trace shorter than one epoch")
-        queries = [SamplingQuery(f.id, 0.0, n_epochs * epoch.epoch_length, alpha)
-                   for f in network.flows]
-    report = run_simulation(network, queries, process, epoch, seed)
+    if run.table:
+        return run.table(args, out_dir)
+    seed = args.seed or 0
+    report = _simulate(run.bundles(args)(seed), seed)
     csv_path = os.path.join(out_dir, f"flow_epochs_seed{seed}.csv")
     json_path = os.path.join(out_dir, f"summary_seed{seed}.json")
     write_flow_epochs_csv(report, csv_path)
@@ -286,16 +302,11 @@ def compare_algorithms(bundle_builder, algorithms: list[str], seeds: list[int]):
     results = {}
     for token in algorithms:
         admitted = fully = 0
-        rates = []
-        times = []
-        per_seed = []
+        rates, times, per_seed = [], [], []
         for seed in seeds:
             bundle = bundle_builder(seed)
-            solver = parse_algorithm(token, bundle.epoch.solver)
-            bundle = bundle.with_solver(solver)
-            report = run_simulation(bundle.network, list(bundle.queries),
-                                    bundle.process, bundle.epoch, seed)
-            summary = measure_metrics(report)
+            bundle = bundle.with_solver(parse_algorithm(token, bundle.epoch.solver))
+            summary = measure_metrics(_simulate(bundle, seed))
             admitted += summary.admitted_flows
             fully += summary.fully_sampled_flows
             times.append(summary.mean_solver_wall_time)
@@ -314,10 +325,12 @@ def compare_algorithms(bundle_builder, algorithms: list[str], seeds: list[int]):
 
 
 def cmd_compare(args) -> int:
+    if not args.preset:
+        raise CliError(f"compare needs --preset {' or '.join(_COMPARED)}")
     algorithms = [_typed("'algorithms' entry", a, str)
                   for a in args.algorithms or DEFAULT_COMPARE_ALGOS]
     seeds = _seeds(args, [1, 2, 3, 4, 5])
-    results = compare_algorithms(_preset_builder(args), algorithms, seeds)
+    results = compare_algorithms(_run(args).bundles(args), algorithms, seeds)
     header = ["algorithm", "admitted", "fully_sampled", "rate_q1", "rate_median",
               "rate_q3", "mean_solve_s"]
     rows = []
@@ -352,9 +365,7 @@ def parse_args(argv=None) -> argparse.Namespace:
 
     p_sim = sub.add_parser("simulate", allow_abbrev=False,
                            help="run an epoch-driven simulation")
-    p_sim.add_argument("--preset",
-                       choices=["epoch-sweep", "distribution-sensitivity",
-                                "model-driven", "trace-driven"])
+    p_sim.add_argument("--preset", choices=[name for name in _RUNS if name])
     p_sim.add_argument("--net")
     p_sim.add_argument("--trace")
     p_sim.add_argument("--epoch-len", dest="epoch_len", type=float)
@@ -365,7 +376,7 @@ def parse_args(argv=None) -> argparse.Namespace:
 
     p_cmp = sub.add_parser("compare", allow_abbrev=False,
                            help="compare algorithms on one scenario")
-    p_cmp.add_argument("--preset", choices=["model-driven", "trace-driven"])
+    p_cmp.add_argument("--preset", choices=_COMPARED)
     p_cmp.add_argument("--trace")
     p_cmp.add_argument("--algorithms", type=lambda text: [a for a in text.split(",") if a],
                        help="comma-separated tokens")

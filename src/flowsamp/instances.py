@@ -254,6 +254,10 @@ def trace_driven_scenario(process: RateProcess, seed: int, *,
     if max_epochs < 1:
         raise ValueError(f"epoch_length {epoch_length:g} s is longer than the trace "
                          f"({process.horizon:g} s)")
-    n_epochs = max_epochs if n_epochs is None else min(n_epochs, max_epochs)
+    if n_epochs is None:
+        n_epochs = max_epochs
+    elif n_epochs > max_epochs:
+        raise ValueError(f"n_epochs {n_epochs} is more than the trace holds: {max_epochs} "
+                         f"whole epoch(s) of {epoch_length:g} s in {process.horizon:g} s")
     return _random_query_bundle(network, process, seed, n_epochs, epoch_length,
                                 target_rate, inclusion_prob, delta, node_limit)

@@ -207,6 +207,8 @@ def load_trace(path: str, scale_divisor: float, bucket: float,
             for name, value in (("bucket_start_ms", start_ms), ("rate_pps", rate)):
                 if not math.isfinite(value):
                     raise ValueError(f"{path}:{lineno}: {name} {value} is not finite")
+            if start_ms < 0:
+                raise ValueError(f"{path}:{lineno}: bucket_start_ms {start_ms:g} is negative")
             fid = parts[1]
             if not fid:
                 raise ValueError(f"{path}:{lineno}: empty flow id")

@@ -11,7 +11,8 @@ import pytest
 from flowsamp import (EpochConfig, EstimatorMode, Formulation, FlowSpec, RateProcess,
                       SamplingQuery, SolverConfig, SwitchSpec, build_network,
                       measure_metrics, run_simulation, save_network, simulator)
-from flowsamp.cli import CliError, compare_algorithms, main, parse_algorithm, parse_args
+from flowsamp.cli import (_COMPARED, _RUNS, CliError, compare_algorithms, main,
+                          parse_algorithm, parse_args)
 from flowsamp.instances import (ScenarioBundle, epoch_sweep_scenario, model_driven_scenario,
                                 sensitivity_scenario, trace_driven_scenario, two_switch_toy)
 from flowsamp.optimizer import load_solve_result
@@ -339,8 +340,14 @@ def test_fixed_presets_reject_params(tmp_path, preset, capsys):
 
 def _preset_config(tmp_path, preset, doc):
     """A config file for ``preset`` with the keys of ``doc``; trace-driven
-    also gets a 6 s trace."""
-    doc = {"preset": preset, **doc}
+    also gets a 6 s trace. ``None`` is the --net run, on the two-switch toy
+    network and a 6 s trace of its flows."""
+    if preset is None:
+        save_network(two_switch_toy(), str(tmp_path / "toy.json"))
+        _write_trace(tmp_path / "t.trace", ["f1", "f2", "f3", "f4"], 60, 300.0)
+        doc = {"net": str(tmp_path / "toy.json"), "trace": str(tmp_path / "t.trace"), **doc}
+    else:
+        doc = {"preset": preset, **doc}
     if preset == "trace-driven":
         _write_trace(tmp_path / "t.trace", ["a"], 60, 300.0)
         doc.setdefault("trace", str(tmp_path / "t.trace"))
@@ -349,19 +356,32 @@ def _preset_config(tmp_path, preset, doc):
     return cfg
 
 
-@pytest.mark.parametrize("preset,doc,key", [
-    ("model-driven", {"seeds": [4, 5]}, "seeds"),
-    ("trace-driven", {"seeds": [4, 5]}, "seeds"),
-    ("epoch-sweep", {"seeds": [4, 5]}, "seeds"),
-    ("distribution-sensitivity", {"seed": 4}, "seed"),
-    ("model-driven", {"trace": "t.trace"}, "trace"),
-    ("epoch-sweep", {"trace": "t.trace"}, "trace"),
-    ("distribution-sensitivity", {"trace": "t.trace"}, "trace"),
-])
-def test_preset_rejects_settings_it_does_not_read(tmp_path, preset, doc, key, capsys):
+_UNREAD_SETTINGS = [
+    ("simulate", "model-driven", {"seeds": [4, 5]}, "seeds"),
+    ("simulate", "trace-driven", {"seeds": [4, 5]}, "seeds"),
+    ("simulate", "epoch-sweep", {"seeds": [4, 5]}, "seeds"),
+    ("simulate", "distribution-sensitivity", {"seed": 4}, "seed"),
+    ("simulate", "model-driven", {"trace": "t.trace"}, "trace"),
+    ("simulate", "epoch-sweep", {"trace": "t.trace"}, "trace"),
+    ("simulate", "distribution-sensitivity", {"trace": "t.trace"}, "trace"),
+    ("compare", "model-driven", {"trace": "t.trace"}, "trace"),
+    ("simulate", None, {"seeds": [4, 5]}, "seeds"),
+    ("simulate", None, {"params": {"n_epochs": 1}}, "params"),
+]
+
+
+# the id names the subcommand unless it is simulate, and the --net run as "net"
+@pytest.mark.parametrize("command,preset,doc,key", _UNREAD_SETTINGS, ids=[
+    f"{'' if command == 'simulate' else command + '-'}{preset or 'net'}-doc{i}-{key}"
+    for i, (command, preset, _, key) in enumerate(_UNREAD_SETTINGS)])
+def test_preset_rejects_settings_it_does_not_read(tmp_path, command, preset, doc, key,
+                                                  capsys):
     cfg = _preset_config(tmp_path, preset, doc)
-    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
-    assert f"{key!r} does not apply to --preset {preset}" in capsys.readouterr().err
+    out_dir = ["--out-dir", str(tmp_path)] if command == "simulate" else []
+    assert main([command, "--config", str(cfg), *out_dir]) == 2
+    err = capsys.readouterr().err
+    where = f"--preset {preset}" if preset else "--net"
+    assert f"{key!r} does not apply to {where}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("preset,params,key", [
@@ -372,6 +392,7 @@ def test_preset_rejects_settings_it_does_not_read(tmp_path, preset, doc, key, ca
     ("model-driven", {"inclusion_prob": 1.5}, "inclusion_prob"),
     ("trace-driven", {"inclusion_prob": 0.0}, "inclusion_prob"),
     ("trace-driven", {"epoch_length": 10.0}, "epoch_length"),   # the trace lasts 6 s
+    ("trace-driven", {"n_epochs": 100}, "n_epochs"),   # one whole 5 s epoch
 ])
 def test_random_query_presets_range_check_params(tmp_path, preset, params, key, capsys):
     cfg = _preset_config(tmp_path, preset, {"params": params})
@@ -394,10 +415,7 @@ def test_params_accepts_every_json_expressible_builder_keyword(tmp_path, preset,
                                                                capsys):
     # an annotation spelled differently from the ones 'params' knows would
     # silently drop its keyword from the accepted set
-    trace = tmp_path / "t.trace"
-    _write_trace(trace, ["a"], 60, 300.0)
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"preset": preset, "trace": str(trace), "params": {"bogus": 1}}))
+    cfg = _preset_config(tmp_path, preset, {"params": {"bogus": 1}})
     assert main(["compare", "--config", str(cfg)]) == 2
     accepted = re.search(r"accepted: ([^)]*)\)", capsys.readouterr().err).group(1)
     keywords = {name for name, p in inspect.signature(builder).parameters.items()
@@ -460,3 +478,13 @@ def test_readme_configs_load(monkeypatch):
     for command, path in runs:
         args = parse_args([command, "--config", path])
         assert args.preset == json.loads((root / path).read_text())["preset"]
+
+
+def test_docs_run_table_matches_cli():
+    root = Path(__file__).resolve().parents[1]
+    rows = re.findall(r"^\| `(simulate --net|--preset [\w-]+)`[^|]*\| ([^|]*) \| (yes|no) \|$",
+                      (root / "docs" / "formats.md").read_text(), re.M)
+    documented = {None if run == "simulate --net" else run.split()[1]:
+                  (set(re.findall(r"`(\w+)`", reads)), compared == "yes")
+                  for run, reads, compared in rows}
+    assert documented == {name: (run.reads, name in _COMPARED) for name, run in _RUNS.items()}

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize as opt
 
 from flowsamp import optimizer
 from flowsamp import (Allocation, Formulation, FlowSpec, LoadStats, SolverConfig,
@@ -385,7 +386,6 @@ def _highs_optimum(net, cfg):
     """The additive program as plain knapsack rows, solved by HiGHS: one
     binary per (flow, switch on its path), at most one switch per flow, and
     each switch's summed charges within its capacity plus the search's slack."""
-    opt = pytest.importorskip("scipy.optimize")
     pairs = [(i, net.switches.index(net.switch(sid)))
              for i, f in enumerate(net.flows) for sid in f.path]
     rows = np.zeros((len(net.flows) + len(net.switches), len(pairs)))

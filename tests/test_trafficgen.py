@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +162,7 @@ def test_empty_trace(tmp_path):
     (f"{TRACE_HEADER}\n0,f,5\n100,f,inf\n", ":3: rate_pps"),
     (f"{TRACE_HEADER}\nnan,f,5\n", ":2: bucket_start_ms"),
     (f"{TRACE_HEADER}\n-inf,f,5\n", ":2: bucket_start_ms"),
+    (f"{TRACE_HEADER}\n0,f,1\n100,f,2\n200,f,3\n-100,f,9\n", ":5: bucket_start_ms"),
 ])
 def test_trace_malformed_lines(tmp_path, body, match):
     path = tmp_path / "bad.trace"
@@ -184,3 +188,40 @@ def test_trace_rejects_bad_scale_divisor_and_bucket(tmp_path, value):
         load_trace(str(path), value, 0.1)
     with pytest.raises(ValueError, match="bucket"):
         load_trace(str(path), 1.0, value)
+
+
+MAKE_TRACE = Path(__file__).resolve().parents[1] / "scripts" / "make_trace.py"
+
+
+def _make_trace(tmp_path, log: str, *flags: str) -> subprocess.CompletedProcess:
+    (tmp_path / "packets.csv").write_text(log)
+    return subprocess.run([sys.executable, str(MAKE_TRACE), str(tmp_path / "packets.csv"),
+                           str(tmp_path / "out.trace"), *flags],
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_make_trace_counts_packets_per_bucket(tmp_path):
+    run = _make_trace(tmp_path, "10.0,a\n10.05,a\n10.15,x,y\n10.35,a\n")
+    assert run.returncode == 0, run.stderr
+    p = load_trace(str(tmp_path / "out.trace"), 1.0, 0.1)
+    assert list(p.rates["a"]) == [20.0, 0.0, 0.0, 10.0]
+    assert list(p.rates["x-y"]) == [0.0, 10.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("log,flags,match", [
+    ("abc,a\n", [], "packets.csv:1: timestamp 'abc'"),
+    ("1.0,a\nnan,a\n", [], "packets.csv:2: timestamp 'nan'"),
+    ("1.0,a\ninf,a\n", [], "packets.csv:2: timestamp 'inf'"),
+    ("5.0,a\n1.0,a\n", [], "packets.csv:2: timestamp 1.0 is before"),
+    ("1.0,a,b,c\n", [], "packets.csv:1: expected 2 or 3 fields"),
+    ("1.0,\n", [], "packets.csv:1: empty flow id"),
+    ("1.0,a\n", ["--bucket-ms", "0"], "--bucket-ms"),
+    ("1.0,a\n", ["--bucket-ms", "nan"], "--bucket-ms"),
+    ("1.0,a\n", ["--bucket-ms", "-5"], "--bucket-ms"),
+    ("1.0,a\n", ["--bucket-ms", "x"], "--bucket-ms"),
+])
+def test_make_trace_rejects_malformed_input(tmp_path, log, flags, match):
+    run = _make_trace(tmp_path, log, *flags)
+    assert run.returncode == 2
+    assert match in run.stderr and "Traceback" not in run.stderr
+    assert not (tmp_path / "out.trace").exists()
