@@ -16,6 +16,7 @@ import argparse
 import math
 import sys
 from collections import defaultdict
+from decimal import Decimal, InvalidOperation
 
 
 def _bucket_ms(text: str) -> float:
@@ -30,8 +31,11 @@ def _bucket_ms(text: str) -> float:
 
 def count_packets(path: str, bucket_ms: float) -> dict[tuple[int, str], int]:
     """Packets per (bucket, flow id), buckets counted from the first line's
-    timestamp; a malformed line raises ``ValueError`` naming it."""
+    timestamp; a malformed line raises ``ValueError`` naming it. Timestamps
+    are read as exact decimals, so a packet on a bucket boundary opens that
+    bucket (binary floats would put ``10.2 - 10.0`` just below 0.2 s)."""
     counts: dict[tuple[int, str], int] = defaultdict(int)
+    width_ms = Decimal(repr(bucket_ms))
     t0 = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -42,10 +46,10 @@ def count_packets(path: str, bucket_ms: float) -> dict[tuple[int, str], int]:
             if len(parts) not in (2, 3):
                 raise ValueError(f"{path}:{lineno}: expected 2 or 3 fields")
             try:
-                ts = float(parts[0])
-            except ValueError:
-                ts = math.nan
-            if not math.isfinite(ts):
+                ts = Decimal(parts[0])
+            except InvalidOperation:
+                ts = Decimal("NaN")
+            if not ts.is_finite():
                 raise ValueError(f"{path}:{lineno}: timestamp {parts[0]!r} is not a finite "
                                  "number")
             if not all(parts[1:]):
@@ -55,8 +59,8 @@ def count_packets(path: str, bucket_ms: float) -> dict[tuple[int, str], int]:
                 t0 = ts
             if ts < t0:
                 raise ValueError(f"{path}:{lineno}: timestamp {parts[0]} is before the first "
-                                 f"line's {t0!r}")
-            counts[(int((ts - t0) * 1000.0 // bucket_ms), fid)] += 1
+                                 f"line's {float(t0)!r}")
+            counts[(int((ts - t0) * 1000 // width_ms), fid)] += 1
     return counts
 
 

@@ -4,9 +4,9 @@ from .model import (Allocation, FlowSpec, LoadStats, ModelError, Network,
                     SwitchSpec, build_network, load_network, load_stats,
                     save_network, validate_allocation)
 from .optimizer import (Formulation, SolveResult, SolverConfig, additive_feasible,
-                        brute_force_optimal, effective_load, min_required_capacity,
-                        socp_feasible, solve, solve_apx, solve_exact,
-                        squared_form_feasible)
+                        brute_force_optimal, effective_load, feasible, flow_charge,
+                        min_required_capacity, socp_feasible, solve, solve_apx,
+                        solve_exact, squared_form_feasible)
 from .simulator import (EpochConfig, EstimatorMode, MetricSummary, SamplingQuery,
                         SimReport, measure_metrics, run_simulation,
                         write_flow_epochs_csv, write_summary_json)

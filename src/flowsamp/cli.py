@@ -39,9 +39,18 @@ class CliError(Exception):
     pass
 
 
+def _fold(token: str) -> str:
+    return token.strip().lower()
+
+
+def _repeated(items: list):
+    """The first item that an earlier one equals, or None."""
+    return next((item for i, item in enumerate(items) if item in items[:i]), None)
+
+
 def parse_algorithm(token: str, base: SolverConfig) -> SolverConfig:
     """Algorithm tokens: ds, ds2sigma, apx, exact, csamp+<epsilon_pps>."""
-    token = token.strip().lower()
+    token = _fold(token)
     eps = base.epsilon_pps
     if token.startswith("csamp+"):
         try:
@@ -177,7 +186,11 @@ def _seeds(args, default) -> list[int]:
     """The run's 'seeds', or ``default`` when none were given."""
     if args.seeds == []:
         raise CliError("'seeds' must list at least one seed")
-    return [_typed("'seeds' entry", s, int) for s in args.seeds or default]
+    seeds = [_typed("'seeds' entry", s, int) for s in args.seeds or default]
+    repeated = _repeated(seeds)
+    if repeated is not None:
+        raise CliError(f"'seeds' lists seed {repeated} more than once")
+    return seeds
 
 
 def _params(args, builder) -> dict:
@@ -299,6 +312,9 @@ def compare_algorithms(bundle_builder, algorithms: list[str], seeds: list[int]):
     """
     if len(algorithms) < 2:
         raise CliError("compare needs at least two algorithms")
+    repeated = _repeated([_fold(token) for token in algorithms])
+    if repeated is not None:
+        raise CliError(f"algorithm {repeated!r} is listed more than once")
     results = {}
     for token in algorithms:
         admitted = fully = 0

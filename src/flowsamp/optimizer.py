@@ -10,10 +10,13 @@ capacity constraint; they differ only in how a flow is charged:
   CSAMP_EPS  target_rate * (rate_mean + epsilon)   (worst-case inflation)
   EXACT      sum(mu) + z(delta) * sqrt(sum(sigma^2)) <= capacity per switch
 
-The first four charge an additive per-flow weight, which makes the problem
-a multiple knapsack with assignment restrictions; EXACT keeps the
-second-order cone constraint and is solved by the same branch-and-bound
-with a per-node cone feasibility check. Since the auxiliary pair variables
+All five are the one per-switch inequality
+sum(g) + z(delta) * sqrt(sum(var)) <= capacity over the charges
+(g, var) = flow_charge(flow, config): the first four charge an additive
+per-flow weight with var = 0, which makes the problem a multiple knapsack
+with assignment restrictions; EXACT charges (mu, sigma^2) and keeps the
+second-order cone. One branch and bound and one feasibility check
+(:func:`feasible`) serve all five. Since the auxiliary pair variables
 of the linearized integer program are functionally determined by the
 assignment variables, searching assignments directly is equivalent to
 solving that program.
@@ -25,6 +28,7 @@ capacities behave as intended at the boundary.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -129,38 +133,52 @@ def effective_load(flow: FlowSpec, config: SolverConfig) -> float:
     raise ValueError(f"no additive load for formulation {form}")
 
 
+def flow_charge(flow: FlowSpec, config: SolverConfig) -> tuple[float, float]:
+    """(g, var): what a flow adds to the per-switch charge
+    sum(g) + z(delta) * sqrt(sum(var)). EXACT charges the load moments
+    (mu, sigma^2), every additive formulation its effective load and no
+    variance. The one definition of the charge: the search, the brute-force
+    oracle and the feasibility checks all read it."""
+    if config.formulation == Formulation.EXACT:
+        stats = load_stats(flow)
+        return stats.mu, stats.sigma ** 2
+    return effective_load(flow, config), 0.0
+
+
 def _slack(capacity: float, tol: float = FEAS_TOL) -> float:
     return tol * max(1.0, capacity)
 
 
-def socp_feasible(network: Network, alloc: Allocation, delta: float,
-                  tol: float = FEAS_TOL) -> bool:
+def feasible(network: Network, alloc: Allocation, config: SolverConfig,
+             tol: float = FEAS_TOL) -> bool:
     """True iff every switch satisfies
-    sum(mu) + z(delta) * sqrt(sum(sigma^2)) <= capacity (within slack)."""
-    z = normal_quantile(delta)
-    mu_sum: dict[str, float] = {}
-    var_sum: dict[str, float] = {}
+    sum(g) + z(delta) * sqrt(sum(var)) <= capacity (within slack), each
+    assigned flow charged (g, var) = flow_charge(flow, config)."""
+    z = normal_quantile(config.delta)
+    used: dict[str, tuple[float, float]] = {}
     for fid, sid in alloc.assignment.items():
-        stats = load_stats(network.flow(fid))
-        mu_sum[sid] = mu_sum.get(sid, 0.0) + stats.mu
-        var_sum[sid] = var_sum.get(sid, 0.0) + stats.sigma ** 2
-    for sid, mu in mu_sum.items():
+        g, var = flow_charge(network.flow(fid), config)
+        g_sum, var_sum = used.get(sid, (0.0, 0.0))
+        used[sid] = (g_sum + g, var_sum + var)
+    for sid, (g_sum, var_sum) in used.items():
         cap = network.switch(sid).capacity_pps
-        if mu + z * math.sqrt(var_sum[sid]) > cap + _slack(cap, tol):
+        if g_sum + z * math.sqrt(var_sum) > cap + _slack(cap, tol):
             return False
     return True
 
 
+def socp_feasible(network: Network, alloc: Allocation, delta: float,
+                  tol: float = FEAS_TOL) -> bool:
+    """:func:`feasible` under the cone formulation at ``delta``."""
+    return feasible(network, alloc, SolverConfig(Formulation.EXACT, delta=delta), tol)
+
+
 def additive_feasible(network: Network, alloc: Allocation, config: SolverConfig,
                       tol: float = FEAS_TOL) -> bool:
-    """True iff every switch's summed effective loads fit its capacity."""
-    used: dict[str, float] = {}
-    for fid, sid in alloc.assignment.items():
-        used[sid] = used.get(sid, 0.0) + effective_load(network.flow(fid), config)
-    return all(
-        w <= network.switch(sid).capacity_pps + _slack(network.switch(sid).capacity_pps, tol)
-        for sid, w in used.items()
-    )
+    """:func:`feasible` under an additive formulation; EXACT is refused."""
+    if config.formulation == Formulation.EXACT:
+        raise ValueError("additive_feasible needs an additive formulation; use socp_feasible")
+    return feasible(network, alloc, config, tol)
 
 
 def min_required_capacity(flows: list[LoadStats], delta: float) -> float:
@@ -209,10 +227,9 @@ def squared_form_feasible(network: Network, alloc: Allocation, delta: float,
 # ---------------------------------------------------------------------------
 
 class _Instance:
-    """Search-ready arrays for one solve. Every flow is charged g + z*sqrt(var)
-    against a switch's capacity, summed per switch as sum(g) + z*sqrt(sum(var)):
-    EXACT flows have g = mu and var = sigma^2, additive formulations their
-    effective load and var = 0. Flows are ordered by ascending g (flow id
+    """Search-ready arrays for one solve. Every flow is charged (g, var) =
+    flow_charge(flow, config) against a switch's capacity, summed per switch
+    as sum(g) + z*sqrt(sum(var)). Flows are ordered by ascending g (flow id
     breaking ties), with per-switch membership in that order and prefix sums
     of g for the fractional-relaxation bounds; g is a floor on what a flow
     adds to any switch's load. Every number is a plain float, so the search
@@ -232,17 +249,11 @@ class _Instance:
         self.z = float(normal_quantile(config.delta))
         flows = network.flows
         n = len(flows)
-        if config.formulation == Formulation.EXACT:
-            loads = [load_stats(f) for f in flows]
-            g = [s.mu for s in loads]
-            var = [s.sigma ** 2 for s in loads]
-        else:
-            g = [effective_load(f, config) for f in flows]
-            var = [0.0] * n
-        order = sorted(range(n), key=lambda i: (g[i], flows[i].id))
+        charges = [flow_charge(f, config) for f in flows]
+        order = sorted(range(n), key=lambda i: (charges[i][0], flows[i].id))
         self.flow_ids = [flows[i].id for i in order]
-        self.g = [float(g[i]) for i in order]
-        self.var = [float(var[i]) for i in order]
+        self.g = [float(charges[i][0]) for i in order]
+        self.var = [float(charges[i][1]) for i in order]
         self.prefix = [0.0] * (n + 1)
         for k in range(n):
             self.prefix[k + 1] = self.prefix[k] + self.g[k]
@@ -445,86 +456,37 @@ def solve_exact(network: Network, config: SolverConfig) -> SolveResult:
 
 
 def solve(network: Network, config: SolverConfig) -> SolveResult:
-    """Dispatch on the configured formulation."""
-    if config.formulation == Formulation.EXACT:
-        return solve_exact(network, config)
-    return solve_apx(network, config)
+    """Solve the configured formulation by branch and bound."""
+    return _bb_solve(network, config)
 
 
 def brute_force_optimal(network: Network, config: SolverConfig) -> SolveResult:
     """Enumerate every assignment (each flow: one on-path switch or none)
-    and return a maximum-cardinality feasible one.
+    and return a maximum-cardinality one that passes :func:`feasible`.
 
     Flows are scanned in declaration order and each flow's choices in the
     order (unassigned, switches ascending by id); the first assignment
     attaining the maximum in that enumeration order is returned, which
-    makes ties deterministic. Intended as a testing oracle for small
-    instances; refuses instances beyond the enumeration budget.
+    makes ties deterministic. ``nodes_explored`` counts the enumerated
+    assignments. Intended as a testing oracle for small instances; refuses
+    instances beyond the enumeration budget.
     """
     t0 = time.perf_counter()
     flows = network.flows
-    n = len(flows)
     total = 1
     for f in flows:
         total *= len(f.path) + 1
         if total > ENUMERATION_BUDGET:
             raise ValueError("instance too large for exhaustive enumeration")
-    exact = config.formulation == Formulation.EXACT
-    z = normal_quantile(config.delta)
-    loads = [load_stats(f) for f in flows]
-    weights = None if exact else [effective_load(f, config) for f in flows]
-    switches = {s.id: i for i, s in enumerate(network.switches)}
-    caps = [s.capacity_pps for s in network.switches]
-    slacks = [_slack(c) for c in caps]
-    options = [[None] + sorted(f.path) for f in flows]
-    used_mu = [0.0] * len(caps)
-    used_var = [0.0] * len(caps)
-
-    best_obj = -1
-    best_assign: dict[str, str] = {}
-    current: dict[str, str] = {}
-    nodes = 0
-
-    def feasible_add(i: int, s: int) -> bool:
-        if exact:
-            return (used_mu[s] + loads[i].mu
-                    + z * math.sqrt(used_var[s] + loads[i].sigma ** 2)) <= caps[s] + slacks[s]
-        return used_mu[s] + weights[i] <= caps[s] + slacks[s]
-
-    def recurse(i: int, count: int):
-        nonlocal best_obj, best_assign, nodes
-        nodes += 1
-        if i == n:
-            if count > best_obj:
-                best_obj = count
-                best_assign = dict(current)
-            return
-        for opt in options[i]:
-            if opt is None:
-                recurse(i + 1, count)
-                continue
-            s = switches[opt]
-            if not feasible_add(i, s):
-                continue
-            charge = loads[i].mu if exact else weights[i]
-            used_mu[s] += charge
-            if exact:
-                used_var[s] += loads[i].sigma ** 2
-            current[flows[i].id] = opt
-            recurse(i + 1, count + 1)
-            del current[flows[i].id]
-            used_mu[s] -= charge
-            if exact:
-                used_var[s] -= loads[i].sigma ** 2
-
-    if n == 0:
-        best_obj, best_assign = 0, {}
-    else:
-        recurse(0, 0)
+    best: dict[str, str] = {}
+    for combo in itertools.product(*([None] + sorted(f.path) for f in flows)):
+        assign = {f.id: s for f, s in zip(flows, combo) if s is not None}
+        if len(assign) > len(best) and feasible(network, Allocation(assign), config):
+            best = assign
     return SolveResult(
-        allocation=Allocation(best_assign),
-        objective=best_obj,
+        allocation=Allocation(best),
+        objective=len(best),
         optimal=True,
-        nodes_explored=nodes,
+        nodes_explored=total,
         wall_time=time.perf_counter() - t0,
     )

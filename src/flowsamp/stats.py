@@ -10,62 +10,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 from .model import Allocation, Network, load_stats
 
 _SQRT2 = math.sqrt(2.0)
-
-# Rational approximation coefficients for the inverse standard normal CDF
-# (Acklam), accurate to ~1.15e-9 before refinement.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
+_STANDARD = NormalDist()
 
 
 def standard_normal_sf(x: float) -> float:
-    """Upper tail P(Z > x); erfc keeps precision for large x."""
+    """Upper tail P(Z > x); erfc keeps precision for large x (``NormalDist.cdf``
+    takes 1 + erf before Python 3.12, which rounds a far tail to 0)."""
     return 0.5 * math.erfc(x / _SQRT2)
 
 
-def standard_normal_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-def _inv_cdf_rational(p: float) -> float:
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    if p > 1.0 - _P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                 / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    q = p - 0.5
-    r = q * q
-    return ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-            / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-
-
 def normal_quantile(delta: float) -> float:
-    """The (1 - delta)-quantile of the standard normal.
-
-    Rational approximation refined by one Newton step on the erf-based CDF;
-    absolute error is well under 1e-6 across (0, 1).
-    """
+    """The (1 - delta)-quantile of the standard normal: minus the delta-quantile
+    (Wichura's AS 241), which keeps full precision for a tiny delta."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    p = 1.0 - delta
-    x = _inv_cdf_rational(p)
-    # One Newton step: solve sf(x) = delta; the sf form keeps the residual
-    # accurate when delta is tiny.
-    x = x + (standard_normal_sf(x) - delta) / standard_normal_pdf(x)
-    return x
+    return -_STANDARD.inv_cdf(delta)
 
 
 def violation_probability(network: Network, alloc: Allocation, switch: str) -> float:

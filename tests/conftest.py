@@ -5,7 +5,7 @@ import pytest
 
 from flowsamp import (Allocation, EpochConfig, EstimatorMode, Formulation, FlowSpec,
                       RateProcess, SamplingQuery, SolverConfig, SwitchSpec,
-                      additive_feasible, build_network, socp_feasible)
+                      build_network)
 from flowsamp.instances import ScenarioBundle, two_switch_toy
 
 
@@ -29,23 +29,6 @@ def random_instance(rng, max_switches=3, max_flows=6):
                               float(rng.uniform(0, 100)),
                               float(rng.uniform(0, 900))))
     return build_network(switches, flows)
-
-
-def enumerate_best_objective(network, config):
-    """Independent oracle: plain product enumeration with a from-scratch
-    feasibility check per candidate, no pruning."""
-    choices = [[None] + sorted(f.path) for f in network.flows]
-    best = -1
-    for combo in itertools.product(*choices):
-        assign = {f.id: s for f, s in zip(network.flows, combo) if s is not None}
-        alloc = Allocation(assign)
-        if config.formulation == Formulation.EXACT:
-            ok = socp_feasible(network, alloc, config.delta)
-        else:
-            ok = additive_feasible(network, alloc, config)
-        if ok and len(assign) > best:
-            best = len(assign)
-    return best
 
 
 def all_allocations(network):

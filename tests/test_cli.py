@@ -131,6 +131,26 @@ def test_compare_unknown_algorithm_exits_2(capsys):
     assert "warlock" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tokens", ["ds,ds", "apx,DS, ds "])
+def test_compare_repeated_algorithm_exits_2(tokens, capsys):
+    assert main(["compare", "--preset", "model-driven",
+                 "--algorithms", tokens, "--seeds", "1"]) == 2
+    assert "'ds' is listed more than once" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["compare", "--preset", "model-driven", "--seeds", "1,2,1"], {}),
+    (["simulate", "--preset", "distribution-sensitivity"], {"seeds": [3, 3]}),
+])
+def test_repeated_seed_exits_2(tmp_path, argv, doc, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([*argv, "--config", str(cfg), *(["--out-dir", str(tmp_path)]
+                                                 if argv[0] == "simulate" else [])]) == 2
+    err = capsys.readouterr().err
+    assert "'seeds'" in err and "more than once" in err
+
+
 def _write_trace(path, flows, n_buckets, rate):
     lines = [TRACE_HEADER]
     for k in range(n_buckets):

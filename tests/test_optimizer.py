@@ -13,15 +13,15 @@ from scipy import optimize as opt
 from flowsamp import optimizer
 from flowsamp import (Allocation, Formulation, FlowSpec, LoadStats, SolverConfig,
                       SwitchSpec, additive_feasible, brute_force_optimal,
-                      build_network, effective_load, min_required_capacity,
-                      socp_feasible, solve, solve_apx, solve_exact,
-                      squared_form_feasible, validate_allocation)
+                      build_network, effective_load, feasible, flow_charge,
+                      min_required_capacity, socp_feasible, solve, solve_apx,
+                      solve_exact, squared_form_feasible, validate_allocation)
 from flowsamp.instances import (big_scale_free_network, model_driven_scenario,
                                 runtime_comparison_network)
 from flowsamp.optimizer import FEAS_TOL, load_solve_result
 from flowsamp.simulator import run_simulation
 
-from conftest import all_allocations, enumerate_best_objective, random_instance
+from conftest import all_allocations, random_instance
 from test_stats import quantile_by_bisection
 
 
@@ -86,6 +86,20 @@ def test_socp_feasible_empty_allocation(toy_network):
 def test_socp_feasible_deterministic_overload():
     net = _single_switch_net(1, 2.0, 0.0, 1.0, 1.0)
     assert not socp_feasible(net, Allocation({"f00": "SW"}), 0.2)
+
+
+def test_flow_charge_per_formulation():
+    f = _flow(20.0, 20.0)
+    assert flow_charge(f, SolverConfig(Formulation.EXACT)) == (20.0, 400.0)
+    for form in (Formulation.APX, Formulation.DS, Formulation.DS2SIGMA,
+                 Formulation.CSAMP_EPS):
+        cfg = SolverConfig(form, delta=0.2, epsilon_pps=5.0)
+        assert flow_charge(f, cfg) == (effective_load(f, cfg), 0.0)
+
+
+def test_additive_feasible_refuses_exact_even_when_empty(toy_network):
+    with pytest.raises(ValueError):
+        additive_feasible(toy_network, Allocation({}), SolverConfig(Formulation.EXACT))
 
 
 def test_min_required_capacity_published_value():
@@ -173,15 +187,20 @@ def test_brute_force_single_fitting_flow():
     assert result.allocation.assignment == {"f": "s"}
 
 
-def test_brute_force_agrees_with_independent_enumerator():
+def test_brute_force_fingerprint():
+    # (sum of objectives, digest of every (objective, sorted assignment)),
+    # recorded with the incremental depth-first oracle that the plain
+    # enumeration replaced: same optima, same first-found tie.
     rng = np.random.default_rng(3)
+    rows = []
     for _ in range(30):
         net = random_instance(rng)
         delta = float(rng.uniform(0.01, 0.5))
-        for form in (Formulation.APX, Formulation.EXACT):
-            cfg = SolverConfig(form, delta=delta)
-            assert brute_force_optimal(net, cfg).objective == \
-                enumerate_best_objective(net, cfg)
+        for form in Formulation:
+            r = brute_force_optimal(net, SolverConfig(form, delta=delta, epsilon_pps=20.0))
+            rows.append([r.objective, sorted(r.allocation.assignment.items())])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+    assert (sum(r[0] for r in rows), digest) == (216, "77547862c165c101")
 
 
 def test_brute_force_matches_apx_objective_property():
@@ -264,10 +283,7 @@ def test_node_limited_search_against_oracle(seed, form, delta, epsilon, node_lim
     cfg = SolverConfig(form, delta=delta, epsilon_pps=epsilon, node_limit=node_limit)
     result = solve(net, cfg)
     validate_allocation(net, result.allocation)
-    if form == Formulation.EXACT:
-        assert socp_feasible(net, result.allocation, delta)
-    else:
-        assert additive_feasible(net, result.allocation, cfg)
+    assert feasible(net, result.allocation, cfg)
     best = brute_force_optimal(net, cfg).objective
     assert result.objective <= best
     if result.optimal:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from flowsamp import (Allocation, FlowSpec, RateHistory, SwitchSpec, build_network,
                       estimate_flow_stats, normal_quantile,
                       violation_probability)
+from flowsamp.instances import TWO_SIGMA_DELTA
 
 
 def quantile_by_bisection(delta):
@@ -36,6 +37,17 @@ def test_quantile_matches_bisection_oracle():
     for delta in [1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.45, 0.5, 0.8, 0.99]:
         assert normal_quantile(delta) == pytest.approx(quantile_by_bisection(delta),
                                                        abs=1e-6)
+
+
+def test_quantile_tiny_delta():
+    for delta in [1e-12, 1e-15]:
+        assert normal_quantile(delta) == pytest.approx(quantile_by_bisection(delta),
+                                                       abs=1e-9)
+
+
+def test_quantile_two_sigma_delta_is_exactly_two():
+    # apx and ds2sigma charge the same at this delta only if z is exactly 2
+    assert normal_quantile(TWO_SIGMA_DELTA) == 2.0
 
 
 @given(delta=st.floats(min_value=1e-4, max_value=0.5))

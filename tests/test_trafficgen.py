@@ -208,6 +208,16 @@ def test_make_trace_counts_packets_per_bucket(tmp_path):
     assert list(p.rates["x-y"]) == [0.0, 10.0, 0.0, 0.0]
 
 
+def test_make_trace_packet_on_bucket_boundary_opens_that_bucket(tmp_path):
+    # 10.2 - 10.0 is just below 0.2 in binary floats
+    run = _make_trace(tmp_path, "10.0,a\n10.2,a\n", "--bucket-ms", "100")
+    assert run.returncode == 0, run.stderr
+    lines = (tmp_path / "out.trace").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "200"]
+    p = load_trace(str(tmp_path / "out.trace"), 1.0, 0.1)
+    assert list(p.rates["a"]) == [10.0, 0.0, 10.0]
+
+
 @pytest.mark.parametrize("log,flags,match", [
     ("abc,a\n", [], "packets.csv:1: timestamp 'abc'"),
     ("1.0,a\nnan,a\n", [], "packets.csv:2: timestamp 'nan'"),
