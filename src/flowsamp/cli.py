@@ -39,10 +39,6 @@ class CliError(Exception):
     pass
 
 
-def _fold(token: str) -> str:
-    return token.strip().lower()
-
-
 def _repeated(items: list):
     """The first item that an earlier one equals, or None."""
     return next((item for i, item in enumerate(items) if item in items[:i]), None)
@@ -50,7 +46,7 @@ def _repeated(items: list):
 
 def parse_algorithm(token: str, base: SolverConfig) -> SolverConfig:
     """Algorithm tokens: ds, ds2sigma, apx, exact, csamp+<epsilon_pps>."""
-    token = _fold(token)
+    token = token.strip().lower()
     eps = base.epsilon_pps
     if token.startswith("csamp+"):
         try:
@@ -124,7 +120,7 @@ def cmd_solve(args) -> int:
         flows = [dataclasses.replace(f, target_rate=args.alpha) for f in network.flows]
         network = build_network(network.switches, flows)
     result = solve(network, _solver(args, SolverConfig()))
-    print(f"objective={result.objective} optimal={result.optimal} "
+    print(f"objective={result.objective} optimal={result.optimal} bound={result.bound} "
           f"nodes={result.nodes_explored} wall_time={result.wall_time:.3f}s")
     if args.out:
         result.save(args.out)
@@ -309,12 +305,18 @@ def compare_algorithms(bundle_builder, algorithms: list[str], seeds: list[int]):
 
     Returns a dict keyed by algorithm token with summed admitted and fully
     sampled counts, pooled measured-rate quartiles, and mean solve time.
+    Two tokens that parse to one (formulation, epsilon) are refused.
     """
     if len(algorithms) < 2:
         raise CliError("compare needs at least two algorithms")
-    repeated = _repeated([_fold(token) for token in algorithms])
-    if repeated is not None:
-        raise CliError(f"algorithm {repeated!r} is listed more than once")
+    base = bundle_builder(seeds[0]).epoch.solver
+    seen = {}
+    for token in algorithms:
+        config = parse_algorithm(token, base)
+        key = (config.formulation, config.epsilon_pps)
+        if key in seen:
+            raise CliError(f"algorithms {seen[key]!r} and {token!r} are the same algorithm")
+        seen[key] = token
     results = {}
     for token in algorithms:
         admitted = fully = 0

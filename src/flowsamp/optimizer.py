@@ -80,6 +80,7 @@ class SolveResult:
     optimal: bool
     nodes_explored: int
     wall_time: float
+    bound: int | None = None     # no assignment admits more flows; None if unknown
 
     def to_json_dict(self) -> dict:
         return {
@@ -87,6 +88,7 @@ class SolveResult:
             "objective": self.objective,
             "optimal": self.optimal,
             "nodes_explored": self.nodes_explored,
+            "bound": self.bound,
             "wall_time_s": self.wall_time,
             "assignment": dict(sorted(self.allocation.assignment.items())),
         }
@@ -109,9 +111,12 @@ def load_solve_result(path: str) -> SolveResult:
         optimal=bool(doc["optimal"]),
         nodes_explored=int(doc["nodes_explored"]),
         wall_time=float(doc["wall_time_s"]),
+        bound=None if doc.get("bound") is None else int(doc["bound"]),
     )
     if result.objective != len(alloc):
         raise ValueError(f"{path}: objective does not match assignment size")
+    if result.bound is not None and result.bound < result.objective:
+        raise ValueError(f"{path}: bound is below the objective")
     return result
 
 
@@ -243,7 +248,10 @@ class _Instance:
     across a flow whose path contains s. The depth moves only when a prune
     decision gets past its first test (see _bb_solve), so it may lag the
     search; the terms stay valid because every refresh reads the current
-    first[s] and used_g[s]."""
+    first[s] and used_g[s]. At the root (first[] all 0, nothing used) their
+    sum is one part of the root bound. The greedy pass that precedes the
+    search adds to used_g without a refresh and clears it again before the
+    search starts, so the search starts from the root's terms."""
 
     def __init__(self, network: Network, config: SolverConfig):
         self.z = float(normal_quantile(config.delta))
@@ -292,7 +300,21 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
     best_obj: every term is >= 0 and need >= 0 at the test (the incumbent
     is updated right after an apply), so a pooled <= 0 prunes either way.
     The search thus visits the same nodes in the same order whatever the
-    test order."""
+    test order.
+
+    The root bound is the same three bounds at depth 0 with nothing
+    admitted, min(rem, total, pooled): no assignment admits more flows. A
+    greedy pass runs first. It is the search's first dive, taking
+    children(d)[0] at every depth d and counting one node per step under
+    the same node limit (it takes at most n steps and leaves the time limit
+    to the search), but it keeps no per-switch terms and tests no bound.
+    If its incumbent meets the root bound, that incumbent is optimal and
+    is returned with the pass's steps as nodes_explored; the search would
+    have found it in the same dive and could never beat it.
+    Otherwise the state is reset and the search runs from the root as if
+    there had been no pass, returning as soon as its incumbent meets the
+    root bound. Either way optimal=True means proven: by the root bound or
+    by exhausting the tree."""
     t0 = time.perf_counter()
     inst = _Instance(network, config)
     n = inst.n
@@ -383,8 +405,11 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
             for s in on_path[at]:
                 first[s] -= 1
                 refresh(s)
-        if total <= need:
-            return False
+        return total > need and pooled(depth) > need
+
+    def pooled(depth: int) -> int:
+        """How many of the cheapest flows at positions >= depth fit in the
+        residual capacity summed over all switches."""
         pool = 0.0
         for c, u in zip(capacity, used_g):
             r = c - u
@@ -393,11 +418,34 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
         # Account for the per-switch feasibility slack so the relaxation
         # stays an upper bound for assignments admitted at the boundary.
         target = prefix[depth] + pool + inst.slack_total + 1e-9 * (1.0 + pool)
-        return bisect_right(prefix, target, depth, n + 1) - 1 - depth > need
+        return bisect_right(prefix, target, depth, n + 1) - 1 - depth
 
-    # Frames: [children, next index, switch applied on the edge into the
-    # frame (-2 for the root, -1 for a skip edge)].
-    stack = [[children(0), 0, -2]] if n else []
+    root = min(n, total, pooled(0))
+
+    # The greedy pass (see above); it stops at the node limit as the search
+    # does, before an apply.
+    for pos in range(n):
+        if admitted >= root:
+            break
+        nodes += 1
+        if nodes >= config.node_limit:
+            break
+        s = children(pos)[0]
+        if s >= 0:
+            used_g[s] += g[pos]
+            used_var[s] += var[pos]
+            choice[pos] = s
+            admitted += 1
+    if admitted >= root:
+        best_choice = choice
+        stack = []
+    else:
+        used_g[:] = used_var[:] = [0.0] * n_switch
+        choice[:] = [-1] * n
+        admitted = nodes = 0
+        # Frames: [children, next index, switch applied on the edge into
+        # the frame (-2 for the root, -1 for a skip edge)].
+        stack = [[children(0), 0, -2]]
     deadline = t0 + config.time_limit
     while stack:
         frame = stack[-1]
@@ -420,6 +468,8 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
             if admitted > best_obj:
                 best_obj = admitted
                 best_choice = list(choice)
+                if best_obj >= root:
+                    break
         nd = depth + 1
         need = best_obj - admitted       # a subtree must admit more than this
         if nd < n and n - nd > need and beats(nd, need):
@@ -437,6 +487,7 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
         optimal=not limit_hit,
         nodes_explored=nodes,
         wall_time=time.perf_counter() - t0,
+        bound=root,
     )
 
 
@@ -489,4 +540,5 @@ def brute_force_optimal(network: Network, config: SolverConfig) -> SolveResult:
         optimal=True,
         nodes_explored=total,
         wall_time=time.perf_counter() - t0,
+        bound=len(best),
     )

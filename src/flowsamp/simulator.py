@@ -250,7 +250,8 @@ def run_simulation(network: Network, queries: list[SamplingQuery], rates: RatePr
         result = solve(epoch_net, config.solver)
         solves.append({
             "epoch": e, "objective": result.objective, "optimal": result.optimal,
-            "nodes_explored": result.nodes_explored, "wall_time_s": result.wall_time,
+            "nodes_explored": result.nodes_explored, "bound": result.bound,
+            "wall_time_s": result.wall_time,
         })
         assigned = np.full(nf, -1, dtype=np.int64)
         for fid, sid in result.allocation.assignment.items():

@@ -33,7 +33,8 @@ def test_solve_toy(toy_net_file, tmp_path, capsys):
     code = main(["solve", "--net", toy_net_file, "--formulation", "apx",
                  "--delta", "0.08", "--out", str(out)])
     assert code == 0
-    assert "objective=2" in capsys.readouterr().out
+    stdout = capsys.readouterr().out
+    assert "objective=2" in stdout and "bound=2" in stdout
     assert load_solve_result(str(out)).objective == 2
 
 
@@ -131,11 +132,19 @@ def test_compare_unknown_algorithm_exits_2(capsys):
     assert "warlock" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tokens", ["ds,ds", "apx,DS, ds "])
-def test_compare_repeated_algorithm_exits_2(tokens, capsys):
+@pytest.mark.parametrize("tokens,first,second", [
+    pytest.param("ds,ds", "ds", "ds", id="ds,ds"),
+    pytest.param("apx,DS, ds ", "DS", " ds ", id="apx,DS, ds "),
+    pytest.param("csamp+100,csamp+100.0", "csamp+100", "csamp+100.0",
+                 id="csamp+100,csamp+100.0"),
+    # the preset runs csamp at epsilon 0
+    pytest.param("csamp,apx,csamp+0", "csamp", "csamp+0", id="csamp,apx,csamp+0"),
+])
+def test_compare_repeated_algorithm_exits_2(tokens, first, second, capsys):
     assert main(["compare", "--preset", "model-driven",
                  "--algorithms", tokens, "--seeds", "1"]) == 2
-    assert "'ds' is listed more than once" in capsys.readouterr().err
+    assert f"algorithms {first!r} and {second!r} are the same algorithm" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,doc", [

@@ -183,7 +183,7 @@ def test_brute_force_matches_solver_on_toy(toy_network):
 def test_brute_force_single_fitting_flow():
     net = build_network([SwitchSpec("s", 10.0)], [_flow(2.0, 1.0)])
     result = brute_force_optimal(net, SolverConfig(Formulation.APX, delta=0.2))
-    assert result.objective == 1
+    assert result.objective == result.bound == 1
     assert result.allocation.assignment == {"f": "s"}
 
 
@@ -285,7 +285,7 @@ def test_node_limited_search_against_oracle(seed, form, delta, epsilon, node_lim
     validate_allocation(net, result.allocation)
     assert feasible(net, result.allocation, cfg)
     best = brute_force_optimal(net, cfg).objective
-    assert result.objective <= best
+    assert result.objective <= best <= result.bound
     if result.optimal:
         assert result.objective == best
     assert result.nodes_explored <= node_limit
@@ -296,15 +296,17 @@ def _fingerprint(objective, optimal, nodes, pairs):
     return objective, optimal, nodes, digest
 
 
-# (objective, optimal, nodes_explored, digest of the sorted assignment),
-# recorded before the bound was made incremental. A change to the search
-# order, the bound or the arithmetic shows up here.
+# (objective, optimal, nodes_explored, digest of the sorted assignment).
+# The objectives, proofs and digests were recorded before the bound was
+# made incremental, the node counts when the search began to stop at its
+# root bound. A change to the search order, the bound or the arithmetic
+# shows up here.
 RC7_FINGERPRINTS = {
-    Formulation.APX: (11, True, 62, "d6ae5c6662027d54"),
+    Formulation.APX: (11, True, 35, "d6ae5c6662027d54"),
     Formulation.EXACT: (22, False, 50_000, "48d1bcd11489ce1c"),
-    Formulation.DS: (33, True, 118, "6f4393cd4515aa07"),
-    Formulation.DS2SIGMA: (11, True, 62, "d6ae5c6662027d54"),
-    Formulation.CSAMP_EPS: (33, True, 118, "6f4393cd4515aa07"),
+    Formulation.DS: (33, True, 37, "6f4393cd4515aa07"),
+    Formulation.DS2SIGMA: (11, True, 35, "d6ae5c6662027d54"),
+    Formulation.CSAMP_EPS: (33, True, 37, "6f4393cd4515aa07"),
 }
 
 
@@ -324,7 +326,7 @@ def test_search_fingerprint_scale_free_and_simulation():
     r = solve(net, SolverConfig(Formulation.APX, delta=0.2, node_limit=2_000))
     assert _fingerprint(r.objective, r.optimal, r.nodes_explored,
                         r.allocation.assignment.items()) == \
-        (100, True, 416, "9c84813e7e2d7865")
+        (100, True, 182, "9c84813e7e2d7865")
 
     bundle = model_driven_scenario(1, n_epochs=1, node_limit=2_000)
     report = run_simulation(bundle.network, list(bundle.queries), bundle.process,
@@ -337,26 +339,43 @@ def test_search_fingerprint_scale_free_and_simulation():
 
 
 def test_search_fingerprint_pooled_bound():
-    # Every flow crosses all four switches, so each per-switch term counts
-    # the same cheap flows four times over; only the pooled residual bound
-    # sees that they share one budget (without it the search takes over
-    # 20,000 nodes).
-    means = np.random.default_rng(101).uniform(10, 40, 16)
-    switches = [SwitchSpec(f"s{i}", 100.0) for i in range(4)]
+    # Every flow crosses both switches, so each per-switch term counts the
+    # same cheap flows twice over (total 12); only the pooled residual bound
+    # sees that they share one budget. The cheapest 10 fit in the pooled 200
+    # but no 10 fit in two switches of 100, so the search proves the optimum
+    # 9 below its root bound 10 by exhausting the tree (without the pooled
+    # test it takes 1,437 nodes).
+    means = np.random.default_rng(303).uniform(10, 40, 12)
+    switches = [SwitchSpec(f"s{i}", 100.0) for i in range(2)]
     path = tuple(s.id for s in switches)
     flows = [FlowSpec(f"f{j}", "a", "b", path, 1.0, float(m), 0.0)
              for j, m in enumerate(means)]
     r = solve(build_network(switches, flows), SolverConfig(Formulation.DS, delta=0.2))
+    assert r.bound == 10
     assert _fingerprint(r.objective, r.optimal, r.nodes_explored,
                         r.allocation.assignment.items()) == \
-        (14, True, 80, "f83ec584a1f09e8c")
+        (9, True, 609, "9c920666dd314176")
+
+
+def test_search_stops_at_root_bound():
+    # The greedy pass admits 32 of these 50 flows against a root bound of 33,
+    # so the search runs; it stops at its first incumbent of 33 instead of
+    # going on to 200 nodes to prove what the bound already says.
+    r = solve(runtime_comparison_network(2), SolverConfig(Formulation.DS, delta=0.2))
+    assert r.bound == 33
+    assert _fingerprint(r.objective, r.optimal, r.nodes_explored,
+                        r.allocation.assignment.items()) == \
+        (33, True, 112, "d93e91ca32544728")
 
 
 def test_prune_work_on_cone_instance(monkeypatch):
     # Every per-switch term refresh and every pooled test bisects once. The
     # rem test decides nothing the pooled test would not (pooled <= rem), so
     # only this count shows that it prunes first, before the bound's depth
-    # moves: without it the same search takes 11,761 bisections.
+    # moves: without it the cone search takes 11,762 bisections. Under DS
+    # the greedy pass meets the root bound, so the solve bisects only for
+    # the root bound: 11 per-switch terms and one pooled test (195 if the
+    # search's own first dive found the same incumbent).
     calls = 0
 
     def counting(*args):
@@ -365,9 +384,12 @@ def test_prune_work_on_cone_instance(monkeypatch):
         return bisect.bisect_right(*args)
 
     monkeypatch.setattr(optimizer, "bisect_right", counting)
-    r = solve(runtime_comparison_network(7),
-              SolverConfig(Formulation.EXACT, delta=0.2, node_limit=2_000))
-    assert (r.objective, r.nodes_explored, calls) == (22, 2_000, 11_217)
+    net = runtime_comparison_network(7)
+    r = solve(net, SolverConfig(Formulation.EXACT, delta=0.2, node_limit=2_000))
+    assert (r.objective, r.nodes_explored, calls) == (22, 2_000, 11_218)
+    calls = 0
+    r = solve(net, SolverConfig(Formulation.DS, delta=0.2))
+    assert (r.objective, r.optimal, r.nodes_explored, calls) == (33, True, 37, 12)
 
 
 def test_solve_result_round_trip(tmp_path, toy_network):
@@ -376,8 +398,17 @@ def test_solve_result_round_trip(tmp_path, toy_network):
     result.save(str(path))
     again = load_solve_result(str(path))
     assert again.objective == result.objective
+    assert again.bound == result.bound == 2
     assert again.allocation.assignment == result.allocation.assignment
     validate_allocation(toy_network, again.allocation)
+    doc = json.loads(path.read_text())
+    del doc["bound"]          # written before solve results carried one
+    path.write_text(json.dumps(doc))
+    assert load_solve_result(str(path)).bound is None
+    doc["bound"] = 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="bound"):
+        load_solve_result(str(path))
 
 
 @pytest.mark.parametrize("kwargs", [
