@@ -309,10 +309,10 @@ def compare_algorithms(bundle_builder, algorithms: list[str], seeds: list[int]):
     """
     if len(algorithms) < 2:
         raise CliError("compare needs at least two algorithms")
-    base = bundle_builder(seeds[0]).epoch.solver
+    bundles = [bundle_builder(seed) for seed in seeds]
     seen = {}
     for token in algorithms:
-        config = parse_algorithm(token, base)
+        config = parse_algorithm(token, bundles[0].epoch.solver)
         key = (config.formulation, config.epsilon_pps)
         if key in seen:
             raise CliError(f"algorithms {seen[key]!r} and {token!r} are the same algorithm")
@@ -321,8 +321,7 @@ def compare_algorithms(bundle_builder, algorithms: list[str], seeds: list[int]):
     for token in algorithms:
         admitted = fully = 0
         rates, times, per_seed = [], [], []
-        for seed in seeds:
-            bundle = bundle_builder(seed)
+        for seed, bundle in zip(seeds, bundles):
             bundle = bundle.with_solver(parse_algorithm(token, bundle.epoch.solver))
             summary = measure_metrics(_simulate(bundle, seed))
             admitted += summary.admitted_flows

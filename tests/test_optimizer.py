@@ -366,6 +366,11 @@ def test_search_stops_at_root_bound():
     assert _fingerprint(r.objective, r.optimal, r.nodes_explored,
                         r.allocation.assignment.items()) == \
         (33, True, 112, "d93e91ca32544728")
+    # A root bound of 0 is met by the empty incumbent before any step.
+    net = build_network([SwitchSpec("s", 1.0)],
+                        [_flow(5.0, 0.0, fid="f1"), _flow(7.0, 0.0, fid="f2")])
+    r = solve(net, SolverConfig(Formulation.APX))
+    assert (r.objective, r.optimal, r.bound, r.nodes_explored) == (0, True, 0, 0)
 
 
 def test_prune_work_on_cone_instance(monkeypatch):
