@@ -10,8 +10,7 @@ from .optimizer import (Formulation, SolveResult, SolverConfig, additive_feasibl
 from .simulator import (EpochConfig, EstimatorMode, MetricSummary, SamplingQuery,
                         SimReport, measure_metrics, run_simulation,
                         write_flow_epochs_csv, write_summary_json)
-from .stats import (RateHistory, estimate_flow_stats, normal_quantile,
-                    violation_probability)
+from .stats import estimate_flow_stats, normal_quantile, violation_probability
 from .trafficgen import (Distribution, MixtureConfig, RateModel, RateProcess,
                          draw_flow_model, generate_model_driven, kbps_to_pps,
                          load_trace, sample_rates, save_trace)

@@ -158,9 +158,6 @@ class Allocation:
     def __post_init__(self):
         object.__setattr__(self, "assignment", dict(self.assignment))
 
-    def switch_of(self, flow_id: str) -> str | None:
-        return self.assignment.get(flow_id)
-
     def __len__(self) -> int:
         return len(self.assignment)
 

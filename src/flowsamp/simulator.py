@@ -1,15 +1,15 @@
 """Epoch-driven discrete-time simulation of coordinated flow sampling.
 
 Each epoch the control loop batches the queries that have arrived by the
-epoch boundary, estimates per-flow rate moments, solves for a sampling
-schedule, and then replays the epoch's buckets as one batch: admitted flows
-offer packets (fractional packets-per-bucket carry over so long-run counts
-are exact), one binomial draw over the (bucket, flow) matrix samples each
+epoch boundary, estimates per-flow rate moments from the mean rates of
+the last ``ESTIMATOR_WINDOW`` epochs, solves for a sampling schedule, and
+then replays the epoch's buckets as one batch: admitted flows offer
+packets (fractional packets-per-bucket carry over so long-run counts are
+exact), one binomial draw over the (bucket, flow) matrix samples each
 offered packet independently with the flow's target probability (the
 generator yields the same variates in the same order as one draw per
-bucket), and each switch forwards at most its per-bucket budget, or what
-is left of its per-second budget, of sampled packets, dropping the excess
-and flagging a capacity violation.
+bucket), and each switch forwards at most its per-bucket budget of sampled
+packets, dropping the excess and flagging a capacity violation.
 
 Queries arriving mid-epoch wait for the next boundary. Drops on an
 overloaded switch are split across its flows proportionally to their
@@ -29,8 +29,10 @@ import numpy as np
 
 from .model import Network, build_network
 from .optimizer import SolverConfig, solve
-from .stats import RateHistory, estimate_flow_stats
+from .stats import estimate_flow_stats
 from .trafficgen import RateProcess
+
+ESTIMATOR_WINDOW = 5   # past epochs the windowed estimator averages over
 
 
 class EstimatorMode(str, Enum):
@@ -63,8 +65,6 @@ class EpochConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     fully_sampled_tolerance: float = 0.05
     estimator_mode: EstimatorMode = EstimatorMode.WINDOWED
-    estimator_window: int = 5
-    capacity_period: str = "bucket"  # or "second"
 
     def __post_init__(self):
         # written so that NaN fails every check
@@ -77,14 +77,6 @@ class EpochConfig:
             raise ValueError("epoch_length must be a whole number of buckets")
         if not 0.0 <= self.fully_sampled_tolerance < 1.0:
             raise ValueError("fully_sampled_tolerance must be in [0, 1)")
-        if not self.estimator_window >= 1:
-            raise ValueError("estimator_window must be >= 1")
-        if self.capacity_period not in ("bucket", "second"):
-            raise ValueError("capacity_period must be 'bucket' or 'second'")
-        if self.capacity_period == "second":
-            per_sec = 1.0 / self.bucket
-            if abs(per_sec - round(per_sec)) > 1e-9:
-                raise ValueError("per-second enforcement needs a bucket dividing 1 s")
 
     @property
     def buckets_per_epoch(self) -> int:
@@ -180,6 +172,9 @@ def run_simulation(network: Network, queries: list[SamplingQuery], rates: RatePr
     for q in queries:
         if not network.has_flow(q.flow_id):
             raise ValueError(f"query references unknown flow {q.flow_id!r}")
+    if abs(rates.bucket - config.bucket) > 1e-12:
+        raise ValueError(f"rate process bucket {rates.bucket:g} s differs from "
+                         f"simulation bucket {config.bucket:g} s")
     bpe = config.buckets_per_epoch
     span = max((q.start + q.duration for q in queries), default=0.0)
     n_epochs = int(math.ceil(span / config.epoch_length - 1e-9)) if queries else 0
@@ -189,8 +184,6 @@ def run_simulation(network: Network, queries: list[SamplingQuery], rates: RatePr
             f"rate process horizon {rates.horizon:g} s is shorter than the "
             f"{n_epochs} whole epochs ({n_epochs * config.epoch_length:g} s) "
             "spanned by the queries")
-    if abs(rates.bucket - config.bucket) > 1e-12:
-        raise ValueError("rate process bucket differs from simulation bucket")
 
     flows = network.flows
     nf = len(flows)
@@ -201,25 +194,19 @@ def run_simulation(network: Network, queries: list[SamplingQuery], rates: RatePr
     sidx = {sid: i for i, sid in enumerate(switch_ids)}
     rate_mat = np.stack([rates.series(fid)[:n_buckets] for fid in flow_ids]) \
         if nf and n_buckets else np.zeros((nf, n_buckets))
-
+    epoch_means = rate_mat.reshape(nf, n_epochs, bpe).mean(axis=2)
     cap_bucket = np.array([math.floor(s.capacity_pps * config.bucket) for s in network.switches],
                           dtype=np.int64)
-    per_second = int(round(1.0 / config.bucket)) if config.capacity_period == "second" else 0
-    cap_second = np.array([math.floor(s.capacity_pps) for s in network.switches], dtype=np.int64)
 
     rng = np.random.default_rng(seed)
     acc = np.zeros(nf)
-    history: dict[str, RateHistory] = {fid: RateHistory() for fid in flow_ids}
     records: list[FlowEpochRecord] = []
     loads = np.zeros((ns, n_buckets), dtype=np.int64)
     violations = np.zeros((ns, n_buckets), dtype=bool)
     targets: dict[str, float] = {}
     active_epochs: dict[str, list[int]] = {}
     solves: list[dict] = []
-    budget = cap_second.copy()
     offered = np.zeros((bpe, nf), dtype=np.int64)
-    limit = np.empty((bpe, ns), dtype=np.int64) if per_second \
-        else np.broadcast_to(cap_bucket, (bpe, ns))
     bucket_base = np.arange(bpe)[:, None] * ns
 
     queries_at: list[list[SamplingQuery]] = [[] for _ in range(n_epochs)]
@@ -237,13 +224,16 @@ def run_simulation(network: Network, queries: list[SamplingQuery], rates: RatePr
         for i in active:
             active_epochs.setdefault(flow_ids[i], []).append(e)
 
+        windowed = config.estimator_mode == EstimatorMode.WINDOWED and e > 0
+        if windowed:
+            past = epoch_means[:, max(0, e - ESTIMATOR_WINDOW):e].tolist()
         epoch_flows = []
         for i in active:
             f = flows[i]
-            if config.estimator_mode == EstimatorMode.DECLARED or len(history[f.id]) == 0:
-                mean, var = f.rate_mean_pps, f.rate_var_pps2
+            if windowed:
+                mean, var = estimate_flow_stats(past[i], ESTIMATOR_WINDOW)
             else:
-                mean, var = estimate_flow_stats(history[f.id], config.estimator_window)
+                mean, var = f.rate_mean_pps, f.rate_var_pps2
             epoch_flows.append(dataclasses.replace(
                 f, target_rate=float(alpha[i]), rate_mean_pps=mean, rate_var_pps2=var))
         epoch_net = build_network(network.switches, epoch_flows)
@@ -273,18 +263,10 @@ def run_simulation(network: Network, queries: list[SamplingQuery], rates: RatePr
                              weights=sampled[:, admitted].ravel(),
                              minlength=bpe * ns).astype(np.int64).reshape(bpe, ns)
         loads[:, k0:k0 + bpe] = totals.T
-        if per_second:
-            # what is left of each switch's per-second budget at each bucket;
-            # a second may start in one epoch and end in the next
-            for b in range(bpe):
-                if (k0 + b) % per_second == 0:
-                    budget = cap_second.copy()
-                limit[b] = budget
-                budget -= np.minimum(totals[b], budget)
-        for b, s in zip(*np.nonzero(totals > limit)):
+        for b, s in zip(*np.nonzero(totals > cap_bucket)):
             violations[s, k0 + b] = True
             member = np.nonzero((assigned == s) & (sampled[b] > 0))[0]
-            _apportion(forwarded[b], sampled[b], member, int(limit[b, s]))
+            _apportion(forwarded[b], sampled[b], member, int(cap_bucket[s]))
 
         off_sum = offered.sum(axis=0)
         smp_sum = sampled.sum(axis=0)
@@ -296,10 +278,6 @@ def run_simulation(network: Network, queries: list[SamplingQuery], rates: RatePr
                 offered=int(off_sum[i]), sampled=int(smp_sum[i]),
                 forwarded=int(fwd_sum[i]), dropped=int(smp_sum[i] - fwd_sum[i]),
             ))
-        if nf and bpe:
-            epoch_means = rate_mat[:, k0:k0 + bpe].mean(axis=1)
-            for i, fid in enumerate(flow_ids):
-                history[fid].append(e, float(epoch_means[i]))
 
     return SimReport(
         records=records, switch_ids=switch_ids, switch_loads=loads,

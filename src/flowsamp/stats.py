@@ -9,7 +9,7 @@ the mass above the switch capacity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from statistics import NormalDist
 
 from .model import Allocation, Network, load_stats
@@ -57,30 +57,16 @@ def violation_probability(network: Network, alloc: Allocation, switch: str) -> f
     return standard_normal_sf((spec.capacity_pps - mu_sum) / math.sqrt(var_sum))
 
 
-@dataclass
-class RateHistory:
-    """Per-epoch observed mean rates of a single flow, in epoch order."""
-
-    samples: list[tuple[int, float]] = field(default_factory=list)
-
-    def append(self, epoch: int, mean_rate_pps: float) -> None:
-        if self.samples and epoch <= self.samples[-1][0]:
-            raise ValueError(f"epoch {epoch} not after {self.samples[-1][0]}")
-        self.samples.append((epoch, mean_rate_pps))
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-
-def estimate_flow_stats(history: RateHistory, window: int) -> tuple[float, float]:
+def estimate_flow_stats(rates: Sequence[float], window: int) -> tuple[float, float]:
     """Sample mean and unbiased sample variance of the last ``window``
-    per-epoch rates; variance is 0 when only one observation exists.
+    per-epoch rates, oldest first; variance is 0 when only one observation
+    exists.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    if not history.samples:
-        raise ValueError("history is empty")
-    recent = [r for _, r in history.samples[-window:]]
+    if not rates:
+        raise ValueError("no rates to estimate from")
+    recent = list(rates[-window:])
     n = len(recent)
     mean = sum(recent) / n
     if n == 1:

@@ -42,15 +42,12 @@ class RateModel:
     distribution: Distribution
     mean_pps: float
     cov: float
-    update_interval: float = 0.1
 
     def __post_init__(self):
         if self.mean_pps <= 0:
             raise ValueError("mean_pps must be positive")
         if self.cov < 0:
             raise ValueError("cov must be >= 0")
-        if self.update_interval <= 0:
-            raise ValueError("update_interval must be positive")
 
 
 def sample_rates(model: RateModel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -141,8 +138,7 @@ def _flow_rng(seed: int, flow_id: str) -> np.random.Generator:
 def _draw_model(config: MixtureConfig, rng: np.random.Generator) -> RateModel:
     mean_kbps = config.mean_choices_kbps[rng.integers(len(config.mean_choices_kbps))]
     cov = config.cov_low if rng.random() < config.cov_low_prob else config.cov_high
-    return RateModel(config.distribution, kbps_to_pps(mean_kbps, config.packet_bytes),
-                     cov, config.update_interval)
+    return RateModel(config.distribution, kbps_to_pps(mean_kbps, config.packet_bytes), cov)
 
 
 def draw_flow_model(config: MixtureConfig, seed: int, flow_id: str) -> RateModel:
@@ -175,12 +171,12 @@ def generate_model_driven(network: Network, config: MixtureConfig, horizon: floa
 # ---------------------------------------------------------------------------
 
 def load_trace(path: str, scale_divisor: float, bucket: float,
-               known_flows: set[str] | None = None,
-               allow_unknown: bool = False) -> RateProcess:
+               known_flows: set[str] | None = None) -> RateProcess:
     """Load a bucketed rate trace, dividing every rate by ``scale_divisor``.
 
     Scaling preserves each flow's coefficient of variation. Flow ids not in
-    ``known_flows`` (when given) are rejected unless ``allow_unknown``.
+    ``known_flows`` are rejected; with ``known_flows=None`` any flow id is
+    accepted.
     """
     for name, value in (("scale_divisor", scale_divisor), ("bucket", bucket)):
         if not (math.isfinite(value) and value > 0):
@@ -214,7 +210,7 @@ def load_trace(path: str, scale_divisor: float, bucket: float,
                 raise ValueError(f"{path}:{lineno}: empty flow id")
             if rate < 0:
                 raise ValueError(f"{path}:{lineno}: negative rate")
-            if known_flows is not None and fid not in known_flows and not allow_unknown:
+            if known_flows is not None and fid not in known_flows:
                 raise ValueError(f"{path}:{lineno}: unknown flow {fid!r}")
             idx = start_ms / bucket_ms
             if abs(idx - round(idx)) > 1e-6:

@@ -153,6 +153,17 @@ def test_short_rate_process_rejected():
                        constant_process({"f": 1.0}, 10), EpochConfig(), 0)
 
 
+def test_bucket_mismatch_rejected_before_horizon():
+    # a 0.2 s process is only 10 s long against 0.1 s epoch buckets; the
+    # horizon would read short, but the buckets are what is wrong
+    net = single_flow_net()
+    with pytest.raises(ValueError, match=r"rate process bucket 0\.2 s differs from "
+                                         r"simulation bucket 0\.1 s"):
+        run_simulation(net, [SamplingQuery("f", 0.0, 10.0, 0.5)],
+                       constant_process({"f": 1.0}, 50, bucket=0.2),
+                       EpochConfig(epoch_length=5.0, bucket=0.1), 0)
+
+
 def test_query_validation():
     with pytest.raises(ValueError):
         SamplingQuery("f", 0.0, 0.0, 0.5)
@@ -175,46 +186,12 @@ def test_epoch_config_validation():
         EpochConfig(epoch_length=0.55, bucket=0.1)
     with pytest.raises(ValueError):
         EpochConfig(fully_sampled_tolerance=1.0)
-    with pytest.raises(ValueError):
-        EpochConfig(capacity_period="minute")
     for bucket in (-0.1, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="bucket"):
             EpochConfig(bucket=bucket)
     for length in (math.nan, math.inf, -math.inf, 0.0, 1e308):
         with pytest.raises(ValueError, match="epoch_length"):
             EpochConfig(epoch_length=length)
-    with pytest.raises(ValueError, match="estimator_window"):
-        EpochConfig(estimator_window=math.nan)
-
-
-def test_per_second_capacity_period():
-    # budget floor(B) per second: 55 sampled packets/second against a
-    # 50 pps budget forwards 50 each second (admitted on its declared 45)
-    net = single_flow_net(capacity=50.0, alpha=1.0, mean=45.0)
-    process = constant_process({"f": 55.0}, 20)
-    config = EpochConfig(epoch_length=2.0, solver=SolverConfig(Formulation.DS),
-                         estimator_mode=EstimatorMode.DECLARED,
-                         capacity_period="second")
-    report = run_simulation(net, [SamplingQuery("f", 0.0, 2.0, 1.0)], process, config, 0)
-    total_fwd = sum(r.forwarded for r in report.records)
-    assert total_fwd == 100
-    assert sum(r.offered for r in report.records) == 110
-
-
-def test_per_second_budget_carries_across_epoch_boundary():
-    # 6 packets per bucket at alpha 1 against 50 per second, 5-bucket
-    # epochs: each second's first epoch forwards 30, its second epoch gets
-    # the 20 left, runs out in the fourth bucket and drops 10
-    net = single_flow_net(capacity=50.0, alpha=1.0, mean=45.0)
-    process = constant_process({"f": 60.0}, 20)
-    config = EpochConfig(epoch_length=0.5, solver=SolverConfig(Formulation.DS),
-                         estimator_mode=EstimatorMode.DECLARED,
-                         capacity_period="second")
-    report = run_simulation(net, [SamplingQuery("f", 0.0, 2.0, 1.0)], process, config, 0)
-    assert [(r.offered, r.sampled, r.forwarded, r.dropped) for r in report.records] == \
-        [(30, 30, 30, 0), (30, 30, 20, 10)] * 2
-    assert (report.switch_loads[0] == 6).all()
-    assert np.nonzero(report.switch_violations[0])[0].tolist() == [8, 9, 18, 19]
 
 
 def _replay_digest(report):
@@ -224,19 +201,19 @@ def _replay_digest(report):
     return h.hexdigest()
 
 
-def _per_second_overloaded_run():
-    # 0.3 s epochs, so seconds straddle epoch boundaries; bursty flows on a
-    # mean-only solver overrun several per-second budgets
+def _windowed_case(mode=EstimatorMode.WINDOWED):
+    # nine 0.5 s epochs, so the five-epoch window slides; flows really send
+    # 100 or 300 pps against a declared 200, so the estimates change who is
+    # admitted, and bursty flows overrun some buckets
     net = uniform_rate_network(abilene_graph(), 40, capacity_pps=200.0, cov=1.0,
                                target_rate=0.5, seed=5)
-    mixture = MixtureConfig(mean_choices_kbps=(200.0,), cov_low=1.0, cov_low_prob=1.0,
-                            cov_high=1.0)
-    process = generate_model_driven(net, mixture, 3.0, 5)
-    queries = [SamplingQuery(f.id, 0.1 * (i % 7), 1.0 + 0.3 * (i % 5), 0.5)
-               for i, f in enumerate(net.flows)]
-    config = EpochConfig(epoch_length=0.3, solver=SolverConfig(Formulation.DS, node_limit=2_000),
-                         capacity_period="second")
-    return run_simulation(net, queries, process, config, 11)
+    mixture = MixtureConfig(mean_choices_kbps=(100.0, 300.0), cov_low=0.2, cov_low_prob=0.5,
+                            cov_high=1.5)
+    process = generate_model_driven(net, mixture, 4.5, 5)
+    queries = [SamplingQuery(f.id, 0.0, 4.5, 0.5) for f in net.flows]
+    config = EpochConfig(epoch_length=0.5, solver=SolverConfig(Formulation.APX, node_limit=2_000),
+                         estimator_mode=mode)
+    return net, queries, process, config
 
 
 # sha256 over the records, switch loads and violation flags, recorded with
@@ -251,15 +228,15 @@ REPLAY_FINGERPRINTS = {
         "a9a711eb465fb1cbcaa1cb1d199a7a0cb8775e1eee6c5c0fb29d2d8efaabdd53",
     Distribution.T_LOCATION_SCALE:
         "94c02239e6f659eae3393bf6245b2d4ab420342371473038b0095f8819c60260",
-    "second": "863a3a040093418c30117f5e8913ac22a6517d13bbd4e2e481db69fa2a775fab",
+    "windowed": "33e2d65089b28612797ab5abc4a39c5799a3713d286a57f88e873a434141ef79",
     "model-driven": "417dd493de4bcd37f5e828858d5cf77e9cbee2b2789478e22530918ced10f2a3",
 }
 
 
 @pytest.mark.parametrize("case", list(REPLAY_FINGERPRINTS))
 def test_replay_fingerprint(case):
-    if case == "second":
-        report = _per_second_overloaded_run()
+    if case == "windowed":
+        report = run_simulation(*_windowed_case(), 7)
     elif case == "model-driven":
         bundle = model_driven_scenario(1, n_epochs=2, node_limit=2_000)
         report = run_simulation(bundle.network, list(bundle.queries), bundle.process,
@@ -270,6 +247,38 @@ def test_replay_fingerprint(case):
                                 bundle.epoch, 0)
     assert report.switch_violations.any()   # every case exercises _apportion
     assert _replay_digest(report) == REPLAY_FINGERPRINTS[case]
+
+
+def test_windowed_estimate_reaches_solver(monkeypatch):
+    # at epoch e the solver sees the mean and ddof=1 variance of each flow's
+    # last min(e, 5) epoch means, and the declared moments at epoch 0
+    net, queries, process, config = _windowed_case()
+    seen = []
+
+    def spy(network, solver_config):
+        seen.append(network.flows)
+        return solve(network, solver_config)
+
+    monkeypatch.setattr(fs, "solve", spy)
+    report = run_simulation(net, queries, process, config, 7)
+    assert len(seen) == report.n_epochs == 9
+    bpe = config.buckets_per_epoch
+    for e, flows in enumerate(seen):
+        assert [f.id for f in flows] == [f.id for f in net.flows]
+        for flow in flows:
+            declared = net.flow(flow.id)
+            if e == 0:
+                assert (flow.rate_mean_pps, flow.rate_var_pps2) == \
+                    (declared.rate_mean_pps, declared.rate_var_pps2)
+                continue
+            means = process.series(flow.id)[:e * bpe].reshape(e, bpe).mean(axis=1)
+            window = means[-min(e, 5):]
+            assert flow.rate_mean_pps == pytest.approx(window.mean(), rel=1e-12)
+            expected_var = window.var(ddof=1) if len(window) > 1 else 0.0
+            assert flow.rate_var_pps2 == pytest.approx(expected_var, rel=1e-9, abs=1e-9)
+    declared = run_simulation(*_windowed_case(EstimatorMode.DECLARED), 7)
+    assert [r.assigned_switch for r in declared.records] != \
+        [r.assigned_switch for r in report.records]
 
 
 def test_active_epoch_range_matches_scan():

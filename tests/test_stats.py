@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsamp import (Allocation, FlowSpec, RateHistory, SwitchSpec, build_network,
-                      estimate_flow_stats, normal_quantile,
-                      violation_probability)
+from flowsamp import (Allocation, FlowSpec, SwitchSpec, build_network,
+                      estimate_flow_stats, normal_quantile, violation_probability)
 from flowsamp.instances import TWO_SIGMA_DELTA
 
 
@@ -130,53 +129,37 @@ def test_violation_probability_matches_monte_carlo():
 
 
 def test_estimator_constant_series():
-    h = RateHistory()
-    for e, r in [(1, 100.0), (2, 100.0), (3, 100.0)]:
-        h.append(e, r)
-    assert estimate_flow_stats(h, 3) == (100.0, 0.0)
+    assert estimate_flow_stats([100.0, 100.0, 100.0], 3) == (100.0, 0.0)
 
 
 def test_estimator_unbiased_variance():
-    h = RateHistory()
-    h.append(1, 90.0)
-    h.append(2, 110.0)
-    mean, var = estimate_flow_stats(h, 2)
+    mean, var = estimate_flow_stats([90.0, 110.0], 2)
     assert mean == pytest.approx(100.0)
     assert var == pytest.approx(200.0)
 
 
 def test_estimator_window_drops_old_samples():
-    h = RateHistory()
-    for e, r in [(1, 50.0), (2, 90.0), (3, 110.0)]:
-        h.append(e, r)
-    mean, var = estimate_flow_stats(h, 2)
+    mean, var = estimate_flow_stats([50.0, 90.0, 110.0], 2)
     assert mean == pytest.approx(100.0)
     assert var == pytest.approx(200.0)
 
 
 def test_estimator_single_sample_variance_zero():
-    h = RateHistory()
-    h.append(4, 42.0)
-    assert estimate_flow_stats(h, 5) == (42.0, 0.0)
+    assert estimate_flow_stats([42.0], 5) == (42.0, 0.0)
 
 
 def test_estimator_rejects_empty_and_bad_epochs():
     with pytest.raises(ValueError):
-        estimate_flow_stats(RateHistory(), 3)
-    h = RateHistory()
-    h.append(2, 1.0)
-    with pytest.raises(ValueError):
-        h.append(2, 2.0)
+        estimate_flow_stats([], 3)
+    with pytest.raises(ValueError, match="window"):
+        estimate_flow_stats([1.0], 0)
 
 
 @settings(max_examples=30, deadline=None)
 @given(rates=st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=12),
        window=st.integers(1, 12))
 def test_estimator_agrees_with_numpy(rates, window):
-    h = RateHistory()
-    for e, r in enumerate(rates):
-        h.append(e, r)
-    mean, var = estimate_flow_stats(h, window)
+    mean, var = estimate_flow_stats(rates, window)
     tail = np.asarray(rates[-window:])
     assert mean == pytest.approx(float(tail.mean()), rel=1e-9, abs=1e-9)
     expected_var = float(tail.var(ddof=1)) if len(tail) > 1 else 0.0
