@@ -3,17 +3,20 @@
 Each epoch the control loop batches the queries that have arrived by the
 epoch boundary, estimates per-flow rate moments from the mean rates of
 the last ``ESTIMATOR_WINDOW`` epochs, solves for a sampling schedule, and
-then replays the epoch's buckets as one batch: admitted flows offer
-packets (fractional packets-per-bucket carry over so long-run counts are
-exact), one binomial draw over the (bucket, flow) matrix samples each
-offered packet independently with the flow's target probability (the
-generator yields the same variates in the same order as one draw per
-bucket), and each switch forwards at most its per-bucket budget of sampled
-packets, dropping the excess and flagging a capacity violation.
+then replays the epoch's buckets as one batch of whole-array passes:
+offered packets are the differences of the floored running sum of each
+flow's arrivals, started from the fraction left over by the previous
+epoch (so long-run counts are exact), one binomial draw over the
+(bucket, flow) matrix samples each offered packet independently with the
+flow's target probability (the generator yields the same variates in the
+same order as one draw per bucket), and each switch forwards at most its
+per-bucket budget of sampled packets, dropping the excess and flagging a
+capacity violation.
 
 Queries arriving mid-epoch wait for the next boundary. Drops on an
 overloaded switch are split across its flows proportionally to their
-sampled counts (largest-remainder rounding, ties to the earlier flow).
+sampled counts (largest-remainder rounding, ties to the earlier flow),
+for every overloaded (bucket, switch) cell of the epoch at once.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ class EpochConfig:
         if not (math.isfinite(self.epoch_length) and self.epoch_length > 0):
             raise ValueError(f"epoch_length must be positive and finite, got {self.epoch_length}")
         ratio = self.epoch_length / self.bucket
-        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
+        if not math.isfinite(ratio) or round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("epoch_length must be a whole number of buckets")
         if not 0.0 <= self.fully_sampled_tolerance < 1.0:
             raise ValueError("fully_sampled_tolerance must be in [0, 1)")
@@ -177,7 +180,8 @@ def run_simulation(network: Network, queries: list[SamplingQuery], rates: RatePr
                          f"simulation bucket {config.bucket:g} s")
     bpe = config.buckets_per_epoch
     span = max((q.start + q.duration for q in queries), default=0.0)
-    n_epochs = int(math.ceil(span / config.epoch_length - 1e-9)) if queries else 0
+    # no epoch boundary t_e >= 0 falls in spans that end at or before 0
+    n_epochs = max(0, math.ceil(span / config.epoch_length - 1e-9))
     n_buckets = n_epochs * bpe
     if n_buckets > rates.n_buckets:
         raise ValueError(
@@ -199,14 +203,13 @@ def run_simulation(network: Network, queries: list[SamplingQuery], rates: RatePr
                           dtype=np.int64)
 
     rng = np.random.default_rng(seed)
-    acc = np.zeros(nf)
+    carry = np.zeros(nf)
     records: list[FlowEpochRecord] = []
     loads = np.zeros((ns, n_buckets), dtype=np.int64)
     violations = np.zeros((ns, n_buckets), dtype=bool)
     targets: dict[str, float] = {}
     active_epochs: dict[str, list[int]] = {}
     solves: list[dict] = []
-    offered = np.zeros((bpe, nf), dtype=np.int64)
     bucket_base = np.arange(bpe)[:, None] * ns
 
     queries_at: list[list[SamplingQuery]] = [[] for _ in range(n_epochs)]
@@ -251,22 +254,16 @@ def run_simulation(network: Network, queries: list[SamplingQuery], rates: RatePr
         # the whole epoch as (bucket, flow) arrays, bucket-major: one binomial
         # call draws the same variates in the same order as one call per bucket
         k0 = e * bpe
-        arrivals = (rate_mat[:, k0:k0 + bpe] * config.bucket).T
-        for b in range(bpe):
-            acc += arrivals[b]
-            offered[b] = np.floor(acc + 1e-9)
-            acc -= offered[b]
+        offered, carry = _offered_counts((rate_mat[:, k0:k0 + bpe] * config.bucket).T, carry)
         sampled = rng.binomial(np.where(admit_mask, offered, 0), alpha)
-        forwarded = sampled.copy()
         admitted = np.nonzero(admit_mask)[0]
         totals = np.bincount((bucket_base + assigned[admitted]).ravel(),
                              weights=sampled[:, admitted].ravel(),
                              minlength=bpe * ns).astype(np.int64).reshape(bpe, ns)
         loads[:, k0:k0 + bpe] = totals.T
-        for b, s in zip(*np.nonzero(totals > cap_bucket)):
-            violations[s, k0 + b] = True
-            member = np.nonzero((assigned == s) & (sampled[b] > 0))[0]
-            _apportion(forwarded[b], sampled[b], member, int(cap_bucket[s]))
+        over = totals > cap_bucket
+        violations[:, k0:k0 + bpe] = over.T
+        forwarded = _split_overloads(sampled, totals, over, assigned, cap_bucket)
 
         off_sum = offered.sum(axis=0)
         smp_sum = sampled.sum(axis=0)
@@ -312,20 +309,56 @@ def _active_epoch_range(q: SamplingQuery, epoch_length: float,
     return lo, hi
 
 
-def _apportion(forwarded: np.ndarray, sampled: np.ndarray, member: np.ndarray,
-               capacity: int) -> None:
-    """Split a switch's forwarding budget across flows proportionally to
-    their sampled counts; largest fractional remainders get the leftovers,
-    earlier flows winning ties."""
-    total = int(sampled[member].sum())
-    quotas = capacity * sampled[member] / total
+def _offered_counts(arrivals: np.ndarray, carry: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whole packets offered per (bucket, flow) from fractional ``arrivals``
+    of shape (buckets, flows), and the fraction each flow carries on.
+
+    The counts are the differences of the floored running sums, started
+    from ``carry``; the 1e-9 nudge lets a sum that lands a rounding error
+    short of a whole packet count it. Over consecutive calls the counts add
+    up to the floor of all arrivals so far.
+    """
+    # two (buckets + 1, flows) buffers, reused in place: on wide runs the
+    # replay's peak memory is set here
+    sums = np.vstack((carry, arrivals))
+    np.cumsum(sums, axis=0, out=sums)
+    floors = sums + 1e-9
+    np.floor(floors, out=floors)
+    carry = sums[-1] - floors[-1]
+    floors[0] = 0.0   # the carried fraction: its whole packets were offered already
+    np.subtract(floors[1:], floors[:-1], out=sums[1:])
+    return sums[1:].astype(np.int64), carry
+
+
+def _split_overloads(sampled: np.ndarray, totals: np.ndarray, over: np.ndarray,
+                    assigned: np.ndarray, cap_bucket: np.ndarray) -> np.ndarray:
+    """Forwarded counts per (bucket, flow): ``sampled``, except that each
+    overloaded (bucket, switch) cell splits the switch's budget across its
+    flows proportionally to their sampled counts. The largest fractional
+    remainders get the leftovers, earlier flows winning ties.
+
+    ``totals`` and ``over`` are (bucket, switch); ``assigned`` holds each
+    flow's switch index, or -1 for a flow that is not admitted.
+    """
+    # the (bucket, flow) pairs that sampled in an overloaded cell, bucket-major
+    admitted = np.nonzero(assigned >= 0)[0]
+    b, j = np.nonzero(over[:, assigned[admitted]] & (sampled > 0)[:, admitted])
+    f = admitted[j]
+    s = assigned[f]
+    cell = b * len(cap_bucket) + s
+    cap = cap_bucket[s]
+    quotas = cap * sampled[b, f] / totals[b, s]
     base = np.floor(quotas).astype(np.int64)
-    leftover = capacity - int(base.sum())
-    if leftover > 0:
-        frac = quotas - base
-        take = np.lexsort((np.arange(len(member)), -frac))[:leftover]
-        base[take] += 1
-    forwarded[member] = base
+    leftover = cap - np.bincount(cell, weights=base, minlength=over.size).astype(np.int64)[cell]
+    # rank each cell's pairs by remainder, the earlier flow first on ties;
+    # the first ``leftover`` of them forward one packet more
+    order = np.lexsort((f, -(quotas - base), cell))
+    ranked = cell[order]
+    rank = np.arange(len(order)) - np.searchsorted(ranked, ranked)
+    base[order[rank < leftover[order]]] += 1
+    forwarded = sampled.copy()
+    forwarded[b, f] = base
+    return forwarded
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,11 @@ class RateProcess:
             series = np.asarray(series, dtype=float)
             if series.shape != (self.n_buckets,):
                 raise ValueError(f"flow {fid!r}: series length {series.shape} != {self.n_buckets}")
-            if (series < 0).any():
+            # min and max both propagate NaN, so two reductions find every
+            # NaN, infinite or negative rate
+            if series.size and not (series.min() >= 0 and series.max() < math.inf):
+                if not np.isfinite(series).all():
+                    raise ValueError(f"flow {fid!r}: rate is not finite")
                 raise ValueError(f"flow {fid!r}: negative rate")
             self.rates[fid] = series
 

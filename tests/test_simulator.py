@@ -139,6 +139,18 @@ def test_windowed_estimator_reacts_to_observed_rates():
     assert all(r.assigned_switch == "s" for r in report2.records)
 
 
+def test_queries_ending_before_time_zero_give_empty_report():
+    # no epoch boundary t_e >= 0 falls in [-10, -5)
+    net = single_flow_net()
+    report = run_simulation(net, [SamplingQuery("f", -10.0, 5.0, 0.5)],
+                            constant_process({"f": 10.0}, 20),
+                            EpochConfig(epoch_length=1.0), 0)
+    assert report.n_epochs == 0
+    assert not report.records and not report.solves
+    assert report.switch_loads.shape == report.switch_violations.shape == (1, 0)
+    assert measure_metrics(report).admitted_flows == 0
+
+
 def test_unknown_query_flow_rejected():
     net = single_flow_net()
     with pytest.raises(ValueError, match="unknown flow"):
@@ -182,8 +194,9 @@ def test_query_validation():
 
 
 def test_epoch_config_validation():
-    with pytest.raises(ValueError):
-        EpochConfig(epoch_length=0.55, bucket=0.1)
+    for length in (0.55, 1e-12):   # 1e-12 s is within 1e-9 of zero buckets
+        with pytest.raises(ValueError, match="whole number of buckets"):
+            EpochConfig(epoch_length=length, bucket=0.1)
     with pytest.raises(ValueError):
         EpochConfig(fully_sampled_tolerance=1.0)
     for bucket in (-0.1, 0.0, math.nan, math.inf):
@@ -218,7 +231,9 @@ def _windowed_case(mode=EstimatorMode.WINDOWED):
 
 # sha256 over the records, switch loads and violation flags, recorded with
 # the replay that drew and capped one bucket at a time. A change to the
-# draw order, the carry-over or the budget shows up here.
+# carry-over or the overload split shows up in every case. The four
+# sensitivity cases sample at rate 1, where every binomial draw returns its
+# offered count, so only "windowed" and "model-driven" pin the draw order.
 REPLAY_FINGERPRINTS = {
     Distribution.TRUNC_NORMAL:
         "68a7d9bdb38f274eb1cf59595be1e79153ec1a19f2441bb94297bf6b24836723",
@@ -245,7 +260,7 @@ def test_replay_fingerprint(case):
         bundle = sensitivity_scenario(case, 0)
         report = run_simulation(bundle.network, list(bundle.queries), bundle.process,
                                 bundle.epoch, 0)
-    assert report.switch_violations.any()   # every case exercises _apportion
+    assert report.switch_violations.any()   # every case splits overloads
     assert _replay_digest(report) == REPLAY_FINGERPRINTS[case]
 
 
@@ -393,3 +408,113 @@ def test_random_query_presets_unchanged():
                                                node_limit=20_000, time_limit=60.0),
                            estimator_mode=EstimatorMode.DECLARED)
     assert model.epoch == expected and trace.epoch == expected
+
+
+def _per_bucket_offered(arrivals, carry):
+    """The replay's carry-over as it was first written, one bucket at a
+    time; the reference for the whole-epoch pass."""
+    acc = carry.copy()
+    offered = np.zeros(arrivals.shape, dtype=np.int64)
+    for b in range(len(arrivals)):
+        acc += arrivals[b]
+        offered[b] = np.floor(acc + 1e-9)
+        acc -= offered[b]
+    return offered, acc
+
+
+def _carry_processes(n_buckets):
+    net = uniform_rate_network(abilene_graph(), 8, capacity_pps=1e9, seed=2)
+    # 3 to 300 pps: from a third of a packet to 30 packets per bucket
+    for dist in Distribution:
+        mixture = MixtureConfig(distribution=dist, mean_choices_kbps=(3.0, 20.0, 300.0),
+                                cov_low=0.2, cov_low_prob=0.5, cov_high=0.5)
+        yield dist.value, generate_model_driven(net, mixture, n_buckets * 0.1, 11)
+    # 10 pps is one packet per 0.1 s bucket; at 7 and 9 pps running sums fall
+    # a rounding error short of whole packets, and the 1e-9 nudge counts them
+    yield "constant", constant_process({"c10": 10.0, "c7": 7.0, "c9": 9.0}, n_buckets)
+
+
+@pytest.mark.parametrize("bpe", [1, 3, 50, 1000])
+def test_offered_counts_match_per_bucket_carry(bpe):
+    # the two passes add the same arrivals in different orders, so the
+    # carries may differ by roundings of the running sums, but by less than
+    # a quarter of the 1e-9 nudge, or a later count could differ; the counts
+    # must be equal
+    n_buckets = max(300, 2 * bpe)
+    for name, process in _carry_processes(n_buckets):
+        arrivals = np.stack([process.series(fid) for fid in sorted(process.rates)]) * 0.1
+        if name == "constant":
+            sums = np.cumsum(arrivals, axis=1)
+            assert (np.floor(sums) != np.floor(sums + 1e-9)).any()
+        carry = ref_carry = np.zeros(len(arrivals))
+        for k0 in range(0, n_buckets, bpe):
+            epoch = arrivals[:, k0:k0 + bpe].T
+            offered, carry = fs._offered_counts(epoch, carry)
+            expected, ref_carry = _per_bucket_offered(epoch, ref_carry)
+            assert offered.dtype == np.int64
+            np.testing.assert_array_equal(offered, expected, err_msg=f"{name} at {k0}")
+            assert np.abs(carry - ref_carry).max() < 2.5e-10, (name, k0)
+            assert ((carry > -1e-9) & (carry < 1.0)).all()
+
+
+def _per_cell_split(sampled, totals, over, assigned, cap_bucket):
+    """The overload split as it was first written, one (bucket, switch)
+    cell at a time; the reference for the whole-epoch pass."""
+    forwarded = sampled.copy()
+    for b, s in zip(*np.nonzero(over)):
+        member = np.nonzero((assigned == s) & (sampled[b] > 0))[0]
+        capacity = int(cap_bucket[s])
+        total = int(sampled[b, member].sum())
+        quotas = capacity * sampled[b, member] / total
+        base = np.floor(quotas).astype(np.int64)
+        leftover = capacity - int(base.sum())
+        if leftover > 0:
+            frac = quotas - base
+            take = np.lexsort((np.arange(len(member)), -frac))[:leftover]
+            base[take] += 1
+        forwarded[b, member] = base
+    return forwarded
+
+
+def _check_split(sampled, assigned, cap_bucket):
+    bpe, ns = len(sampled), len(cap_bucket)
+    totals = np.zeros((bpe, ns), dtype=np.int64)
+    for f, s in enumerate(assigned):
+        if s >= 0:
+            totals[:, s] += sampled[:, f]
+    over = totals > cap_bucket
+    args = (sampled, totals, over, assigned, cap_bucket)
+    forwarded = fs._split_overloads(*args)
+    np.testing.assert_array_equal(forwarded, _per_cell_split(*args))
+    # each overloaded cell forwards exactly its budget, the others all they sampled
+    sent = np.zeros_like(totals)
+    for f, s in enumerate(assigned):
+        if s >= 0:
+            sent[:, s] += forwarded[:, f]
+    np.testing.assert_array_equal(sent, np.where(over, cap_bucket, totals))
+    return over, forwarded
+
+
+def test_split_overloads_matches_per_cell_split():
+    rng = np.random.default_rng(8)
+    n_over = 0
+    for _ in range(300):
+        bpe, nf, ns = (int(x) for x in rng.integers(1, [40, 30, 6]))
+        assigned = rng.integers(-1, ns, nf)
+        sampled = rng.integers(0, int(rng.integers(1, 60)), (bpe, nf))
+        cap_bucket = rng.integers(0, 4 * nf, ns)
+        n_over += _check_split(sampled, assigned, cap_bucket)[0].sum()
+    assert n_over > 1000
+
+
+def test_split_overloads_ties_single_members_and_zero_budget():
+    # equal sampled counts tie every remainder: the earlier flows get the
+    # leftovers; switch 1 has one member, switch 2 a zero budget, and the
+    # unadmitted flow 6 is never touched
+    assigned = np.array([0, 0, 0, 1, 2, 2, -1])
+    sampled = np.array([[5, 5, 5, 9, 4, 0, 7],
+                        [2, 2, 2, 1, 0, 0, 7]])
+    cap_bucket = np.array([7, 3, 0])
+    over, forwarded = _check_split(sampled, assigned, cap_bucket)
+    assert over.tolist() == [[True, True, True], [False, False, False]]
+    assert forwarded.tolist() == [[3, 2, 2, 3, 0, 0, 7], [2, 2, 2, 1, 0, 0, 7]]

@@ -113,6 +113,16 @@ def test_rate_process_validation():
     assert p.horizon == pytest.approx(0.2)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rate_process_rejects_non_finite_rates(bad):
+    # a one-flow process whose first 10 of 20 buckets are bad fails here,
+    # naming the flow, before any query over [0, 2) s or [1, 2) s replays it
+    series = np.full(20, 10.0)
+    series[:10] = bad
+    with pytest.raises(ValueError, match="flow 'f': rate is not finite"):
+        RateProcess(0.1, 20, {"f": series})
+
+
 def test_trace_scaling_preserves_cov(tmp_path):
     path = tmp_path / "t.trace"
     path.write_text(f"{TRACE_HEADER}\n0,f,100\n100,f,200\n")
