@@ -244,14 +244,18 @@ class _Instance:
     positions below the depth being bounded) and a cached term: how many of
     the remaining members fit in the residual capacity, cheapest first. The
     term is valid for (first[s], used_g[s]) and is refreshed whenever either
-    changes: at an apply or a release on s, and when the bounded depth moves
-    across a flow whose path contains s. The depth moves only when a prune
-    decision gets past its first test (see _bb_solve), so it may lag the
+    changes: at an apply or a release on s, and, inline, when the bounded
+    depth moves across a flow whose path contains s. Only a child that
+    passes every prune test is applied (see _bb_solve); a pruned child's
+    term is computed aside and leaves the cache as it was. The depth moves
+    only when a frame with children left is visited, so it may lag the
     search; the terms stay valid because every refresh reads the current
     first[s] and used_g[s]. At the root (first[] all 0, nothing used) their
     sum is one part of the root bound. The greedy pass that precedes the
     search adds to used_g without a refresh and clears it again before the
-    search starts, so the search starts from the root's terms."""
+    search starts, so the search starts from the root's terms. rank[s] is
+    switch s's position in switch id order, the tie-break among children
+    of equal utilization."""
 
     def __init__(self, network: Network, config: SolverConfig):
         self.z = float(normal_quantile(config.delta))
@@ -268,6 +272,8 @@ class _Instance:
 
         switches = network.switches
         self.switch_ids = [s.id for s in switches]
+        by_id = {sid: r for r, sid in enumerate(sorted(self.switch_ids))}
+        self.rank = [by_id[sid] for sid in self.switch_ids]   # position in id order
         self.capacity = [float(s.capacity_pps) for s in switches]
         self.slack = [_slack(c) for c in self.capacity]
         self.slack_total = sum(self.slack)
@@ -289,18 +295,35 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
     flow goes to one of the switches on its path that still fit it, least
     utilized first, or is left unsampled last.
 
-    A child at depth d is pruned unless the flows at positions >= d may
-    still admit more than need = best_obj - admitted. Three upper bounds on
-    that count are tested, cheapest first, and the first that is <= need
-    prunes: (1) rem = n - d, before any bookkeeping moves; (2) total, the
-    sum of the cached per-switch terms, once first[] is moved to d; (3)
-    pooled, how many of the cheapest remaining flows fit in the residual
-    capacity summed over all switches plus slack, an O(switches) sum. This
-    is the same decision as admitted + min(rem, max(0, pooled), total) >
+    A child at depth d decides the flow at position d - 1 and is pruned
+    unless the flows at positions >= d may still admit more than need =
+    best_obj - admitted', admitted' counting the flows applied down to the
+    child. Three upper bounds on that count are tested, cheapest first, and
+    the first that is <= need prunes: (1) rem = n - d; (2) total, the sum of
+    the cached per-switch terms with first[] moved to d; (3) pooled, how
+    many of the cheapest remaining flows fit in the residual capacity
+    summed over all switches plus slack, an O(switches) sum. This is the
+    same decision as admitted' + min(rem, max(0, pooled), total) >
     best_obj: every term is >= 0 and need >= 0 at the test (the incumbent
-    is updated right after an apply), so a pooled <= 0 prunes either way.
-    The search thus visits the same nodes in the same order whatever the
-    test order.
+    is updated first), so a pooled <= 0 prunes either way.
+
+    A child that applies the flow to switch s is tested before it is
+    applied. Without it the terms give total_0, and since a term only falls
+    as used_g[s] grows, total_0 <= need already prunes; otherwise total is
+    total_0 with s's term recomputed aside at used_g[s] + g (one bisect),
+    and pooled reads used_g[s] + g in place, put back if it prunes. Only a
+    child that passes all three is applied and pushed; a pruned child
+    leaves the state untouched. rem and total_0 do not depend on s, and the
+    skip child must admit one more than an applied sibling, so if they
+    prune one applied child that is not a new incumbent, they prune every
+    child left in its frame. Those children are counted as nodes in one
+    step and the frame is popped; on a frame's first visit this happens
+    before its children are built and sorted, by counting the switches that
+    fit. A node limit inside such a step stops at exactly node_limit nodes.
+    The deadline is read whenever the count crosses a multiple of 512; a
+    stop then reports the last multiple crossed, where the count one child
+    at a time would have stopped. The search thus visits the same nodes in
+    the same order as one that applies, bounds and releases every child.
 
     The root bound is the same three bounds at depth 0 with nothing
     admitted, min(rem, total, pooled): no assignment admits more flows. A
@@ -327,10 +350,11 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
     best_choice = list(choice)           # empty allocation is always feasible
     admitted = 0
     nodes = 0
+    node_limit = config.node_limit
     limit_hit = False
 
     g, var, sqrt = inst.g, inst.var, math.sqrt
-    capacity, slack, on_path = inst.capacity, inst.slack, inst.on_path
+    capacity, slack, on_path, rank = inst.capacity, inst.slack, inst.on_path, inst.rank
     member_prefix, prefix = inst.member_prefix, inst.prefix
     limit = [c + sl for c, sl in zip(capacity, slack)]
 
@@ -338,74 +362,59 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
     # describes and `total` the sum of the terms.
     n_members = [len(acc) - 1 for acc in member_prefix]
     first = [0] * n_switch
-    term = [0] * n_switch
     at = 0
-    total = 0
 
-    def refresh(s: int) -> None:
-        nonlocal total
+    def fit_count(s: int, used: float) -> int:
+        """Switch s's term at first[s] if its used charge were `used`."""
         j = first[s]
-        resid = capacity[s] - used_g[s]
+        resid = capacity[s] - used
         if j >= n_members[s] or resid < 0:
-            t = 0
+            return 0
+        acc = member_prefix[s]
+        return bisect_right(acc, acc[j] + resid + slack[s], j) - 1 - j
+
+    term = [fit_count(s, 0.0) for s in range(n_switch)]
+    total = sum(term)
+
+    def settle(depth: int) -> None:
+        """Move first[] to `depth`, refreshing the terms of the switches it
+        moves across. Most of the search's bisections happen here, so the
+        refresh is written out rather than calling fit_count."""
+        nonlocal at, total
+        if at < depth:
+            moved, step = range(at, depth), 1
         else:
-            acc = member_prefix[s]
-            t = bisect_right(acc, acc[j] + resid + slack[s], j) - 1 - j
-        total += t - term[s]
-        term[s] = t
+            moved, step = range(at - 1, depth - 1, -1), -1
+        at = depth
+        for pos in moved:
+            for s in on_path[pos]:
+                j = first[s] = first[s] + step
+                resid = capacity[s] - used_g[s]
+                if j >= n_members[s] or resid < 0:
+                    t = 0
+                else:
+                    acc = member_prefix[s]
+                    t = bisect_right(acc, acc[j] + resid + slack[s], j) - 1 - j
+                total += t - term[s]
+                term[s] = t
 
-    for s in range(n_switch):
-        refresh(s)
+    def fitting(depth: int) -> list[int]:
+        """The switches on the path of the flow at `depth` that still fit it."""
+        gd, vd = g[depth], var[depth]
+        return [s for s in on_path[depth]
+                if used_g[s] + gd + z * sqrt(used_var[s] + vd) <= limit[s]]
 
-    def fits(pos: int, s: int) -> bool:
-        return used_g[s] + g[pos] + z * sqrt(used_var[s] + var[pos]) <= limit[s]
-
-    def apply(pos: int, s: int) -> None:
-        nonlocal admitted
-        used_g[s] += g[pos]
-        used_var[s] += var[pos]
-        choice[pos] = s
-        admitted += 1
-        refresh(s)
-
-    def release(pos: int, s: int) -> None:
-        nonlocal admitted
-        used_g[s] -= g[pos]
-        used_var[s] -= var[pos]
-        if used_var[s] < 0:
-            used_var[s] = 0.0
-        choice[pos] = -1
-        admitted -= 1
-        refresh(s)
+    def child_key(s: int) -> tuple[float, int]:
+        """Children go least utilized first, ties in switch id order."""
+        cap = capacity[s]
+        return (used_g[s] + z * sqrt(used_var[s])) / cap if cap > 0 else 1.0, rank[s]
 
     def children(depth: int) -> list[int]:
-        cands = []
-        for s in on_path[depth]:
-            if fits(depth, s):
-                cap = capacity[s]
-                used = used_g[s] + z * sqrt(used_var[s])
-                util = used / cap if cap > 0 else 1.0
-                cands.append((util, inst.switch_ids[s], s))
-        cands.sort()
-        out = [s for _, _, s in cands]
-        out.append(-1)  # leave the flow unsampled
-        return out
-
-    def beats(depth: int, need: int) -> bool:
-        """Stages 2 and 3 of the prune (see _bb_solve): whether the flows at
-        positions >= depth may still admit more than `need` flows."""
-        nonlocal at
-        while at < depth:
-            for s in on_path[at]:
-                first[s] += 1
-                refresh(s)
-            at += 1
-        while at > depth:
-            at -= 1
-            for s in on_path[at]:
-                first[s] -= 1
-                refresh(s)
-        return total > need and pooled(depth) > need
+        kids = fitting(depth)
+        if len(kids) > 1:
+            kids.sort(key=child_key)
+        kids.append(-1)  # leave the flow unsampled
+        return kids
 
     def pooled(depth: int) -> int:
         """How many of the cheapest flows at positions >= depth fit in the
@@ -428,7 +437,7 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
         if admitted >= root:
             break
         nodes += 1
-        if nodes >= config.node_limit:
+        if nodes >= node_limit:
             break
         s = children(pos)[0]
         if s >= 0:
@@ -443,39 +452,76 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
         used_g[:] = used_var[:] = [0.0] * n_switch
         choice[:] = [-1] * n
         admitted = nodes = 0
-        # Frames: [children, next index, switch applied on the edge into
-        # the frame (-2 for the root, -1 for a skip edge)].
-        stack = [[children(0), 0, -2]]
+        # Frames: [children (None until the frame's first visit), next
+        # index, switch applied on the edge into the frame (-1 if none)].
+        stack = [[None, 0, -1]]
     deadline = t0 + config.time_limit
     while stack:
         frame = stack[-1]
-        kids, idx, _ = frame
+        kids, idx, edge = frame
         depth = len(stack) - 1
-        if idx >= len(kids):
+        if kids is not None and idx >= len(kids):
             stack.pop()
-            if frame[2] >= 0:
-                release(len(stack) - 1, frame[2])
+            if edge >= 0:
+                pos = depth - 1
+                used_g[edge] -= g[pos]
+                used_var[edge] = max(0.0, used_var[edge] - var[pos])
+                choice[pos] = -1
+                admitted -= 1
+                t = fit_count(edge, used_g[edge])
+                total += t - term[edge]
+                term[edge] = t
             continue
-        frame[1] += 1
-        s = kids[idx]
-        nodes += 1
-        if nodes >= config.node_limit or (nodes % 512 == 0 and time.perf_counter() > deadline):
+        nd = depth + 1
+        if at != nd and nd < n:
+            settle(nd)
+        need = best_obj - admitted - 1   # an applied child must admit more than this below it
+        if need >= 0 and (n - nd <= need or total <= need):
+            # rem or total prunes every child left in the frame, the skip
+            # child too (it must admit more than need + 1)
+            step = len(kids) - idx if kids else len(fitting(depth)) + 1
+            frame[0] = kids = ()
+        else:
+            if kids is None:
+                kids = frame[0] = children(depth)
+            frame[1] += 1
+            step = 1
+        nodes += step
+        if nodes >= node_limit or (nodes % 512 < step and time.perf_counter() > deadline):
+            # report the step the per-step count would have stopped at
+            nodes = node_limit if nodes >= node_limit else nodes - nodes % 512
             limit_hit = True
             break
-        applied = s >= 0
-        if applied:
-            apply(depth, s)
-            if admitted > best_obj:
-                best_obj = admitted
-                best_choice = list(choice)
-                if best_obj >= root:
-                    break
-        nd = depth + 1
-        need = best_obj - admitted       # a subtree must admit more than this
-        if nd < n and n - nd > need and beats(nd, need):
-            stack.append([children(nd), 0, s if applied else -1])
-        elif applied:
-            release(depth, s)
+        if not kids:
+            continue
+        s = kids[idx]
+        if s < 0:
+            need += 1
+            if n - nd > need and total > need and pooled(nd) > need:
+                stack.append([None, 0, -1])
+            continue
+        if need < 0:
+            best_obj = admitted + 1
+            best_choice = list(choice)
+            best_choice[depth] = s
+            if best_obj >= root:
+                break
+            need = 0
+        # s's term with the flow applied; first[] is at nd unless nd = n
+        t = fit_count(s, used_g[s] + g[depth])
+        if nd >= n or total - term[s] + t <= need:
+            continue
+        u = used_g[s]
+        used_g[s] = u + g[depth]
+        if pooled(nd) <= need:
+            used_g[s] = u
+            continue
+        used_var[s] += var[depth]
+        choice[depth] = s
+        admitted += 1
+        total += t - term[s]
+        term[s] = t
+        stack.append([None, 0, s])
 
     assignment = {
         inst.flow_ids[pos]: inst.switch_ids[s]

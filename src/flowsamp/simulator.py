@@ -196,9 +196,10 @@ def run_simulation(network: Network, queries: list[SamplingQuery], rates: RatePr
     switch_ids = [s.id for s in network.switches]
     ns = len(switch_ids)
     sidx = {sid: i for i, sid in enumerate(switch_ids)}
-    rate_mat = np.stack([rates.series(fid)[:n_buckets] for fid in flow_ids]) \
-        if nf and n_buckets else np.zeros((nf, n_buckets))
-    epoch_means = rate_mat.reshape(nf, n_epochs, bpe).mean(axis=2)
+    series = [rates.series(fid) for fid in flow_ids]
+    # (flow, epoch) rate means, each column filled when its epoch is
+    # replayed; the estimator reads only past epochs
+    epoch_means = np.zeros((nf, n_epochs))
     cap_bucket = np.array([math.floor(s.capacity_pps * config.bucket) for s in network.switches],
                           dtype=np.int64)
 
@@ -254,7 +255,9 @@ def run_simulation(network: Network, queries: list[SamplingQuery], rates: RatePr
         # the whole epoch as (bucket, flow) arrays, bucket-major: one binomial
         # call draws the same variates in the same order as one call per bucket
         k0 = e * bpe
-        offered, carry = _offered_counts((rate_mat[:, k0:k0 + bpe] * config.bucket).T, carry)
+        rate_e = np.concatenate([r[k0:k0 + bpe] for r in series]).reshape(nf, bpe)
+        epoch_means[:, e] = rate_e.mean(axis=1)
+        offered, carry = _offered_counts((rate_e * config.bucket).T, carry)
         sampled = rng.binomial(np.where(admit_mask, offered, 0), alpha)
         admitted = np.nonzero(admit_mask)[0]
         totals = np.bincount((bucket_base + assigned[admitted]).ravel(),

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize as opt
 
-from flowsamp import optimizer
+from flowsamp import optimizer, simulator
 from flowsamp import (Allocation, Formulation, FlowSpec, LoadStats, SolverConfig,
                       SwitchSpec, additive_feasible, brute_force_optimal,
                       build_network, effective_load, feasible, flow_charge,
                       min_required_capacity, socp_feasible, solve, solve_apx,
                       solve_exact, squared_form_feasible, validate_allocation)
+from flowsamp.cli import parse_algorithm
 from flowsamp.instances import (big_scale_free_network, model_driven_scenario,
                                 runtime_comparison_network)
 from flowsamp.optimizer import FEAS_TOL, load_solve_result
@@ -338,6 +340,40 @@ def test_search_fingerprint_scale_free_and_simulation():
         (53, False, 2_000, "5f34cae0bccf9c1f")
 
 
+# (objective, optimal, nodes_explored, digest of the assigned pairs) of one
+# model-driven epoch under each of the six compare algorithms at the
+# preset's node limit of 20,000: the deep walks that stop at the limit.
+MODEL_DRIVEN_FINGERPRINTS = {
+    "ds": (82, True, 82, "dddc35b11e157133"),
+    "ds2sigma": (53, False, 20_000, "5f34cae0bccf9c1f"),
+    "apx": (53, False, 20_000, "5f34cae0bccf9c1f"),
+    "csamp+100": (82, True, 82, "dddc35b11e157133"),
+    "csamp+150": (82, True, 113, "b9ec21bea42d080b"),
+    "csamp+200": (81, False, 20_000, "b4c78fdcd19bba82"),
+}
+
+
+def test_search_fingerprint_model_driven_at_node_limit():
+    bundle = model_driven_scenario(1, n_epochs=1)
+    for token, expected in MODEL_DRIVEN_FINGERPRINTS.items():
+        b = bundle.with_solver(parse_algorithm(token, bundle.epoch.solver))
+        report = run_simulation(b.network, list(b.queries), b.process, b.epoch, 0)
+        [s] = report.solves
+        assigned = [(rec.flow_id, rec.assigned_switch) for rec in report.records
+                    if rec.assigned_switch is not None]
+        assert _fingerprint(s["objective"], s["optimal"], s["nodes_explored"],
+                            assigned) == expected, token
+
+
+def _pooled_instance():
+    means = np.random.default_rng(303).uniform(10, 40, 12)
+    switches = [SwitchSpec(f"s{i}", 100.0) for i in range(2)]
+    path = tuple(s.id for s in switches)
+    flows = [FlowSpec(f"f{j}", "a", "b", path, 1.0, float(m), 0.0)
+             for j, m in enumerate(means)]
+    return build_network(switches, flows)
+
+
 def test_search_fingerprint_pooled_bound():
     # Every flow crosses both switches, so each per-switch term counts the
     # same cheap flows twice over (total 12); only the pooled residual bound
@@ -345,12 +381,7 @@ def test_search_fingerprint_pooled_bound():
     # but no 10 fit in two switches of 100, so the search proves the optimum
     # 9 below its root bound 10 by exhausting the tree (without the pooled
     # test it takes 1,437 nodes).
-    means = np.random.default_rng(303).uniform(10, 40, 12)
-    switches = [SwitchSpec(f"s{i}", 100.0) for i in range(2)]
-    path = tuple(s.id for s in switches)
-    flows = [FlowSpec(f"f{j}", "a", "b", path, 1.0, float(m), 0.0)
-             for j, m in enumerate(means)]
-    r = solve(build_network(switches, flows), SolverConfig(Formulation.DS, delta=0.2))
+    r = solve(_pooled_instance(), SolverConfig(Formulation.DS, delta=0.2))
     assert r.bound == 10
     assert _fingerprint(r.objective, r.optimal, r.nodes_explored,
                         r.allocation.assignment.items()) == \
@@ -373,11 +404,52 @@ def test_search_stops_at_root_bound():
     assert (r.objective, r.optimal, r.bound, r.nodes_explored) == (0, True, 0, 0)
 
 
+def test_node_limit_counts_whole_frame_prunes_one_by_one():
+    # The search proves this instance in 609 nodes, 173 of them counted in
+    # 58 frames pruned whole. Every limit that stops it, inside such a
+    # batch or not, must read as exactly that many nodes, and a larger
+    # limit never loses flows.
+    net = _pooled_instance()
+    prev = 0
+    for limit in range(1, 620):
+        r = solve(net, SolverConfig(Formulation.DS, delta=0.2, node_limit=limit))
+        if r.optimal:
+            assert limit > 609 and (r.objective, r.nodes_explored) == (9, 609)
+        else:
+            assert r.nodes_explored == limit
+        assert r.objective >= prev
+        prev = r.objective
+
+
+def test_time_limit_stops_the_search(monkeypatch):
+    # The deadline is read whenever the node count crosses a multiple of
+    # 512. On this model-driven epoch the count crosses 512 in one batch
+    # (four children of one frame, from 511 to 515), so a clock that is
+    # past the deadline must stop the search there, where the per-step
+    # count stops at a node limit of 512.
+    bundle = model_driven_scenario(2, n_epochs=1)
+    seen = []
+    monkeypatch.setattr(simulator, "solve",
+                        lambda net, cfg: seen.append((net, cfg)) or solve(net, cfg))
+    run_simulation(bundle.network, list(bundle.queries), bundle.process, bundle.epoch, 0)
+    [(net, cfg)] = seen
+    assert cfg.node_limit == 20_000
+    at_512 = solve(net, dataclasses.replace(cfg, node_limit=512))
+    clock = iter([0.0])
+    monkeypatch.setattr(optimizer, "time",
+                        types.SimpleNamespace(perf_counter=lambda: next(clock, 1e9)))
+    r = solve(net, cfg)
+    assert not r.optimal
+    assert (r.objective, r.nodes_explored, r.bound, r.allocation.assignment) == \
+        (at_512.objective, 512, at_512.bound, at_512.allocation.assignment)
+
+
 def test_prune_work_on_cone_instance(monkeypatch):
-    # Every per-switch term refresh and every pooled test bisects once. The
-    # rem test decides nothing the pooled test would not (pooled <= rem), so
-    # only this count shows that it prunes first, before the bound's depth
-    # moves: without it the cone search takes 11,762 bisections. Under DS
+    # Every per-switch term refresh, every test of a child's own term and
+    # every pooled test bisects once. The rem test decides nothing the
+    # pooled test would not (pooled <= rem), so only this count shows that
+    # it prunes first, before a child's term or the pooled bound is
+    # computed: without it the cone search takes 11,686 bisections. Under DS
     # the greedy pass meets the root bound, so the solve bisects only for
     # the root bound: 11 per-switch terms and one pooled test (195 if the
     # search's own first dive found the same incumbent).
@@ -391,7 +463,7 @@ def test_prune_work_on_cone_instance(monkeypatch):
     monkeypatch.setattr(optimizer, "bisect_right", counting)
     net = runtime_comparison_network(7)
     r = solve(net, SolverConfig(Formulation.EXACT, delta=0.2, node_limit=2_000))
-    assert (r.objective, r.nodes_explored, calls) == (22, 2_000, 11_218)
+    assert (r.objective, r.nodes_explored, calls) == (22, 2_000, 11_596)
     calls = 0
     r = solve(net, SolverConfig(Formulation.DS, delta=0.2))
     assert (r.objective, r.optimal, r.nodes_explored, calls) == (33, True, 37, 12)
