@@ -9,7 +9,6 @@ given graph); the core model itself treats paths as inputs.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import networkx as nx
@@ -18,8 +17,8 @@ import numpy as np
 from .model import FlowSpec, Network, SwitchSpec, build_network
 from .optimizer import Formulation, SolverConfig
 from .simulator import EpochConfig, EstimatorMode, SamplingQuery
-from .trafficgen import (Distribution, MixtureConfig, RateProcess, draw_flow_model,
-                         generate_model_driven, kbps_to_pps)
+from .trafficgen import (UPDATE_INTERVAL, Distribution, MixtureConfig, RateProcess,
+                         draw_flow_model, generate_model_driven, kbps_to_pps)
 
 # Violation probability whose standard-normal quantile is exactly 2.0, i.e.
 # the variance-aware surrogate charges the same headroom multiplier as the
@@ -104,34 +103,33 @@ class ScenarioBundle:
             self, epoch=dataclasses.replace(self.epoch, solver=solver))
 
 
-def _check_random_query_settings(n_epochs: int | None, epoch_length: float,
-                                 inclusion_prob: float) -> None:
-    """Reject settings that would give an empty or meaningless random-query
-    run, naming the keyword."""
+def _random_query_epoch(n_epochs: int | None, epoch_length: float, bucket: float,
+                        inclusion_prob: float, delta: float, node_limit: int) -> EpochConfig:
+    """The epoch settings of a random-query preset, built before its traffic.
+    Settings that would give an empty or meaningless run are rejected,
+    naming the keyword; ``EpochConfig`` names an ``epoch_length`` that is not
+    a whole number of buckets."""
     if n_epochs is not None and not n_epochs >= 1:
         raise ValueError(f"n_epochs must be >= 1, got {n_epochs}")
-    if not (math.isfinite(epoch_length) and epoch_length > 0):
-        raise ValueError(f"epoch_length must be finite and > 0, got {epoch_length}")
     if not 0 < inclusion_prob <= 1:
         raise ValueError(f"inclusion_prob must be in (0, 1], got {inclusion_prob}")
-
-
-def _random_query_bundle(network: Network, process: RateProcess, seed: int,
-                         n_epochs: int, epoch_length: float, target_rate: float,
-                         inclusion_prob: float, delta: float,
-                         node_limit: int) -> ScenarioBundle:
-    """Each epoch queries every flow independently with ``inclusion_prob``;
-    the declared moments feed the APX solver."""
-    qrng = np.random.default_rng([seed, 4294967296])
-    queries = tuple(SamplingQuery(f.id, e * epoch_length, epoch_length, target_rate)
-                    for e in range(n_epochs) for f in network.flows
-                    if qrng.random() < inclusion_prob)
-    epoch = EpochConfig(
-        epoch_length=epoch_length, bucket=process.bucket,
+    return EpochConfig(
+        epoch_length=epoch_length, bucket=bucket,
         solver=SolverConfig(Formulation.APX, delta=delta, node_limit=node_limit,
                             time_limit=60.0),
         estimator_mode=EstimatorMode.DECLARED,
     )
+
+
+def _random_query_bundle(network: Network, process: RateProcess, seed: int,
+                         n_epochs: int, epoch: EpochConfig, target_rate: float,
+                         inclusion_prob: float) -> ScenarioBundle:
+    """Each epoch queries every flow independently with ``inclusion_prob``;
+    the declared moments feed the APX solver."""
+    qrng = np.random.default_rng([seed, 4294967296])
+    queries = tuple(SamplingQuery(f.id, e * epoch.epoch_length, epoch.epoch_length, target_rate)
+                    for e in range(n_epochs) for f in network.flows
+                    if qrng.random() < inclusion_prob)
     return ScenarioBundle(network, queries, process, epoch)
 
 
@@ -149,7 +147,8 @@ def model_driven_scenario(seed: int, *, n_epochs: int = 5, epoch_length: float =
     flow moments match the generator's nominal parameters, so the solvers
     see the statistics the queries would carry.
     """
-    _check_random_query_settings(n_epochs, epoch_length, inclusion_prob)
+    epoch = _random_query_epoch(n_epochs, epoch_length, UPDATE_INTERVAL, inclusion_prob,
+                                delta, node_limit)
     graph = abilene_graph()
     nodes = sorted(graph.nodes)
     switches = [SwitchSpec(v, capacity_pps) for v in nodes]
@@ -165,8 +164,8 @@ def model_driven_scenario(seed: int, *, n_epochs: int = 5, epoch_length: float =
                                   model.mean_pps, (model.cov * model.mean_pps) ** 2))
     network = build_network(switches, flows)
     process = generate_model_driven(network, mixture, n_epochs * epoch_length, seed)
-    return _random_query_bundle(network, process, seed, n_epochs, epoch_length,
-                                target_rate, inclusion_prob, delta, node_limit)
+    return _random_query_bundle(network, process, seed, n_epochs, epoch, target_rate,
+                                inclusion_prob)
 
 
 def sensitivity_scenario(distribution: Distribution, seed: int, *,
@@ -236,7 +235,8 @@ def trace_driven_scenario(process: RateProcess, seed: int, *,
     """Replay a loaded trace on Abilene: trace flow ids are mapped onto the
     ordered node pairs round-robin, declared moments are measured from the
     trace itself, and queries follow the per-epoch random-subset pattern."""
-    _check_random_query_settings(n_epochs, epoch_length, inclusion_prob)
+    epoch = _random_query_epoch(n_epochs, epoch_length, process.bucket, inclusion_prob,
+                                delta, node_limit)
     graph = abilene_graph()
     nodes = sorted(graph.nodes)
     pairs = [(s, d) for s in nodes for d in nodes if s != d]
@@ -259,5 +259,5 @@ def trace_driven_scenario(process: RateProcess, seed: int, *,
     elif n_epochs > max_epochs:
         raise ValueError(f"n_epochs {n_epochs} is more than the trace holds: {max_epochs} "
                          f"whole epoch(s) of {epoch_length:g} s in {process.horizon:g} s")
-    return _random_query_bundle(network, process, seed, n_epochs, epoch_length,
-                                target_rate, inclusion_prob, delta, node_limit)
+    return _random_query_bundle(network, process, seed, n_epochs, epoch, target_rate,
+                                inclusion_prob)

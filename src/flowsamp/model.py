@@ -189,27 +189,20 @@ def load_network(path: str) -> Network:
             raise ModelError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     if not isinstance(doc, dict):
         raise ModelError(f"{path}: top-level document must be an object")
-    for key in doc:
+    for key, entries in doc.items():
         if key not in ("switches", "flows"):
             raise ModelError(f"{path}: unknown key {key!r}")
-    switches = []
-    for i, entry in enumerate(doc.get("switches", [])):
-        switches.append(SwitchSpec(
-            id=_field(entry, "id", str, f"switches[{i}]"),
-            capacity_pps=_field(entry, "capacity_pps", (int, float), f"switches[{i}]"),
-        ))
+        if not isinstance(entries, list):
+            raise ModelError(f"{path}: {key} must be an array")
+    switches = [SwitchSpec(**_entry(entry, _SWITCH_FIELDS, f"switches[{i}]"))
+                for i, entry in enumerate(doc.get("switches", []))]
     flows = []
     for i, entry in enumerate(doc.get("flows", [])):
-        where = f"flows[{i}]"
-        flows.append(FlowSpec(
-            id=_field(entry, "id", str, where),
-            src=_field(entry, "src", str, where),
-            dst=_field(entry, "dst", str, where),
-            path=tuple(_field(entry, "path", list, where)),
-            target_rate=_field(entry, "target_rate", (int, float), where),
-            rate_mean_pps=_field(entry, "rate_mean_pps", (int, float), where),
-            rate_var_pps2=_field(entry, "rate_var_pps2", (int, float), where),
-        ))
+        fields = _entry(entry, _FLOW_FIELDS, f"flows[{i}]")
+        for j, sid in enumerate(fields["path"]):
+            if not isinstance(sid, str):
+                raise ModelError(f"flows[{i}].path[{j}]: expected a switch id string")
+        flows.append(FlowSpec(**fields))
     return build_network(switches, flows)
 
 
@@ -230,12 +223,27 @@ def save_network(network: Network, path: str) -> None:
         fh.write("\n")
 
 
-def _field(entry, name, types, where):
+_NUMBER = (int, float)
+# The fields of a switch and of a flow entry, with their JSON types
+_SWITCH_FIELDS = {"id": str, "capacity_pps": _NUMBER}
+_FLOW_FIELDS = {"id": str, "src": str, "dst": str, "path": list, "target_rate": _NUMBER,
+                "rate_mean_pps": _NUMBER, "rate_var_pps2": _NUMBER}
+
+
+def _entry(entry, fields: dict, where: str) -> dict:
+    """The entry's fields, each checked against its JSON type; an unknown
+    key or a missing field is rejected, naming it."""
     if not isinstance(entry, dict):
         raise ModelError(f"{where}: expected an object")
-    if name not in entry:
-        raise ModelError(f"{where}: missing field {name!r}")
-    value = entry[name]
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise ModelError(f"{where}.{name}: wrong type")
-    return value
+    for key in entry:
+        if key not in fields:
+            raise ModelError(f"{where}: unknown key {key!r}")
+    values = {}
+    for name, types in fields.items():
+        if name not in entry:
+            raise ModelError(f"{where}: missing field {name!r}")
+        value = entry[name]
+        if not isinstance(value, types) or isinstance(value, bool):
+            raise ModelError(f"{where}.{name}: wrong type")
+        values[name] = value
+    return values

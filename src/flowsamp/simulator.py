@@ -17,6 +17,9 @@ Queries arriving mid-epoch wait for the next boundary. Drops on an
 overloaded switch are split across its flows proportionally to their
 sampled counts (largest-remainder rounding, ties to the earlier flow),
 for every overloaded (bucket, switch) cell of the epoch at once.
+
+The run fills one (epoch, flow) table, a row per epoch; the records,
+per-flow outcomes and metrics are all read from its columns.
 """
 
 from __future__ import annotations
@@ -77,7 +80,8 @@ class EpochConfig:
             raise ValueError(f"epoch_length must be positive and finite, got {self.epoch_length}")
         ratio = self.epoch_length / self.bucket
         if not math.isfinite(ratio) or round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("epoch_length must be a whole number of buckets")
+            raise ValueError(f"epoch_length must be a whole number of buckets "
+                             f"({self.bucket:g} s), got {self.epoch_length:g}")
         if not 0.0 <= self.fully_sampled_tolerance < 1.0:
             raise ValueError("fully_sampled_tolerance must be in [0, 1)")
 
@@ -104,53 +108,76 @@ class FlowOutcome:
     measured_rate: float | None   # forwarded / offered; None if nothing offered
     ever_admitted: bool           # assigned in at least one epoch
     fully_sampled: bool
+    target: float                 # highest target rate asked; 0 if never queried
 
 
-_NO_OUTCOME = FlowOutcome(None, False, False)
+_NO_OUTCOME = FlowOutcome(None, False, False, 0.0)
 
 
 @dataclass
 class SimReport:
-    """Raw per-epoch outcomes plus per-switch per-bucket load/violation."""
+    """What each epoch did to each flow, as one (epoch, flow) table of
+    columns, plus per-switch per-bucket load and violation.
 
-    records: list[FlowEpochRecord]
+    A cell is active when a query asked for the flow at that epoch's
+    boundary: its ``target`` is the highest rate asked, and 0 in an inactive
+    cell, whose counts are 0 too. ``assigned`` is the switch index the
+    solve chose, or -1. Records, outcomes and metrics are all read from
+    these columns.
+    """
+
+    flow_ids: list[str]
+    target: np.ndarray              # (epoch, flow) target sampling rate
+    assigned: np.ndarray            # (epoch, flow) switch index, -1 if not admitted
+    offered: np.ndarray             # (epoch, flow) packets
+    sampled: np.ndarray             # (epoch, flow) packets
+    forwarded: np.ndarray           # (epoch, flow) packets
     switch_ids: list[str]
     switch_loads: np.ndarray        # (n_switches, n_buckets) sampled packets
     switch_violations: np.ndarray   # (n_switches, n_buckets) bool
-    targets: dict[str, float]       # flow id -> target sampling rate
-    active_epochs: dict[str, list[int]]
     solves: list[dict]
-    n_epochs: int
     epoch_length: float
     bucket: float
     fully_sampled_tolerance: float
 
+    @property
+    def n_epochs(self) -> int:
+        return len(self.target)
+
+    @functools.cached_property
+    def records(self) -> list[FlowEpochRecord]:
+        """The active cells, in epoch order and then flow order."""
+        epochs, flows = np.nonzero(self.target > 0)
+        columns = (c[epochs, flows].tolist()
+                   for c in (self.assigned, self.offered, self.sampled, self.forwarded))
+        return [FlowEpochRecord(e, self.flow_ids[i], self.switch_ids[s] if s >= 0 else None,
+                                offered, sampled, forwarded, sampled - forwarded)
+                for e, i, s, offered, sampled, forwarded
+                in zip(epochs.tolist(), flows.tolist(), *columns)]
+
     @functools.cached_property
     def outcomes(self) -> dict[str, FlowOutcome]:
-        """Every flow with a record, by sorted flow id, from one pass over
-        ``records`` on first use.
+        """Every flow with an active cell, by sorted flow id.
 
         A flow is fully sampled when it was admitted in every epoch its
         query was active and measured at the target rate within the
         configured tolerance.
         """
-        offered: dict[str, int] = {}
-        forwarded: dict[str, int] = {}
-        admitted_in: dict[str, set[int]] = {}
-        for r in self.records:
-            offered[r.flow_id] = offered.get(r.flow_id, 0) + r.offered
-            forwarded[r.flow_id] = forwarded.get(r.flow_id, 0) + r.forwarded
-            epochs = admitted_in.setdefault(r.flow_id, set())
-            if r.assigned_switch is not None:
-                epochs.add(r.epoch)
+        active = self.target > 0
+        admitted = self.assigned >= 0
+        # initial=0.0 lets a run of zero epochs reduce its empty columns
+        target = self.target.max(axis=0, initial=0.0).tolist()
+        offered = self.offered.sum(axis=0).tolist()
+        forwarded = self.forwarded.sum(axis=0).tolist()
+        ever = admitted.any(axis=0).tolist()
+        always = (admitted | ~active).all(axis=0).tolist()
         table = {}
-        for fid in sorted(offered):
-            rate = forwarded[fid] / offered[fid] if offered[fid] > 0 else None
-            active = self.active_epochs.get(fid, [])
-            fully = (bool(active) and admitted_in[fid].issuperset(active)
-                     and rate is not None
-                     and rate >= self.targets[fid] * (1.0 - self.fully_sampled_tolerance))
-            table[fid] = FlowOutcome(rate, bool(admitted_in[fid]), fully)
+        for i in sorted(np.nonzero(active.any(axis=0))[0].tolist(),
+                        key=self.flow_ids.__getitem__):
+            rate = forwarded[i] / offered[i] if offered[i] > 0 else None
+            fully = (always[i] and rate is not None
+                     and rate >= target[i] * (1.0 - self.fully_sampled_tolerance))
+            table[self.flow_ids[i]] = FlowOutcome(rate, ever[i], fully, target[i])
         return table
 
     def measured_rate(self, flow_id: str) -> float | None:
@@ -163,11 +190,9 @@ class SimReport:
         return self.outcomes.get(flow_id, _NO_OUTCOME).fully_sampled
 
     def violation_fraction(self, switch_id: str | None = None) -> float:
-        if switch_id is None:
-            return float(self.switch_violations.mean()) if self.switch_violations.size else 0.0
-        idx = self.switch_ids.index(switch_id)
-        row = self.switch_violations[idx]
-        return float(row.mean()) if row.size else 0.0
+        flags = self.switch_violations if switch_id is None else \
+            self.switch_violations[self.switch_ids.index(switch_id)]
+        return float(flags.mean()) if flags.size else 0.0
 
 
 def run_simulation(network: Network, queries: list[SamplingQuery], rates: RateProcess,
@@ -202,52 +227,40 @@ def run_simulation(network: Network, queries: list[SamplingQuery], rates: RatePr
     epoch_means = np.zeros((nf, n_epochs))
     cap_bucket = np.array([math.floor(s.capacity_pps * config.bucket) for s in network.switches],
                           dtype=np.int64)
+    report = SimReport(
+        flow_ids=flow_ids, target=_query_targets(queries, fidx, config.epoch_length, n_epochs),
+        assigned=np.full((n_epochs, nf), -1, dtype=np.int64),
+        offered=np.zeros((n_epochs, nf), dtype=np.int64),
+        sampled=np.zeros((n_epochs, nf), dtype=np.int64),
+        forwarded=np.zeros((n_epochs, nf), dtype=np.int64),
+        switch_ids=switch_ids, switch_loads=np.zeros((ns, n_buckets), dtype=np.int64),
+        switch_violations=np.zeros((ns, n_buckets), dtype=bool), solves=[],
+        epoch_length=config.epoch_length, bucket=config.bucket,
+        fully_sampled_tolerance=config.fully_sampled_tolerance,
+    )
 
     rng = np.random.default_rng(seed)
     carry = np.zeros(nf)
-    records: list[FlowEpochRecord] = []
-    loads = np.zeros((ns, n_buckets), dtype=np.int64)
-    violations = np.zeros((ns, n_buckets), dtype=bool)
-    targets: dict[str, float] = {}
-    active_epochs: dict[str, list[int]] = {}
-    solves: list[dict] = []
     bucket_base = np.arange(bpe)[:, None] * ns
-
-    queries_at: list[list[SamplingQuery]] = [[] for _ in range(n_epochs)]
-    for q in queries:
-        for e in range(*_active_epoch_range(q, config.epoch_length, n_epochs)):
-            queries_at[e].append(q)
-
+    declared = [f.rate_mean_pps for f in flows], [f.rate_var_pps2 for f in flows]
     for e in range(n_epochs):
-        alpha = np.zeros(nf)
-        for q in queries_at[e]:
-            i = fidx[q.flow_id]
-            alpha[i] = max(alpha[i], q.sampling_rate)
-            targets[q.flow_id] = max(targets.get(q.flow_id, 0.0), q.sampling_rate)
-        active = [i for i in range(nf) if alpha[i] > 0]
-        for i in active:
-            active_epochs.setdefault(flow_ids[i], []).append(e)
-
-        windowed = config.estimator_mode == EstimatorMode.WINDOWED and e > 0
-        if windowed:
-            past = epoch_means[:, max(0, e - ESTIMATOR_WINDOW):e].tolist()
-        epoch_flows = []
-        for i in active:
-            f = flows[i]
-            if windowed:
-                mean, var = estimate_flow_stats(past[i], ESTIMATOR_WINDOW)
-            else:
-                mean, var = f.rate_mean_pps, f.rate_var_pps2
-            epoch_flows.append(dataclasses.replace(
-                f, target_rate=float(alpha[i]), rate_mean_pps=mean, rate_var_pps2=var))
-        epoch_net = build_network(network.switches, epoch_flows)
-        result = solve(epoch_net, config.solver)
-        solves.append({
+        alpha = report.target[e]
+        active = alpha > 0
+        means, variances = declared
+        if config.estimator_mode == EstimatorMode.WINDOWED and e > 0:
+            means, variances = (m.tolist() for m in
+                                estimate_flow_stats(epoch_means[:, :e], ESTIMATOR_WINDOW))
+        targets = alpha.tolist()
+        epoch_flows = [dataclasses.replace(flows[i], target_rate=targets[i],
+                                           rate_mean_pps=means[i], rate_var_pps2=variances[i])
+                       for i in np.nonzero(active)[0].tolist()]
+        result = solve(build_network(network.switches, epoch_flows), config.solver)
+        report.solves.append({
             "epoch": e, "objective": result.objective, "optimal": result.optimal,
             "nodes_explored": result.nodes_explored, "bound": result.bound,
             "wall_time_s": result.wall_time,
         })
-        assigned = np.full(nf, -1, dtype=np.int64)
+        assigned = report.assigned[e]
         for fid, sid in result.allocation.assignment.items():
             assigned[fidx[fid]] = sidx[sid]
         admit_mask = assigned >= 0
@@ -263,53 +276,36 @@ def run_simulation(network: Network, queries: list[SamplingQuery], rates: RatePr
         totals = np.bincount((bucket_base + assigned[admitted]).ravel(),
                              weights=sampled[:, admitted].ravel(),
                              minlength=bpe * ns).astype(np.int64).reshape(bpe, ns)
-        loads[:, k0:k0 + bpe] = totals.T
+        report.switch_loads[:, k0:k0 + bpe] = totals.T
         over = totals > cap_bucket
-        violations[:, k0:k0 + bpe] = over.T
+        report.switch_violations[:, k0:k0 + bpe] = over.T
         forwarded = _split_overloads(sampled, totals, over, assigned, cap_bucket)
-
-        off_sum = offered.sum(axis=0)
-        smp_sum = sampled.sum(axis=0)
-        fwd_sum = forwarded.sum(axis=0)
-        for i in active:
-            records.append(FlowEpochRecord(
-                epoch=e, flow_id=flow_ids[i],
-                assigned_switch=switch_ids[assigned[i]] if admit_mask[i] else None,
-                offered=int(off_sum[i]), sampled=int(smp_sum[i]),
-                forwarded=int(fwd_sum[i]), dropped=int(smp_sum[i] - fwd_sum[i]),
-            ))
-
-    return SimReport(
-        records=records, switch_ids=switch_ids, switch_loads=loads,
-        switch_violations=violations, targets=targets, active_epochs=active_epochs,
-        solves=solves, n_epochs=n_epochs, epoch_length=config.epoch_length,
-        bucket=config.bucket, fully_sampled_tolerance=config.fully_sampled_tolerance,
-    )
+        report.offered[e] = np.where(active, offered.sum(axis=0), 0)
+        report.sampled[e] = sampled.sum(axis=0)
+        report.forwarded[e] = forwarded.sum(axis=0)
+    return report
 
 
-def _active_epoch_range(q: SamplingQuery, epoch_length: float,
-                        n_epochs: int) -> tuple[int, int]:
-    """The epochs [lo, hi) whose boundary t_e = e * epoch_length falls in the
-    query's span: start <= t_e + 1e-9 and t_e < start + duration - 1e-9.
-    Both halves are monotone in e, so a ceil guess adjusted by the exact
-    predicate gives the same epochs as testing every one."""
-    def started(e):
-        return q.start <= e * epoch_length + 1e-9
-
-    def running(e):
-        return e * epoch_length < q.start + q.duration - 1e-9
-
-    lo = min(max(math.ceil((q.start - 1e-9) / epoch_length), 0), n_epochs)
-    while lo > 0 and started(lo - 1):
-        lo -= 1
-    while lo < n_epochs and not started(lo):
-        lo += 1
-    hi = min(max(math.ceil((q.start + q.duration - 1e-9) / epoch_length), lo), n_epochs)
-    while hi > lo and not running(hi - 1):
-        hi -= 1
-    while hi < n_epochs and running(hi):
-        hi += 1
-    return lo, hi
+def _query_targets(queries: list[SamplingQuery], fidx: dict[str, int], epoch_length: float,
+                   n_epochs: int) -> np.ndarray:
+    """The (epoch, flow) target rates: the highest rate of the queries whose
+    span holds the epoch boundary t_e = e * epoch_length, that is
+    start <= t_e + 1e-9 and t_e < start + duration - 1e-9; 0 where none does.
+    Both halves are monotone in e, so each query's epochs are one run [lo, hi).
+    """
+    bounds = np.arange(n_epochs) * epoch_length
+    start = np.array([q.start for q in queries])
+    lo = np.searchsorted(bounds + 1e-9, start)
+    hi = np.searchsorted(bounds, start + np.array([q.duration for q in queries]) - 1e-9)
+    runs = np.maximum(hi - lo, 0)
+    # every (query, epoch) pair, query by query: epoch lo + j at position
+    # first + j, where first is the query's first position
+    epochs = np.repeat(lo - (np.cumsum(runs) - runs), runs) + np.arange(runs.sum())
+    flows = np.repeat(np.array([fidx[q.flow_id] for q in queries], dtype=np.int64), runs)
+    target = np.zeros((n_epochs, len(fidx)))
+    np.maximum.at(target, (epochs, flows),
+                  np.repeat(np.array([q.sampling_rate for q in queries]), runs))
+    return target
 
 
 def _offered_counts(arrivals: np.ndarray, carry: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -399,14 +395,15 @@ def measure_metrics(report: SimReport) -> MetricSummary:
                      if o.ever_admitted and o.measured_rate is not None)
     quartiles = tuple(float(q) for q in np.percentile(measured, [25, 50, 75])) \
         if measured else None
-    per_switch = {sid: report.violation_fraction(sid) for sid in report.switch_ids}
+    violations = report.switch_violations
+    per_switch = violations.mean(axis=1) if violations.shape[1] else np.zeros(len(violations))
     times = [s["wall_time_s"] for s in report.solves]
     return MetricSummary(
         admitted_flows=sum(o.ever_admitted for o in outcomes),
         fully_sampled_flows=sum(o.fully_sampled for o in outcomes),
         rate_quartiles=quartiles,
         violation_fraction=report.violation_fraction(),
-        per_switch_violation=per_switch,
+        per_switch_violation=dict(zip(report.switch_ids, per_switch.tolist())),
         mean_solver_wall_time=float(np.mean(times)) if times else 0.0,
         measured_rates=measured,
     )
@@ -434,7 +431,7 @@ def write_summary_json(report: SimReport, path: str) -> None:
     doc["solves"] = [{k: v for k, v in s.items() if k != "wall_time_s"}
                      for s in report.solves]
     doc["flows"] = {
-        fid: {"target": report.targets.get(fid), "measured_rate": o.measured_rate,
+        fid: {"target": o.target, "measured_rate": o.measured_rate,
               "fully_sampled": o.fully_sampled, "ever_admitted": o.ever_admitted}
         for fid, o in report.outcomes.items()
     }

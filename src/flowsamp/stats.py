@@ -8,9 +8,11 @@ the mass above the switch capacity.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Sequence
 from statistics import NormalDist
+
+import numpy as np
 
 from .model import Allocation, Network, load_stats
 
@@ -57,19 +59,20 @@ def violation_probability(network: Network, alloc: Allocation, switch: str) -> f
     return standard_normal_sf((spec.capacity_pps - mu_sum) / math.sqrt(var_sum))
 
 
-def estimate_flow_stats(rates: Sequence[float], window: int) -> tuple[float, float]:
-    """Sample mean and unbiased sample variance of the last ``window``
-    per-epoch rates, oldest first; variance is 0 when only one observation
-    exists.
+def estimate_flow_stats(rates: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the (flow, epoch) ``rates``, oldest epoch first: the sample
+    mean and unbiased sample variance of the last ``window`` columns; the
+    variance is 0 when only one column exists.
+
+    The columns are added left to right, in the order ``sum`` adds a list.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    if not rates:
+    recent = np.asarray(rates, dtype=float)[:, -window:]
+    n = recent.shape[1]
+    if n == 0:
         raise ValueError("no rates to estimate from")
-    recent = list(rates[-window:])
-    n = len(recent)
-    mean = sum(recent) / n
+    mean = functools.reduce(np.add, recent.T) / n
     if n == 1:
-        return mean, 0.0
-    var = sum((r - mean) ** 2 for r in recent) / (n - 1)
-    return mean, var
+        return mean, np.zeros_like(mean)
+    return mean, functools.reduce(np.add, (recent - mean[:, None]).T ** 2) / (n - 1)

@@ -24,6 +24,7 @@ import numpy as np
 from .model import Network
 
 TRACE_HEADER = "#dsamp-trace v1"
+UPDATE_INTERVAL = 0.1   # seconds between synthetic rate redraws: one bucket
 _T_DOF = 5  # fixed degrees of freedom for the location-scale t model
 
 
@@ -127,7 +128,6 @@ class MixtureConfig:
     cov_low_prob: float = 0.3
     cov_high: float = 2.0
     packet_bytes: int = 1000
-    update_interval: float = 0.1
 
 
 def kbps_to_pps(kbps: float, packet_bytes: int = 1000) -> float:
@@ -156,16 +156,17 @@ def draw_flow_model(config: MixtureConfig, seed: int, flow_id: str) -> RateModel
 
 def generate_model_driven(network: Network, config: MixtureConfig, horizon: float,
                           seed: int) -> RateProcess:
-    """Generate bucket rates for every flow in the network."""
-    n_buckets = int(round(horizon / config.update_interval))
-    if abs(n_buckets * config.update_interval - horizon) > 1e-9 * max(1.0, horizon):
-        raise ValueError("horizon must be a whole number of update intervals")
+    """Generate ``UPDATE_INTERVAL`` bucket rates for every flow in the network."""
+    n_buckets = int(round(horizon / UPDATE_INTERVAL))
+    if abs(n_buckets * UPDATE_INTERVAL - horizon) > 1e-9 * max(1.0, horizon):
+        raise ValueError(f"horizon must be a whole number of {UPDATE_INTERVAL:g} s buckets, "
+                         f"got {horizon:g} s")
     rates = {}
     for f in network.flows:
         rng = _flow_rng(seed, f.id)
         model = _draw_model(config, rng)
         rates[f.id] = sample_rates(model, n_buckets, rng)
-    return RateProcess(config.update_interval, n_buckets, rates)
+    return RateProcess(UPDATE_INTERVAL, n_buckets, rates)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,21 @@ def test_solve_missing_file(capsys):
     assert main(["solve", "--net", "/does/not/exist.json"]) == 2
 
 
+@pytest.mark.parametrize("flow_changes, named", [
+    ({"path": [["S1"]]}, "flows[0].path[0]"),
+    ({"extra": 1}, "flows[0]: unknown key 'extra'"),
+])
+def test_solve_rejects_net_entries_outside_the_schema(tmp_path, toy_net_file, capsys,
+                                                       flow_changes, named):
+    doc = json.loads(Path(toy_net_file).read_text())
+    doc["flows"][0].update(flow_changes)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--net", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
 def test_solve_rejects_nan_capacity(tmp_path, capsys):
     path = tmp_path / "nan.json"
     path.write_text('{"switches": [{"id": "s", "capacity_pps": NaN}], "flows": []}')
@@ -422,6 +437,8 @@ def test_preset_rejects_settings_it_does_not_read(tmp_path, command, preset, doc
     ("trace-driven", {"inclusion_prob": 0.0}, "inclusion_prob"),
     ("trace-driven", {"epoch_length": 10.0}, "epoch_length"),   # the trace lasts 6 s
     ("trace-driven", {"n_epochs": 100}, "n_epochs"),   # one whole 5 s epoch
+    # not whole 0.1 s buckets: named before any traffic is generated
+    ("model-driven", {"epoch_length": 0.15, "n_epochs": 3}, "epoch_length"),
 ])
 def test_random_query_presets_range_check_params(tmp_path, preset, params, key, capsys):
     cfg = _preset_config(tmp_path, preset, {"params": params})

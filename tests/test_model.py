@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -167,4 +168,38 @@ def test_load_network_names_offending_field(tmp_path):
         load_network(str(path))
     path.write_text("{\n  broken\n}")
     with pytest.raises(ModelError, match="line 2"):
+        load_network(str(path))
+
+
+def _network_doc(**changes):
+    flow = {"id": "f", "src": "a", "dst": "b", "path": ["s"], "target_rate": 0.5,
+            "rate_mean_pps": 10.0, "rate_var_pps2": 1.0}
+    doc = {"switches": [{"id": "s", "capacity_pps": 5.0}], "flows": [flow]}
+    for where, value in changes.items():
+        kind, field = where.split("__")
+        doc[kind][0][field] = value
+    return doc
+
+
+@pytest.mark.parametrize("changes, named", [
+    ({"flows__path": [["s"]]}, "flows[0].path[0]"),
+    ({"flows__path": ["s", 3]}, "flows[0].path[1]"),
+    ({"flows__extra": 1}, "flows[0]: unknown key 'extra'"),
+    ({"switches__extra": 1}, "switches[0]: unknown key 'extra'"),
+])
+def test_load_network_rejects_what_the_schema_rejects(tmp_path, changes, named):
+    # schemas/network.schema.json: string path items, no additional properties
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_network_doc(**changes)))
+    with pytest.raises(ModelError, match=re.escape(named)):
+        load_network(str(path))
+    path.write_text(json.dumps(_network_doc()))
+    assert load_network(str(path)).flow("f").path == ("s",)
+
+
+@pytest.mark.parametrize("key", ["switches", "flows"])
+def test_load_network_rejects_a_non_array_list(tmp_path, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({key: 5}))
+    with pytest.raises(ModelError, match=f"{key} must be an array"):
         load_network(str(path))

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -118,7 +119,7 @@ def test_mid_epoch_query_waits_for_next_boundary():
     report = run_simulation(net, [SamplingQuery("f", 2.5, 5.0, 1.0)], process, config, 0)
     epochs = sorted(r.epoch for r in report.records)
     assert epochs == [1]
-    assert report.active_epochs["f"] == [1]
+    assert report.target[:, 0].tolist() == [0.0, 1.0]
 
 
 def test_windowed_estimator_reacts_to_observed_rates():
@@ -297,19 +298,29 @@ def test_windowed_estimate_reaches_solver(monkeypatch):
 
 
 def test_active_epoch_range_matches_scan():
+    # one flow per query, so each target column holds one query's epochs
     rng = np.random.default_rng(3)
     for epoch_length in (0.1, 0.3, 0.7, 5.0):
         starts = [e * epoch_length + d for e in range(6) for d in (-1e-9, 0.0, 1e-9, 0.05)]
         starts += list(rng.uniform(-1.0, 6 * epoch_length, 30))
-        for start in starts:
-            for duration in (epoch_length, 2e-9, 0.5 * epoch_length,
-                             3 * epoch_length - 1e-9, float(rng.uniform(0.01, 4.0))):
-                q = SamplingQuery("f", float(start), duration, 0.5)
-                scan = [e for e in range(8)
-                        if q.start <= e * epoch_length + 1e-9
-                        and e * epoch_length < q.start + q.duration - 1e-9]
-                lo, hi = fs._active_epoch_range(q, epoch_length, 8)
-                assert list(range(lo, hi)) == scan, (epoch_length, start, duration)
+        queries = [SamplingQuery(f"q{i}-{k}", float(start), duration, 0.5)
+                   for i, start in enumerate(starts)
+                   for k, duration in enumerate((epoch_length, 2e-9, 0.5 * epoch_length,
+                                                 3 * epoch_length - 1e-9,
+                                                 float(rng.uniform(0.01, 4.0))))]
+        net = build_network([SwitchSpec("s", 1e9)],
+                            [FlowSpec(q.flow_id, "a", "b", ("s",), 0.5, 1.0, 0.0)
+                             for q in queries])
+        config = EpochConfig(epoch_length=epoch_length, solver=SolverConfig(Formulation.DS),
+                             estimator_mode=EstimatorMode.DECLARED)
+        report = run_simulation(net, queries, RateProcess(0.1, 500), config, 0)
+        assert report.n_epochs >= 8
+        for i, q in enumerate(queries):
+            scan = [e for e in range(report.n_epochs)
+                    if q.start <= e * epoch_length + 1e-9
+                    and e * epoch_length < q.start + q.duration - 1e-9]
+            active = np.nonzero(report.target[:, i])[0].tolist()
+            assert active == scan, (epoch_length, q.start, q.duration)
 
 
 def test_simulation_deterministic(tmp_path):
@@ -370,6 +381,124 @@ def test_summary_flows_agree_with_report(tmp_path):
     assert (summary.admitted_flows, summary.fully_sampled_flows) == (2, 1)
     assert report.measured_rate("ghost") is None
     assert not report.ever_admitted("ghost") and not report.fully_sampled("ghost")
+
+
+def _dict_aggregation(report, queries):
+    """Targets, outcomes, metrics and the summary's flows as the run first
+    computed them: a scan of every (epoch, query) pair, and per-flow sums
+    over the records in dicts; the reference for the column reductions."""
+    targets, active_epochs = {}, {}
+    for e in range(report.n_epochs):
+        t = e * report.epoch_length
+        for q in queries:
+            if q.start <= t + 1e-9 and t < q.start + q.duration - 1e-9:
+                targets[q.flow_id] = max(targets.get(q.flow_id, 0.0), q.sampling_rate)
+                epochs = active_epochs.setdefault(q.flow_id, [])
+                if e not in epochs:
+                    epochs.append(e)
+    offered, forwarded, admitted_in = {}, {}, {}
+    for r in report.records:
+        offered[r.flow_id] = offered.get(r.flow_id, 0) + r.offered
+        forwarded[r.flow_id] = forwarded.get(r.flow_id, 0) + r.forwarded
+        epochs = admitted_in.setdefault(r.flow_id, set())
+        if r.assigned_switch is not None:
+            epochs.add(r.epoch)
+    outcomes = {}
+    for fid in sorted(offered):
+        rate = forwarded[fid] / offered[fid] if offered[fid] > 0 else None
+        active = active_epochs.get(fid, [])
+        fully = (bool(active) and admitted_in[fid].issuperset(active) and rate is not None
+                 and rate >= targets[fid] * (1.0 - report.fully_sampled_tolerance))
+        outcomes[fid] = (rate, bool(admitted_in[fid]), fully)
+    measured = tuple(rate for rate, ever, _ in outcomes.values()
+                     if ever and rate is not None)
+    per_switch = {}
+    for sid in report.switch_ids:
+        row = report.switch_violations[report.switch_ids.index(sid)]
+        per_switch[sid] = float(row.mean()) if row.size else 0.0
+    summary = {
+        "admitted_flows": sum(ever for _, ever, _ in outcomes.values()),
+        "fully_sampled_flows": sum(fully for _, _, fully in outcomes.values()),
+        "rate_quartiles": [float(q) for q in np.percentile(measured, [25, 50, 75])]
+        if measured else None,
+        "per_switch_violation": per_switch,
+        "flows": {fid: {"target": targets.get(fid), "measured_rate": rate,
+                        "fully_sampled": fully, "ever_admitted": ever}
+                  for fid, (rate, ever, fully) in outcomes.items()},
+    }
+    return active_epochs, outcomes, measured, summary
+
+
+def _random_queries(rng, flow_ids, epoch_length):
+    """Overlapping queries at several rates, some starting on or a hair off
+    an epoch boundary, some mid-epoch, some ending at or before 0."""
+    queries = []
+    for _ in range(int(rng.integers(0, 14))):
+        fid = flow_ids[int(rng.integers(len(flow_ids)))]
+        kind = rng.integers(4)
+        if kind == 0:      # on a boundary, or within 1e-9 of it
+            start = int(rng.integers(-2, 6)) * epoch_length + float(rng.choice([-1e-9, 0, 1e-9]))
+        elif kind == 1:    # ends at or before 0
+            end = -float(rng.choice([0.0, 0.3, 2.0]))
+            duration = float(rng.uniform(0.1, 3.0))
+            queries.append(SamplingQuery(fid, end - duration, duration,
+                                         float(rng.choice([0.2, 0.5, 1.0]))))
+            continue
+        else:              # anywhere, mostly mid-epoch
+            start = float(rng.uniform(-2.0, 5.0))
+        queries.append(SamplingQuery(fid, start, float(rng.uniform(0.05, 4.0)),
+                                     float(rng.choice([0.2, 0.5, 1.0]))))
+    return queries
+
+
+def test_table_reductions_match_dict_aggregation(tmp_path):
+    # three flows share two switches with tight budgets, so admission varies
+    # by epoch; "idle" sends nothing, so it is measured at no rate
+    net = build_network([SwitchSpec("s1", 60.0), SwitchSpec("s2", 40.0)],
+                        [FlowSpec("b", "x", "y", ("s1", "s2"), 0.5, 80.0, 900.0),
+                         FlowSpec("a", "x", "y", ("s2",), 0.5, 50.0, 100.0),
+                         FlowSpec("c", "x", "y", ("s1",), 0.5, 120.0, 2500.0),
+                         FlowSpec("idle", "x", "y", ("s1", "s2"), 0.5, 10.0, 0.0)])
+    rng = np.random.default_rng(12)
+    process = RateProcess(0.1, 100, {fid: rng.uniform(20.0, 160.0, 100)
+                                     for fid in ("a", "b", "c")})
+    seen = Counter()
+    path = tmp_path / "summary.json"
+    for case in range(80):
+        epoch_length = float(rng.choice([0.5, 1.0]))
+        config = EpochConfig(epoch_length=epoch_length,
+                             solver=SolverConfig(Formulation.DS if case % 2 else Formulation.APX,
+                                                 node_limit=500),
+                             estimator_mode=list(EstimatorMode)[case % 3 == 0],
+                             fully_sampled_tolerance=float(rng.choice([0.05, 0.5])))
+        queries = [] if case == 0 else _random_queries(rng, ["a", "b", "c", "idle"],
+                                                       epoch_length)
+        report = run_simulation(net, queries, process, config, case)
+        active_epochs, outcomes, measured, expected = _dict_aggregation(report, queries)
+        assert sorted((r.flow_id, r.epoch) for r in report.records) == \
+            sorted((fid, e) for fid, epochs in active_epochs.items() for e in epochs)
+        assert [r.epoch for r in report.records] == sorted(r.epoch for r in report.records)
+        assert {fid: (o.measured_rate, o.ever_admitted, o.fully_sampled)
+                for fid, o in report.outcomes.items()} == outcomes
+        assert list(report.outcomes) == list(outcomes)
+        summary = measure_metrics(report)
+        assert summary.measured_rates == measured
+        doc = summary.to_json_dict()
+        assert {k: doc[k] for k in expected if k != "flows"} == \
+            {k: v for k, v in expected.items() if k != "flows"}
+        write_summary_json(report, str(path))
+        assert json.loads(path.read_text())["flows"] == expected["flows"]
+        t = report.epoch_length
+        seen["two rates in one cell"] += any(
+            len({q.sampling_rate for q in queries if q.flow_id == r.flow_id
+                 and q.start <= r.epoch * t + 1e-9
+                 and r.epoch * t < q.start + q.duration - 1e-9}) > 1
+            for r in report.records)
+        seen["no epochs"] += report.n_epochs == 0
+        seen["no rate"] += any(rate is None for rate, _, _ in outcomes.values())
+        seen["partly sampled"] += any(ever and not fully for _, ever, fully in outcomes.values())
+        seen["fully sampled"] += any(fully for _, _, fully in outcomes.values())
+    assert len(seen) == 5 and min(seen.values()) > 0, seen
 
 
 @pytest.mark.parametrize("mode", list(EstimatorMode))

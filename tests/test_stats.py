@@ -129,38 +129,65 @@ def test_violation_probability_matches_monte_carlo():
 
 
 def test_estimator_constant_series():
-    assert estimate_flow_stats([100.0, 100.0, 100.0], 3) == (100.0, 0.0)
+    mean, var = estimate_flow_stats([[100.0, 100.0, 100.0]], 3)
+    assert (mean.tolist(), var.tolist()) == ([100.0], [0.0])
 
 
 def test_estimator_unbiased_variance():
-    mean, var = estimate_flow_stats([90.0, 110.0], 2)
-    assert mean == pytest.approx(100.0)
-    assert var == pytest.approx(200.0)
+    mean, var = estimate_flow_stats([[90.0, 110.0], [1.0, 3.0]], 2)
+    assert mean.tolist() == pytest.approx([100.0, 2.0])
+    assert var.tolist() == pytest.approx([200.0, 2.0])
 
 
 def test_estimator_window_drops_old_samples():
-    mean, var = estimate_flow_stats([50.0, 90.0, 110.0], 2)
-    assert mean == pytest.approx(100.0)
-    assert var == pytest.approx(200.0)
+    mean, var = estimate_flow_stats([[50.0, 90.0, 110.0]], 2)
+    assert mean.tolist() == pytest.approx([100.0])
+    assert var.tolist() == pytest.approx([200.0])
 
 
 def test_estimator_single_sample_variance_zero():
-    assert estimate_flow_stats([42.0], 5) == (42.0, 0.0)
+    mean, var = estimate_flow_stats([[42.0], [7.0]], 5)
+    assert (mean.tolist(), var.tolist()) == ([42.0, 7.0], [0.0, 0.0])
 
 
 def test_estimator_rejects_empty_and_bad_epochs():
     with pytest.raises(ValueError):
-        estimate_flow_stats([], 3)
+        estimate_flow_stats(np.zeros((3, 0)), 3)
     with pytest.raises(ValueError, match="window"):
-        estimate_flow_stats([1.0], 0)
+        estimate_flow_stats([[1.0]], 0)
 
 
 @settings(max_examples=30, deadline=None)
-@given(rates=st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=12),
-       window=st.integers(1, 12))
-def test_estimator_agrees_with_numpy(rates, window):
-    mean, var = estimate_flow_stats(rates, window)
-    tail = np.asarray(rates[-window:])
-    assert mean == pytest.approx(float(tail.mean()), rel=1e-9, abs=1e-9)
-    expected_var = float(tail.var(ddof=1)) if len(tail) > 1 else 0.0
-    assert var == pytest.approx(expected_var, rel=1e-9, abs=1e-6)
+@given(rates=st.lists(st.floats(min_value=0, max_value=1e6), min_size=3, max_size=36),
+       n_epochs=st.integers(1, 12), window=st.integers(1, 12))
+def test_estimator_agrees_with_numpy(rates, n_epochs, window):
+    rows = np.resize(np.asarray(rates), (3, n_epochs))
+    mean, var = estimate_flow_stats(rows, window)
+    tail = rows[:, -window:]
+    np.testing.assert_allclose(mean, tail.mean(axis=1), rtol=1e-9, atol=1e-9)
+    expected_var = tail.var(axis=1, ddof=1) if tail.shape[1] > 1 else np.zeros(3)
+    np.testing.assert_allclose(var, expected_var, rtol=1e-9, atol=1e-6)
+
+
+def _estimate_one(rates, window):
+    """The estimator as it was first written, one flow's list at a time;
+    the reference for the column pass."""
+    recent = list(rates[-window:])
+    n = len(recent)
+    mean = sum(recent) / n
+    if n == 1:
+        return mean, 0.0
+    return mean, sum((r - mean) ** 2 for r in recent) / (n - 1)
+
+
+def test_estimator_matches_per_flow_sums():
+    # the means are bit-equal: both add the same floats in the same order;
+    # a variance may differ in its last bit, since Python's ** 2 goes
+    # through libm pow and numpy's squares
+    rng = np.random.default_rng(6)
+    for n_epochs in range(1, 9):
+        rates = rng.gamma(0.5, 400.0, (200, n_epochs))
+        mean, var = estimate_flow_stats(rates, 5)
+        expected = [_estimate_one(row, 5) for row in rates.tolist()]
+        assert mean.tolist() == [m for m, _ in expected]
+        np.testing.assert_allclose(var, [v for _, v in expected], rtol=4e-16, atol=0)
