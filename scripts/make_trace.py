@@ -76,7 +76,7 @@ def main() -> int:
         with open(args.output, "w") as out:
             out.write("#dsamp-trace v1\n")
             for (bucket, fid), n in sorted(counts.items()):
-                out.write(f"{bucket * args.bucket_ms:g},{fid},{n / bucket_s!r}\n")
+                out.write(f"{bucket * args.bucket_ms:.17g},{fid},{n / bucket_s!r}\n")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ from collections import namedtuple
 import numpy as np
 
 from .instances import (ScenarioBundle, epoch_sweep_scenario, model_driven_scenario,
-                        sensitivity_scenario, trace_driven_scenario)
+                        sensitivity_scenario, trace_driven_scenario, whole_epochs)
 from .model import ModelError, build_network, load_network
 from .optimizer import Formulation, SolverConfig, solve
 from .simulator import (EpochConfig, EstimatorMode, SamplingQuery, measure_metrics,
@@ -240,9 +240,7 @@ def _net_trace(args):
     process = load_trace(args.trace, 1.0, epoch.bucket,
                          known_flows={f.id for f in network.flows})
     alpha = 0.1 if args.alpha is None else args.alpha
-    n_epochs = int(process.horizon // epoch.epoch_length)
-    if n_epochs < 1:
-        raise CliError("trace shorter than one epoch")
+    n_epochs = whole_epochs(process, epoch)
     queries = tuple(SamplingQuery(f.id, 0.0, n_epochs * epoch.epoch_length, alpha)
                     for f in network.flows)
     return lambda seed: ScenarioBundle(network, queries, process, epoch)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from .model import FlowSpec, Network, SwitchSpec, build_network
-from .optimizer import Formulation, SolverConfig
+from .model import FlowSpec, Network, SwitchSpec, build_network, load_stats
+from .optimizer import Formulation, SolverConfig, min_required_capacity
 from .simulator import EpochConfig, EstimatorMode, SamplingQuery
 from .trafficgen import (UPDATE_INTERVAL, Distribution, MixtureConfig, RateProcess,
                          draw_flow_model, generate_model_driven, kbps_to_pps)
@@ -48,31 +48,26 @@ def scale_free_graph(n: int, seed: int) -> nx.Graph:
     return g.subgraph(nodes).copy()
 
 
-def _random_pair_flows(graph: nx.Graph, n_flows: int, rng: np.random.Generator,
-                       make_flow) -> list[FlowSpec]:
+# The rate model of every flow that uniform_rate_network declares, and the
+# traffic the epoch-sweep preset draws for them: 200 KBps at cov 1.
+UNIFORM_MIXTURE = MixtureConfig(mean_choices_kbps=(200.0,), cov_low=1.0, cov_low_prob=1.0,
+                                cov_high=1.0)
+
+
+def uniform_rate_network(graph: nx.Graph, n_flows: int, capacity_pps: float,
+                         seed: int = 0) -> Network:
+    """Random source/destination flows, all declaring UNIFORM_MIXTURE's rate
+    model and sampled at 0.1."""
+    mean_pps = kbps_to_pps(UNIFORM_MIXTURE.mean_choices_kbps[0])
+    var = (UNIFORM_MIXTURE.cov_low * mean_pps) ** 2
+    rng = np.random.default_rng([seed, 4294967296])
     nodes = sorted(graph.nodes, key=str)
     flows = []
     for i in range(n_flows):
         src, dst = (nodes[j] for j in rng.choice(len(nodes), size=2, replace=False))
         path = tuple(str(v) for v in nx.shortest_path(graph, src, dst))
-        flows.append(make_flow(f"f{i:04d}", str(src), str(dst), path))
-    return flows
-
-
-def uniform_rate_network(graph: nx.Graph, n_flows: int, capacity_pps: float,
-                         mean_kbps: float = 200.0, cov: float = 1.0,
-                         target_rate: float = 0.1, packet_bytes: int = 1000,
-                         seed: int = 0) -> Network:
-    """Random source/destination flows, all with the same declared rate model."""
-    mean_pps = kbps_to_pps(mean_kbps, packet_bytes)
-    var = (cov * mean_pps) ** 2
-
-    def make(fid, src, dst, path):
-        return FlowSpec(fid, src, dst, path, target_rate, mean_pps, var)
-
-    rng = np.random.default_rng([seed, 4294967296])
-    switches = [SwitchSpec(str(v), capacity_pps) for v in sorted(graph.nodes, key=str)]
-    return build_network(switches, _random_pair_flows(graph, n_flows, rng, make))
+        flows.append(FlowSpec(f"f{i:04d}", str(src), str(dst), path, 0.1, mean_pps, var))
+    return build_network([SwitchSpec(str(v), capacity_pps) for v in nodes], flows)
 
 
 def two_switch_toy() -> Network:
@@ -104,7 +99,7 @@ class ScenarioBundle:
 
 
 def _random_query_epoch(n_epochs: int | None, epoch_length: float, bucket: float,
-                        inclusion_prob: float, delta: float, node_limit: int) -> EpochConfig:
+                        inclusion_prob: float, node_limit: int) -> EpochConfig:
     """The epoch settings of a random-query preset, built before its traffic.
     Settings that would give an empty or meaningless run are rejected,
     naming the keyword; ``EpochConfig`` names an ``epoch_length`` that is not
@@ -115,7 +110,7 @@ def _random_query_epoch(n_epochs: int | None, epoch_length: float, bucket: float
         raise ValueError(f"inclusion_prob must be in (0, 1], got {inclusion_prob}")
     return EpochConfig(
         epoch_length=epoch_length, bucket=bucket,
-        solver=SolverConfig(Formulation.APX, delta=delta, node_limit=node_limit,
+        solver=SolverConfig(Formulation.APX, delta=TWO_SIGMA_DELTA, node_limit=node_limit,
                             time_limit=60.0),
         estimator_mode=EstimatorMode.DECLARED,
     )
@@ -136,8 +131,6 @@ def _random_query_bundle(network: Network, process: RateProcess, seed: int,
 def model_driven_scenario(seed: int, *, n_epochs: int = 5, epoch_length: float = 5.0,
                           capacity_pps: float = 400.0, target_rate: float = 0.1,
                           inclusion_prob: float = 0.8,
-                          delta: float = TWO_SIGMA_DELTA,
-                          mixture: MixtureConfig = MixtureConfig(),
                           node_limit: int = 20_000) -> ScenarioBundle:
     """Synthetic mixed-burstiness scenario on the Abilene backbone.
 
@@ -148,7 +141,8 @@ def model_driven_scenario(seed: int, *, n_epochs: int = 5, epoch_length: float =
     see the statistics the queries would carry.
     """
     epoch = _random_query_epoch(n_epochs, epoch_length, UPDATE_INTERVAL, inclusion_prob,
-                                delta, node_limit)
+                                node_limit)
+    mixture = MixtureConfig()
     graph = abilene_graph()
     nodes = sorted(graph.nodes)
     switches = [SwitchSpec(v, capacity_pps) for v in nodes]
@@ -169,19 +163,17 @@ def model_driven_scenario(seed: int, *, n_epochs: int = 5, epoch_length: float =
 
 
 def sensitivity_scenario(distribution: Distribution, seed: int, *,
-                         n_flows: int = 20, mean_pps: float = 1000.0,
-                         cov: float = 0.1, capacity_pps: float = 20735.6,
-                         horizon: float = 100.0, delta: float = 0.05) -> ScenarioBundle:
-    """Single switch carrying identical flows sampled at rate 1, capacity at
-    the tail bound for the requested violation probability. Measures how the
+                         horizon: float = 100.0) -> ScenarioBundle:
+    """Single switch carrying 20 identical flows sampled at rate 1, capacity
+    at their tail bound for violation probability 0.05. Measures how the
     realized per-bucket violation frequency tracks delta per distribution."""
-    switches = [SwitchSpec("SW", capacity_pps)]
-    flows = [FlowSpec(f"f{i:02d}", "src", "SW", ("SW",), 1.0, mean_pps,
-                      (cov * mean_pps) ** 2) for i in range(n_flows)]
-    network = build_network(switches, flows)
+    mean, cov, delta = 1000.0, 0.1, 0.05   # 1000 KBps is 1000 pps at PACKET_BYTES
+    flows = [FlowSpec(f"f{i:02d}", "src", "SW", ("SW",), 1.0, mean, (cov * mean) ** 2)
+             for i in range(20)]
+    capacity = min_required_capacity([load_stats(f) for f in flows], delta)
+    network = build_network([SwitchSpec("SW", capacity)], flows)
     queries = tuple(SamplingQuery(f.id, 0.0, horizon, 1.0) for f in network.flows)
-    mixture = MixtureConfig(distribution=distribution,
-                            mean_choices_kbps=(mean_pps,), packet_bytes=1000,
+    mixture = MixtureConfig(distribution=distribution, mean_choices_kbps=(mean,),
                             cov_low=cov, cov_low_prob=1.0, cov_high=cov)
     process = generate_model_driven(network, mixture, horizon, seed)
     epoch = EpochConfig(
@@ -192,51 +184,54 @@ def sensitivity_scenario(distribution: Distribution, seed: int, *,
     return ScenarioBundle(network, queries, process, epoch)
 
 
-def epoch_sweep_scenario(epoch_length: float, seed: int, *, n_flows: int = 100,
-                         mean_kbps: float = 200.0, cov: float = 1.0,
-                         target_rate: float = 0.1) -> ScenarioBundle:
-    """One epoch of the given length with effectively unlimited capacity;
-    shows measured sampling rates concentrating around the target as the
-    epoch grows."""
-    network = uniform_rate_network(abilene_graph(), n_flows, capacity_pps=1e9,
-                                   mean_kbps=mean_kbps, cov=cov,
-                                   target_rate=target_rate, seed=seed)
-    queries = tuple(SamplingQuery(f.id, 0.0, epoch_length, target_rate)
+def epoch_sweep_scenario(epoch_length: float, seed: int) -> ScenarioBundle:
+    """One epoch of the given length, 100 flows with effectively unlimited
+    capacity; shows measured sampling rates concentrating around the target
+    as the epoch grows."""
+    network = uniform_rate_network(abilene_graph(), 100, capacity_pps=1e9, seed=seed)
+    queries = tuple(SamplingQuery(f.id, 0.0, epoch_length, f.target_rate)
                     for f in network.flows)
-    mixture = MixtureConfig(mean_choices_kbps=(mean_kbps,), cov_low=cov,
-                            cov_low_prob=1.0, cov_high=cov)
-    process = generate_model_driven(network, mixture, epoch_length, seed)
+    process = generate_model_driven(network, UNIFORM_MIXTURE, epoch_length, seed)
     epoch = EpochConfig(epoch_length=epoch_length, bucket=0.1,
                         solver=SolverConfig(Formulation.APX, delta=0.2),
                         estimator_mode=EstimatorMode.DECLARED)
     return ScenarioBundle(network, queries, process, epoch)
 
 
-def runtime_comparison_network(seed: int, *, n_flows: int = 50,
-                               capacity_pps: float = 70.0) -> Network:
-    """Abilene with uniform 200 KBps cov-1 flows on a tight capacity; the
-    surrogate solver proves optimality immediately while the cone search
-    has to enumerate."""
-    return uniform_rate_network(abilene_graph(), n_flows, capacity_pps, seed=seed)
+def runtime_comparison_network(seed: int) -> Network:
+    """Abilene with 50 uniform 200 KBps cov-1 flows on a tight 70 pps
+    capacity; the surrogate solver proves optimality immediately while the
+    cone search has to enumerate."""
+    return uniform_rate_network(abilene_graph(), 50, 70.0, seed=seed)
 
 
-def big_scale_free_network(seed: int, *, n_switches: int = 500, n_flows: int = 5000,
-                           capacity_pps: float = 100.0) -> Network:
-    return uniform_rate_network(scale_free_graph(n_switches, seed), n_flows,
-                                capacity_pps, seed=seed)
+def big_scale_free_network(seed: int, *, n_switches: int = 500,
+                           n_flows: int = 5000) -> Network:
+    return uniform_rate_network(scale_free_graph(n_switches, seed), n_flows, 100.0,
+                                seed=seed)
+
+
+def whole_epochs(process: RateProcess, epoch: EpochConfig) -> int:
+    """How many whole epochs the trace ``process`` holds, counted in buckets
+    (``1.0 // 0.1`` is 9.0 in floats); a trace shorter than one epoch is
+    rejected."""
+    n_epochs = process.n_buckets // epoch.buckets_per_epoch
+    if n_epochs < 1:
+        raise ValueError(f"epoch_length {epoch.epoch_length:g} s is longer than the trace "
+                         f"({process.horizon:g} s)")
+    return n_epochs
 
 
 def trace_driven_scenario(process: RateProcess, seed: int, *,
                           n_epochs: int | None = None, epoch_length: float = 5.0,
                           capacity_pps: float = 200.0, target_rate: float = 0.1,
                           inclusion_prob: float = 0.8,
-                          delta: float = TWO_SIGMA_DELTA,
                           node_limit: int = 20_000) -> ScenarioBundle:
     """Replay a loaded trace on Abilene: trace flow ids are mapped onto the
     ordered node pairs round-robin, declared moments are measured from the
     trace itself, and queries follow the per-epoch random-subset pattern."""
     epoch = _random_query_epoch(n_epochs, epoch_length, process.bucket, inclusion_prob,
-                                delta, node_limit)
+                                node_limit)
     graph = abilene_graph()
     nodes = sorted(graph.nodes)
     pairs = [(s, d) for s in nodes for d in nodes if s != d]
@@ -250,10 +245,7 @@ def trace_driven_scenario(process: RateProcess, seed: int, *,
         flows.append(FlowSpec(fid, src, dst, tuple(nx.shortest_path(graph, src, dst)),
                               target_rate, mean, var))
     network = build_network(switches, flows)
-    max_epochs = int(process.horizon // epoch_length)
-    if max_epochs < 1:
-        raise ValueError(f"epoch_length {epoch_length:g} s is longer than the trace "
-                         f"({process.horizon:g} s)")
+    max_epochs = whole_epochs(process, epoch)
     if n_epochs is None:
         n_epochs = max_epochs
     elif n_epochs > max_epochs:

@@ -81,20 +81,14 @@ def load_stats(flow: FlowSpec) -> LoadStats:
 
 
 class Network:
-    """Switches, flows, and the switch-to-flows incidence map.
+    """Switches and flows, looked up by id. Construct through
+    :func:`build_network`."""
 
-    ``flows_at[s]`` is the tuple of flow ids whose path contains switch ``s``
-    (in flow declaration order); it is the exact transpose of the paths.
-    Construct through :func:`build_network`.
-    """
+    __slots__ = ("switches", "flows", "_switch_by_id", "_flow_by_id")
 
-    __slots__ = ("switches", "flows", "flows_at", "_switch_by_id", "_flow_by_id")
-
-    def __init__(self, switches: tuple[SwitchSpec, ...], flows: tuple[FlowSpec, ...],
-                 flows_at: Mapping[str, tuple[str, ...]]):
+    def __init__(self, switches: tuple[SwitchSpec, ...], flows: tuple[FlowSpec, ...]):
         self.switches = switches
         self.flows = flows
-        self.flows_at = dict(flows_at)
         self._switch_by_id = {s.id: s for s in switches}
         self._flow_by_id = {f.id: f for f in flows}
 
@@ -118,7 +112,7 @@ class Network:
 
 
 def build_network(switches: Iterable[SwitchSpec], flows: Iterable[FlowSpec]) -> Network:
-    """Validate specs and compute the incidence map.
+    """Validate specs and build the network.
 
     Rejects duplicate switch or flow ids, paths that reference unknown
     switches, and (via FlowSpec) repeated switches on a path.
@@ -138,11 +132,7 @@ def build_network(switches: Iterable[SwitchSpec], flows: Iterable[FlowSpec]) -> 
         for sid in f.path:
             if sid not in seen_s:
                 raise ModelError(f"flow {f.id!r}: path references unknown switch {sid!r}")
-    flows_at: dict[str, list[str]] = {s.id: [] for s in switches}
-    for f in flows:
-        for sid in f.path:
-            flows_at[sid].append(f.id)
-    return Network(switches, flows, {k: tuple(v) for k, v in flows_at.items()})
+    return Network(switches, flows)
 
 
 @dataclass(frozen=True)

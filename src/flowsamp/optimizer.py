@@ -150,12 +150,11 @@ def flow_charge(flow: FlowSpec, config: SolverConfig) -> tuple[float, float]:
     return effective_load(flow, config), 0.0
 
 
-def _slack(capacity: float, tol: float = FEAS_TOL) -> float:
-    return tol * max(1.0, capacity)
+def _slack(capacity: float) -> float:
+    return FEAS_TOL * max(1.0, capacity)
 
 
-def feasible(network: Network, alloc: Allocation, config: SolverConfig,
-             tol: float = FEAS_TOL) -> bool:
+def feasible(network: Network, alloc: Allocation, config: SolverConfig) -> bool:
     """True iff every switch satisfies
     sum(g) + z(delta) * sqrt(sum(var)) <= capacity (within slack), each
     assigned flow charged (g, var) = flow_charge(flow, config)."""
@@ -167,23 +166,21 @@ def feasible(network: Network, alloc: Allocation, config: SolverConfig,
         used[sid] = (g_sum + g, var_sum + var)
     for sid, (g_sum, var_sum) in used.items():
         cap = network.switch(sid).capacity_pps
-        if g_sum + z * math.sqrt(var_sum) > cap + _slack(cap, tol):
+        if g_sum + z * math.sqrt(var_sum) > cap + _slack(cap):
             return False
     return True
 
 
-def socp_feasible(network: Network, alloc: Allocation, delta: float,
-                  tol: float = FEAS_TOL) -> bool:
+def socp_feasible(network: Network, alloc: Allocation, delta: float) -> bool:
     """:func:`feasible` under the cone formulation at ``delta``."""
-    return feasible(network, alloc, SolverConfig(Formulation.EXACT, delta=delta), tol)
+    return feasible(network, alloc, SolverConfig(Formulation.EXACT, delta=delta))
 
 
-def additive_feasible(network: Network, alloc: Allocation, config: SolverConfig,
-                      tol: float = FEAS_TOL) -> bool:
+def additive_feasible(network: Network, alloc: Allocation, config: SolverConfig) -> bool:
     """:func:`feasible` under an additive formulation; EXACT is refused."""
     if config.formulation == Formulation.EXACT:
         raise ValueError("additive_feasible needs an additive formulation; use socp_feasible")
-    return feasible(network, alloc, config, tol)
+    return feasible(network, alloc, config)
 
 
 def min_required_capacity(flows: list[LoadStats], delta: float) -> float:
@@ -196,8 +193,7 @@ def min_required_capacity(flows: list[LoadStats], delta: float) -> float:
     return mu + normal_quantile(delta) * math.sqrt(var)
 
 
-def squared_form_feasible(network: Network, alloc: Allocation, delta: float,
-                          tol: float = FEAS_TOL) -> bool:
+def squared_form_feasible(network: Network, alloc: Allocation, delta: float) -> bool:
     """Feasibility of the linearized program at a given assignment.
 
     The pair variables are derived from the assignment (their defining
@@ -212,7 +208,7 @@ def squared_form_feasible(network: Network, alloc: Allocation, delta: float,
     for sid, members in by_switch.items():
         cap = network.switch(sid).capacity_pps
         mu_sum = sum(m.mu for m in members)
-        if cap - mu_sum < -_slack(cap, tol):
+        if cap - mu_sum < -_slack(cap):
             return False
         var_sum = sum(m.sigma ** 2 for m in members)
         sq_sum = sum(m.mu ** 2 for m in members)
@@ -222,7 +218,7 @@ def squared_form_feasible(network: Network, alloc: Allocation, delta: float,
                 pair_sum += members[i].mu * members[j].mu
         lhs = z * z * var_sum
         rhs = cap * cap - 2.0 * cap * mu_sum + sq_sum + 2.0 * pair_sum
-        if lhs > rhs + tol * max(1.0, cap * cap):
+        if lhs > rhs + FEAS_TOL * max(1.0, cap * cap):
             return False
     return True
 

@@ -25,6 +25,7 @@ from .model import Network
 
 TRACE_HEADER = "#dsamp-trace v1"
 UPDATE_INTERVAL = 0.1   # seconds between synthetic rate redraws: one bucket
+PACKET_BYTES = 1000     # the fixed packet size that turns byte rates into packet rates
 _T_DOF = 5  # fixed degrees of freedom for the location-scale t model
 
 
@@ -45,10 +46,11 @@ class RateModel:
     cov: float
 
     def __post_init__(self):
-        if self.mean_pps <= 0:
-            raise ValueError("mean_pps must be positive")
-        if self.cov < 0:
-            raise ValueError("cov must be >= 0")
+        # written so that NaN fails both checks
+        if not (math.isfinite(self.mean_pps) and self.mean_pps > 0):
+            raise ValueError(f"mean_pps must be finite and positive, got {self.mean_pps}")
+        if not (math.isfinite(self.cov) and self.cov >= 0):
+            raise ValueError(f"cov must be finite and >= 0, got {self.cov}")
 
 
 def sample_rates(model: RateModel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -127,12 +129,11 @@ class MixtureConfig:
     cov_low: float = 0.2
     cov_low_prob: float = 0.3
     cov_high: float = 2.0
-    packet_bytes: int = 1000
 
 
-def kbps_to_pps(kbps: float, packet_bytes: int = 1000) -> float:
-    """Kilobytes-per-second to packets-per-second at a fixed packet size."""
-    return kbps * 1000.0 / packet_bytes
+def kbps_to_pps(kbps: float) -> float:
+    """Kilobytes-per-second to packets-per-second at PACKET_BYTES per packet."""
+    return kbps * 1000.0 / PACKET_BYTES
 
 
 def _flow_rng(seed: int, flow_id: str) -> np.random.Generator:
@@ -142,7 +143,7 @@ def _flow_rng(seed: int, flow_id: str) -> np.random.Generator:
 def _draw_model(config: MixtureConfig, rng: np.random.Generator) -> RateModel:
     mean_kbps = config.mean_choices_kbps[rng.integers(len(config.mean_choices_kbps))]
     cov = config.cov_low if rng.random() < config.cov_low_prob else config.cov_high
-    return RateModel(config.distribution, kbps_to_pps(mean_kbps, config.packet_bytes), cov)
+    return RateModel(config.distribution, kbps_to_pps(mean_kbps), cov)
 
 
 def draw_flow_model(config: MixtureConfig, seed: int, flow_id: str) -> RateModel:
@@ -237,11 +238,12 @@ def load_trace(path: str, scale_divisor: float, bucket: float,
 
 
 def save_trace(process: RateProcess, path: str) -> None:
-    """Write a rate process in the trace format (zero rates are implicit)."""
+    """Write a rate process in the trace format (zero rates are implicit).
+    Bucket starts keep 17 significant digits, so each reloads exactly."""
     bucket_ms = process.bucket * 1000.0
     with open(path, "w") as fh:
         fh.write(TRACE_HEADER + "\n")
         for fid in sorted(process.rates):
             series = process.rates[fid]
             for idx in np.nonzero(series)[0]:
-                fh.write(f"{idx * bucket_ms:g},{fid},{float(series[idx])!r}\n")
+                fh.write(f"{idx * bucket_ms:.17g},{fid},{float(series[idx])!r}\n")

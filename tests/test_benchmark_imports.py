@@ -29,3 +29,9 @@ def test_benchmark_targets_resolve(perfbench):
 @pytest.mark.parametrize("module", ["checks", "oracle", "harness"])
 def test_benchmark_modules_import(perfbench, module):
     perfbench(module)
+
+
+def test_uniform_model_matches_replay_wide(perfbench):
+    # replay-wide draws the traffic that uniform_rate_network declares
+    from flowsamp.instances import UNIFORM_MIXTURE
+    assert perfbench("workloads").ReplayWide.mixture == UNIFORM_MIXTURE

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import inspect
 import json
@@ -11,7 +12,7 @@ import pytest
 from flowsamp import (EpochConfig, EstimatorMode, Formulation, FlowSpec, RateProcess,
                       SamplingQuery, SolverConfig, SwitchSpec, build_network,
                       measure_metrics, run_simulation, save_network, simulator)
-from flowsamp.cli import (_COMPARED, _RUNS, CliError, compare_algorithms, main,
+from flowsamp.cli import (_COMPARED, _RUNS, CliError, _params, compare_algorithms, main,
                           parse_algorithm, parse_args)
 from flowsamp.instances import (ScenarioBundle, epoch_sweep_scenario, model_driven_scenario,
                                 sensitivity_scenario, trace_driven_scenario, two_switch_toy)
@@ -202,6 +203,28 @@ def test_simulate_net_and_trace_deterministic(tmp_path, capsys):
     assert outs[0] == outs[1]
     summary = json.loads(outs[0][1])
     assert summary["version"] == "sim-summary/1"
+
+
+def test_simulate_net_and_trace_counts_whole_epochs_in_buckets(tmp_path, capsys):
+    # 1.0 // 0.1 is 9.0 in floats: a 10-bucket trace holds ten 0.1 s epochs
+    net_path = tmp_path / "net.json"
+    save_network(build_network([SwitchSpec("s", 1e6)],
+                               [FlowSpec("f", "a", "b", ("s",), 0.1, 300.0, 0.0)]),
+                 str(net_path))
+    trace_path = tmp_path / "t.trace"
+    _write_trace(trace_path, ["f"], 10, 300.0)
+    assert main(["simulate", "--net", str(net_path), "--trace", str(trace_path),
+                 "--epoch-len", "0.1", "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary_seed0.json").read_text())
+    assert summary["n_epochs"] == 10
+
+
+@pytest.mark.parametrize("epoch_length,n_epochs", [(0.1, 10), (0.2, 5)])
+def test_trace_driven_counts_whole_epochs_in_buckets(epoch_length, n_epochs):
+    process = RateProcess(0.1, 10, {"t": np.full(10, 50.0)})
+    bundle = trace_driven_scenario(process, 0, epoch_length=epoch_length,
+                                   inclusion_prob=1.0)
+    assert len(bundle.queries) == n_epochs
 
 
 def test_simulate_rejects_bad_epoch_settings(tmp_path, toy_net_file, capsys):
@@ -466,7 +489,7 @@ def test_params_accepts_every_json_expressible_builder_keyword(tmp_path, preset,
     accepted = re.search(r"accepted: ([^)]*)\)", capsys.readouterr().err).group(1)
     keywords = {name for name, p in inspect.signature(builder).parameters.items()
                 if p.kind == inspect.Parameter.KEYWORD_ONLY}
-    assert set(accepted.split(", ")) == keywords - {"mixture", "delta", "node_limit"}
+    assert set(accepted.split(", ")) == keywords - {"node_limit"}
 
 
 @pytest.mark.parametrize("argv,doc", [
@@ -534,3 +557,22 @@ def test_docs_run_table_matches_cli():
                   (set(re.findall(r"`(\w+)`", reads)), compared == "yes")
                   for run, reads, compared in rows}
     assert documented == {name: (run.reads, name in _COMPARED) for name, run in _RUNS.items()}
+
+
+@pytest.mark.parametrize("preset,builder", [("model-driven", model_driven_scenario),
+                                            ("trace-driven", trace_driven_scenario)])
+def test_docs_params_table_matches_cli(preset, builder):
+    root = Path(__file__).resolve().parents[1]
+    row = re.search(rf"^\| `{preset}` \| (.*) \|$",
+                    (root / "docs" / "formats.md").read_text(), re.M).group(1)
+    documented = dict(re.findall(r"`(\w+)` \(([^)]*)\)", row))
+    with pytest.raises(CliError, match=r"accepted: ([^)]*)\)") as info:
+        _params(argparse.Namespace(params={"bogus": 1}), builder)
+    accepted = re.search(r"accepted: ([^)]*)\)", str(info.value)).group(1).split(", ")
+    assert set(documented) == set(accepted)
+    defaults = {name: p.default for name, p in inspect.signature(builder).parameters.items()}
+    for key, text in documented.items():
+        if defaults[key] is None:   # the trace-driven n_epochs, documented in words
+            assert not text[0].isdigit(), key
+        else:
+            assert text == str(defaults[key]), key

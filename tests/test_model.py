@@ -11,23 +11,34 @@ from flowsamp import (Allocation, FlowSpec, ModelError, SwitchSpec, build_networ
                       load_network, load_stats, save_network, validate_allocation)
 
 
+def _may_sample(net, fid, sid) -> bool:
+    """Whether the allocation of flow ``fid`` to switch ``sid`` validates:
+    the incidence of flows and switches, as the model checks it."""
+    try:
+        validate_allocation(net, Allocation({fid: sid}))
+    except ModelError:
+        return False
+    return True
+
+
 def test_toy_incidence(toy_network):
     # every flow crosses both switches
-    assert set(toy_network.flows_at["S1"]) == {"f1", "f2", "f3", "f4"}
-    assert set(toy_network.flows_at["S2"]) == {"f1", "f2", "f3", "f4"}
+    assert all(_may_sample(toy_network, f, s) for f in ("f1", "f2", "f3", "f4")
+               for s in ("S1", "S2"))
 
 
 def test_empty_network():
     net = build_network([SwitchSpec("s0", 1.0)], [])
-    assert net.flows_at == {"s0": ()}
+    assert net.flows == () and net.has_switch("s0")
+    validate_allocation(net, Allocation({}))
 
 
 def test_incidence_excludes_off_path_switch():
     switches = [SwitchSpec(f"s{i}", 1.0) for i in range(3)]
     flow = FlowSpec("f0", "a", "b", ("s0", "s1"), 0.5, 1.0, 0.0)
     net = build_network(switches, [flow])
-    assert net.flows_at["s2"] == ()
-    assert net.flows_at["s0"] == ("f0",)
+    assert not _may_sample(net, "f0", "s2")
+    assert _may_sample(net, "f0", "s0")
 
 
 def test_incidence_count_matches_total_path_length():
@@ -37,7 +48,8 @@ def test_incidence_count_matches_total_path_length():
         FlowSpec("f1", "a", "b", ("s3",), 0.5, 1.0, 0.0),
     ]
     net = build_network(switches, flows)
-    assert sum(len(v) for v in net.flows_at.values()) == sum(len(f.path) for f in flows)
+    assert sum(_may_sample(net, f.id, s.id) for f in flows for s in switches) == \
+        sum(len(f.path) for f in flows)
 
 
 @pytest.mark.parametrize("bad", [
@@ -136,7 +148,7 @@ def test_incidence_is_path_transpose(data):
     net = build_network(switches, flows)
     for f in flows:
         for sid in sids:
-            assert (f.id in net.flows_at[sid]) == (sid in f.path)
+            assert _may_sample(net, f.id, sid) == (sid in f.path)
 
 
 def test_allocation_rejects_off_path_switch(toy_network):

@@ -219,8 +219,9 @@ def _windowed_case(mode=EstimatorMode.WINDOWED):
     # nine 0.5 s epochs, so the five-epoch window slides; flows really send
     # 100 or 300 pps against a declared 200, so the estimates change who is
     # admitted, and bursty flows overrun some buckets
-    net = uniform_rate_network(abilene_graph(), 40, capacity_pps=200.0, cov=1.0,
-                               target_rate=0.5, seed=5)
+    net = uniform_rate_network(abilene_graph(), 40, capacity_pps=200.0, seed=5)
+    net = build_network(net.switches, [dataclasses.replace(f, target_rate=0.5)
+                                       for f in net.flows])
     mixture = MixtureConfig(mean_choices_kbps=(100.0, 300.0), cov_low=0.2, cov_low_prob=0.5,
                             cov_high=1.5)
     process = generate_model_driven(net, mixture, 4.5, 5)

@@ -9,7 +9,7 @@ import pytest
 from flowsamp import (Distribution, MixtureConfig, RateModel, RateProcess,
                       draw_flow_model, generate_model_driven, kbps_to_pps,
                       load_trace, sample_rates, save_trace)
-from flowsamp.trafficgen import TRACE_HEADER
+from flowsamp.trafficgen import PACKET_BYTES, TRACE_HEADER
 
 
 def truncated_normal_mean(mean, sigma):
@@ -65,10 +65,12 @@ def test_uniform_high_cov_clamped_and_flagged():
 
 
 def test_model_validation():
-    with pytest.raises(ValueError):
-        RateModel(Distribution.GAMMA, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        RateModel(Distribution.GAMMA, 10.0, -0.1)
+    # NaN would otherwise draw all-NaN series, and an infinite cov divide by zero
+    for mean, cov, field in [(0.0, 0.5, "mean_pps"), (math.nan, 1.0, "mean_pps"),
+                             (math.inf, 1.0, "mean_pps"), (10.0, -0.1, "cov"),
+                             (100.0, math.nan, "cov"), (100.0, math.inf, "cov")]:
+        with pytest.raises(ValueError, match=field):
+            RateModel(Distribution.GAMMA, mean, cov)
 
 
 def test_generation_deterministic(toy_network):
@@ -99,8 +101,9 @@ def test_flow_models_match_generated_series(toy_network):
 
 
 def test_kbps_conversion():
-    assert kbps_to_pps(200.0, 1000) == 200.0
-    assert kbps_to_pps(200.0, 500) == 400.0
+    assert PACKET_BYTES == 1000
+    assert kbps_to_pps(200.0) == 200.0
+    assert kbps_to_pps(3.0) == 3.0
 
 
 def test_rate_process_validation():
@@ -145,6 +148,18 @@ def test_trace_round_trip(tmp_path):
     again = load_trace(str(path), 1.0, 0.1)
     for fid in original.rates:
         assert np.allclose(again.series(fid)[:50], original.rates[fid])
+
+
+def test_trace_round_trip_keeps_far_bucket_starts(tmp_path):
+    # bucket 1,234,567 starts at 123,456,700 ms; six significant digits
+    # would write 1.23457e+08 and reload it as bucket 1,234,570
+    series = np.zeros(1_234_568)
+    series[1_234_567] = 5.0
+    path = tmp_path / "far.trace"
+    save_trace(RateProcess(0.1, len(series), {"f": series}), str(path))
+    again = load_trace(str(path), 1.0, 0.1)
+    assert again.n_buckets == len(series)
+    assert np.flatnonzero(again.rates["f"]).tolist() == [1_234_567]
 
 
 def test_trace_missing_entries_read_as_zero(tmp_path):
@@ -226,6 +241,17 @@ def test_make_trace_packet_on_bucket_boundary_opens_that_bucket(tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "200"]
     p = load_trace(str(tmp_path / "out.trace"), 1.0, 0.1)
     assert list(p.rates["a"]) == [10.0, 0.0, 10.0]
+
+
+def test_make_trace_keeps_far_bucket_starts(tmp_path):
+    # at 1 ms buckets a packet 1234.567 s after the first starts bucket
+    # 1,234,567, which six significant digits would write as 1.23457e+06
+    run = _make_trace(tmp_path, "0.0,a\n1234.567,a\n", "--bucket-ms", "1")
+    assert run.returncode == 0, run.stderr
+    lines = (tmp_path / "out.trace").read_text().splitlines()
+    assert lines[-1].split(",")[0] == "1234567"
+    p = load_trace(str(tmp_path / "out.trace"), 1.0, 0.001)
+    assert np.flatnonzero(p.rates["a"]).tolist() == [0, 1_234_567]
 
 
 @pytest.mark.parametrize("log,flags,match", [
