@@ -74,7 +74,7 @@ def main() -> int:
         counts = count_packets(args.input, args.bucket_ms)
         bucket_s = args.bucket_ms / 1000.0
         with open(args.output, "w") as out:
-            out.write("#dsamp-trace v1\n")
+            out.write(f"#dsamp-trace v1\n# bucket_ms={args.bucket_ms:.17g}\n")
             for (bucket, fid), n in sorted(counts.items()):
                 out.write(f"{bucket * args.bucket_ms:.17g},{fid},{n / bucket_s!r}\n")
     except (ValueError, OSError) as exc:

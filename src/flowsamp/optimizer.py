@@ -239,17 +239,19 @@ class _Instance:
     The search keeps, per switch s, first[s] (how many of its members sit at
     positions below the depth being bounded) and a cached term: how many of
     the remaining members fit in the residual capacity, cheapest first. The
-    term is valid for (first[s], used_g[s]) and is refreshed whenever either
-    changes: at an apply or a release on s, and, inline, when the bounded
-    depth moves across a flow whose path contains s. Only a child that
-    passes every prune test is applied (see _bb_solve); a pruned child's
-    term is computed aside and leaves the cache as it was. The depth moves
-    only when a frame with children left is visited, so it may lag the
-    search; the terms stay valid because every refresh reads the current
-    first[s] and used_g[s]. At the root (first[] all 0, nothing used) their
-    sum is one part of the root bound. The greedy pass that precedes the
-    search adds to used_g without a refresh and clears it again before the
-    search starts, so the search starts from the root's terms. rank[s] is
+    term is valid for (first[s], used_g[s]). A frame at depth d bounds its
+    children with first[] at d + 1: its first visit moves first[] down
+    across the flow at d, recomputing the terms of the switches on that
+    flow's path, and an apply on s recomputes s's term. Both record what
+    they change on an undo trail, and a return to the frame pops the trail
+    back, so first[] and the terms come back without being recomputed; only
+    a switch whose used_g[s] an apply and its release left a rounding away
+    from the value its term was computed at has that term computed again. A
+    pruned child's term is computed aside and leaves the cache as it was.
+    At the root (first[] all 0, nothing used) the terms' sum is one part of
+    the root bound. The greedy pass that precedes the search adds to used_g
+    without touching the terms and clears it again before the search
+    starts, so the search starts from the root's terms. rank[s] is
     switch s's position in switch id order, the tie-break among children
     of equal utilization."""
 
@@ -296,19 +298,28 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
     best_obj - admitted', admitted' counting the flows applied down to the
     child. Three upper bounds on that count are tested, cheapest first, and
     the first that is <= need prunes: (1) rem = n - d; (2) total, the sum of
-    the cached per-switch terms with first[] moved to d; (3) pooled, how
-    many of the cheapest remaining flows fit in the residual capacity
-    summed over all switches plus slack, an O(switches) sum. This is the
-    same decision as admitted' + min(rem, max(0, pooled), total) >
-    best_obj: every term is >= 0 and need >= 0 at the test (the incumbent
-    is updated first), so a pooled <= 0 prunes either way.
+    the per-switch terms with first[] at d; (3) pooled, how many of the
+    cheapest remaining flows fit in the residual capacity summed over all
+    switches plus slack. This is the same decision as admitted' + min(rem,
+    max(0, pooled), total) > best_obj: every term is >= 0 and need >= 0 at
+    the test (the incumbent is updated first), so a pooled <= 0 prunes
+    either way.
+
+    pooled > need is read from a running pool: each frame holds the residual
+    sum of its state, and a child's is its frame's with one switch's
+    residual changed, computed aside. It is within `margin` of the exact
+    sum (see the comment there), and the count is monotone in the pool, so
+    the pool minus margin passing, or plus margin failing, decides as the
+    exact sum would. Only a near call, between the two, sums the residuals
+    over all switches, reading an applied child's used_g[s] + g in place
+    and putting it back if it prunes. A non-finite pool or margin fails
+    both comparisons, so it always takes the exact sum.
 
     A child that applies the flow to switch s is tested before it is
     applied. Without it the terms give total_0, and since a term only falls
     as used_g[s] grows, total_0 <= need already prunes; otherwise total is
-    total_0 with s's term recomputed aside at used_g[s] + g (one bisect),
-    and pooled reads used_g[s] + g in place, put back if it prunes. Only a
-    child that passes all three is applied and pushed; a pruned child
+    total_0 with s's term recomputed aside at used_g[s] + g (one bisect).
+    Only a child that passes all three is applied and pushed; a pruned child
     leaves the state untouched. rem and total_0 do not depend on s, and the
     skip child must admit one more than an applied sibling, so if they
     prune one applied child that is not a new incumbent, they prune every
@@ -320,6 +331,17 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
     stop then reports the last multiple crossed, where the count one child
     at a time would have stopped. The search thus visits the same nodes in
     the same order as one that applies, bounds and releases every child.
+
+    Backtracking restores the terms from an undo trail (see _Instance). The
+    first visit of a frame at depth d moves first[] from d to d + 1; that
+    move and every apply push (s, first[s], term[s], used_g[s]) before they
+    change s, and a release only takes the flow's charge off used_g and
+    used_var. A return to the frame pops the trail to the height the frame
+    recorded and takes total from the frame. A restored term was computed
+    at the used_g[s] of its entry; an apply and its release can leave
+    used_g[s] a rounding away from that, and only such a switch's term is
+    computed again, at the used_g[s] it has now. Every term thus equals
+    what computing it afresh would give.
 
     The root bound is the same three bounds at depth 0 with nothing
     admitted, min(rem, total, pooled): no assignment admits more flows. A
@@ -351,14 +373,23 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
 
     g, var, sqrt = inst.g, inst.var, math.sqrt
     capacity, slack, on_path, rank = inst.capacity, inst.slack, inst.on_path, inst.rank
-    member_prefix, prefix = inst.member_prefix, inst.prefix
+    member_prefix, prefix, slack_total = inst.member_prefix, inst.prefix, inst.slack_total
     limit = [c + sl for c, sl in zip(capacity, slack)]
+    # The running pool starts as the root's exact sum and takes one rounded
+    # update per apply on the path to a frame (at most n). It does not see
+    # the rounding that an apply and its release can leave in used_g (at
+    # most node_limit of them). With unit roundoff u = 2**-53 and every
+    # residual, update and partial sum at most 2 * sum(limit) in size, each
+    # exact sum (the root's and the one compared) is off the real sum by at
+    # most 2u * n_switch * sum(limit), each update by 6u * sum(limit) and
+    # each round trip by 4u * sum(limit): in all, under
+    # 8u * (n + n_switch + node_limit) * sum(limit). margin is twice that.
+    margin = 2.0 ** -49 * (n + n_switch + node_limit) * sum(limit)
 
-    # Per-switch bound terms, see _Instance; `at` is the depth first[]
-    # describes and `total` the sum of the terms.
+    # Per-switch bound terms, see _Instance; `total` is their sum.
     n_members = [len(acc) - 1 for acc in member_prefix]
     first = [0] * n_switch
-    at = 0
+    trail = []
 
     def fit_count(s: int, used: float) -> int:
         """Switch s's term at first[s] if its used charge were `used`."""
@@ -371,28 +402,6 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
 
     term = [fit_count(s, 0.0) for s in range(n_switch)]
     total = sum(term)
-
-    def settle(depth: int) -> None:
-        """Move first[] to `depth`, refreshing the terms of the switches it
-        moves across. Most of the search's bisections happen here, so the
-        refresh is written out rather than calling fit_count."""
-        nonlocal at, total
-        if at < depth:
-            moved, step = range(at, depth), 1
-        else:
-            moved, step = range(at - 1, depth - 1, -1), -1
-        at = depth
-        for pos in moved:
-            for s in on_path[pos]:
-                j = first[s] = first[s] + step
-                resid = capacity[s] - used_g[s]
-                if j >= n_members[s] or resid < 0:
-                    t = 0
-                else:
-                    acc = member_prefix[s]
-                    t = bisect_right(acc, acc[j] + resid + slack[s], j) - 1 - j
-                total += t - term[s]
-                term[s] = t
 
     def fitting(depth: int) -> list[int]:
         """The switches on the path of the flow at `depth` that still fit it."""
@@ -412,19 +421,36 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
         kids.append(-1)  # leave the flow unsampled
         return kids
 
-    def pooled(depth: int) -> int:
-        """How many of the cheapest flows at positions >= depth fit in the
-        residual capacity summed over all switches."""
+    def residual_pool() -> float:
+        """The residual capacity summed over all switches."""
         pool = 0.0
         for c, u in zip(capacity, used_g):
             r = c - u
             if r > 0:
                 pool += r
+        return pool
+
+    def target(depth: int, pool: float) -> float:
         # Account for the per-switch feasibility slack so the relaxation
         # stays an upper bound for assignments admitted at the boundary.
-        target = prefix[depth] + pool + inst.slack_total + 1e-9 * (1.0 + pool)
-        return bisect_right(prefix, target, depth, n + 1) - 1 - depth
+        return prefix[depth] + pool + slack_total + 1e-9 * (1.0 + pool)
 
+    def pooled(depth: int) -> int:
+        """How many of the cheapest flows at positions >= depth fit in the
+        residual capacity summed over all switches."""
+        return bisect_right(prefix, target(depth, residual_pool()), depth, n + 1) - 1 - depth
+
+    def pool_admits(depth: int, need: int, pool: float) -> bool:
+        """pooled(depth) > need, given a running pool within margin of the
+        exact sum; depth + need < n."""
+        cheapest = prefix[depth + need + 1]
+        if cheapest <= target(depth, pool - margin):
+            return True
+        if cheapest > target(depth, pool + margin):
+            return False
+        return pooled(depth) > need
+
+    pool = residual_pool()
     root = min(n, total, pooled(0))
 
     # The greedy pass (see above); it stops at the node limit as the search
@@ -449,12 +475,13 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
         choice[:] = [-1] * n
         admitted = nodes = 0
         # Frames: [children (None until the frame's first visit), next
-        # index, switch applied on the edge into the frame (-1 if none)].
-        stack = [[None, 0, -1]]
+        # index, switch applied on the edge into the frame (-1 if none),
+        # running pool, trail height and total as the frame left them].
+        stack = [[None, 0, -1, pool, 0, 0]]
     deadline = t0 + config.time_limit
     while stack:
         frame = stack[-1]
-        kids, idx, edge = frame
+        kids, idx, edge, pool, height, saved = frame
         depth = len(stack) - 1
         if kids is not None and idx >= len(kids):
             stack.pop()
@@ -464,13 +491,40 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
                 used_var[edge] = max(0.0, used_var[edge] - var[pos])
                 choice[pos] = -1
                 admitted -= 1
-                t = fit_count(edge, used_g[edge])
-                total += t - term[edge]
-                term[edge] = t
             continue
         nd = depth + 1
-        if at != nd and nd < n:
-            settle(nd)
+        if kids is None:
+            if nd < n:
+                # Move first[] across the flow at `depth`. Most of the
+                # search's bisections happen here, so the refresh is
+                # written out rather than calling fit_count.
+                for s in on_path[depth]:
+                    j = first[s]
+                    u = used_g[s]
+                    trail.append((s, j, term[s], u))
+                    j = first[s] = j + 1
+                    resid = capacity[s] - u
+                    if j >= n_members[s] or resid < 0:
+                        t = 0
+                    else:
+                        acc = member_prefix[s]
+                        t = bisect_right(acc, acc[j] + resid + slack[s], j) - 1 - j
+                    total += t - term[s]
+                    term[s] = t
+            frame[4] = len(trail)
+            frame[5] = total
+        elif len(trail) > height:
+            undo = trail[height:]
+            del trail[height:]
+            for s, j, t, u in reversed(undo):
+                first[s] = j
+                term[s] = t
+            total = saved
+            for s in {s for s, j, t, u in undo if used_g[s] != u}:
+                t = fit_count(s, used_g[s])
+                total += t - term[s]
+                term[s] = t
+            frame[5] = total
         need = best_obj - admitted - 1   # an applied child must admit more than this below it
         if need >= 0 and (n - nd <= need or total <= need):
             # rem or total prunes every child left in the frame, the skip
@@ -493,8 +547,8 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
         s = kids[idx]
         if s < 0:
             need += 1
-            if n - nd > need and total > need and pooled(nd) > need:
-                stack.append([None, 0, -1])
+            if n - nd > need and total > need and pool_admits(nd, need, pool):
+                stack.append([None, 0, -1, pool, 0, 0])
             continue
         if need < 0:
             best_obj = admitted + 1
@@ -504,20 +558,24 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
                 break
             need = 0
         # s's term with the flow applied; first[] is at nd unless nd = n
-        t = fit_count(s, used_g[s] + g[depth])
+        u = used_g[s]
+        ug = u + g[depth]
+        t = fit_count(s, ug)
         if nd >= n or total - term[s] + t <= need:
             continue
-        u = used_g[s]
-        used_g[s] = u + g[depth]
-        if pooled(nd) <= need:
+        r, rg = capacity[s] - u, capacity[s] - ug
+        kid_pool = pool + ((rg if rg > 0 else 0.0) - (r if r > 0 else 0.0))
+        used_g[s] = ug
+        if not pool_admits(nd, need, kid_pool):
             used_g[s] = u
             continue
         used_var[s] += var[depth]
         choice[depth] = s
         admitted += 1
+        trail.append((s, first[s], term[s], u))
         total += t - term[s]
         term[s] = t
-        stack.append([None, 0, s])
+        stack.append([None, 0, s, kid_pool, 0, 0])
 
     assignment = {
         inst.flow_ids[pos]: inst.switch_ids[s]

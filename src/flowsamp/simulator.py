@@ -371,7 +371,7 @@ class MetricSummary:
     rate_quartiles: tuple[float, float, float] | None  # over ever-admitted flows
     violation_fraction: float
     per_switch_violation: dict[str, float]
-    mean_solver_wall_time: float
+    mean_solver_wall_time: float       # not serialized
     measured_rates: tuple[float, ...]  # of ever-admitted flows by flow id; not serialized
 
     def to_json_dict(self) -> dict:
@@ -382,7 +382,6 @@ class MetricSummary:
             "rate_quartiles": list(self.rate_quartiles) if self.rate_quartiles else None,
             "violation_fraction": self.violation_fraction,
             "per_switch_violation": self.per_switch_violation,
-            "mean_solver_wall_time_s": self.mean_solver_wall_time,
         }
 
 
@@ -425,7 +424,6 @@ def write_summary_json(report: SimReport, path: str) -> None:
     Wall-clock timings are excluded for that reason; they live in the
     compare tables and on stdout."""
     doc = measure_metrics(report).to_json_dict()
-    doc.pop("mean_solver_wall_time_s", None)
     doc["n_epochs"] = report.n_epochs
     doc["epoch_length_s"] = report.epoch_length
     doc["solves"] = [{k: v for k, v in s.items() if k != "wall_time_s"}

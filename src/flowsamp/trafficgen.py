@@ -24,6 +24,7 @@ import numpy as np
 from .model import Network
 
 TRACE_HEADER = "#dsamp-trace v1"
+BUCKET_LINE = "# bucket_ms="  # a writer's record of the bucket, checked on load
 UPDATE_INTERVAL = 0.1   # seconds between synthetic rate redraws: one bucket
 PACKET_BYTES = 1000     # the fixed packet size that turns byte rates into packet rates
 _T_DOF = 5  # fixed degrees of freedom for the location-scale t model
@@ -171,9 +172,9 @@ def generate_model_driven(network: Network, config: MixtureConfig, horizon: floa
 
 
 # ---------------------------------------------------------------------------
-# Trace files (see docs/formats.md): a version header line, then
-# "bucket_start_ms,flow_id,rate_pps" rows. Missing (flow, bucket) pairs read
-# as rate 0.
+# Trace files (see docs/formats.md): a version header line, a
+# "# bucket_ms=<ms>" line, then "bucket_start_ms,flow_id,rate_pps" rows.
+# Missing (flow, bucket) pairs read as rate 0.
 # ---------------------------------------------------------------------------
 
 def load_trace(path: str, scale_divisor: float, bucket: float,
@@ -182,7 +183,7 @@ def load_trace(path: str, scale_divisor: float, bucket: float,
 
     Scaling preserves each flow's coefficient of variation. Flow ids not in
     ``known_flows`` are rejected; with ``known_flows=None`` any flow id is
-    accepted.
+    accepted. A trace that records its bucket is refused at any other one.
     """
     for name, value in (("scale_divisor", scale_divisor), ("bucket", bucket)):
         if not (math.isfinite(value) and value > 0):
@@ -196,6 +197,15 @@ def load_trace(path: str, scale_divisor: float, bucket: float,
             raise ValueError(f"{path}:1: expected header {TRACE_HEADER!r}")
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
+            if line.startswith(BUCKET_LINE):
+                written = line[len(BUCKET_LINE):]
+                try:
+                    written_ms = float(written)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: malformed bucket_ms {written!r}") from None
+                if not math.isclose(written_ms, bucket_ms, rel_tol=1e-9):
+                    raise ValueError(f"{path}:{lineno}: trace written on the {written_ms:g} ms "
+                                     f"grid, read at bucket {bucket:g} s")
             if not line or line.startswith("#"):
                 continue
             parts = [p.strip() for p in line.split(",")]
@@ -239,10 +249,11 @@ def load_trace(path: str, scale_divisor: float, bucket: float,
 
 def save_trace(process: RateProcess, path: str) -> None:
     """Write a rate process in the trace format (zero rates are implicit).
-    Bucket starts keep 17 significant digits, so each reloads exactly."""
+    The bucket and the bucket starts keep 17 significant digits, so each
+    reloads exactly."""
     bucket_ms = process.bucket * 1000.0
     with open(path, "w") as fh:
-        fh.write(TRACE_HEADER + "\n")
+        fh.write(f"{TRACE_HEADER}\n{BUCKET_LINE}{bucket_ms:.17g}\n")
         for fid in sorted(process.rates):
             series = process.rates[fid]
             for idx in np.nonzero(series)[0]:

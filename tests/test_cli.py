@@ -17,7 +17,7 @@ from flowsamp.cli import (_COMPARED, _RUNS, CliError, _params, compare_algorithm
 from flowsamp.instances import (ScenarioBundle, epoch_sweep_scenario, model_driven_scenario,
                                 sensitivity_scenario, trace_driven_scenario, two_switch_toy)
 from flowsamp.optimizer import load_solve_result
-from flowsamp.trafficgen import TRACE_HEADER, Distribution, load_trace
+from flowsamp.trafficgen import TRACE_HEADER, Distribution, load_trace, save_trace
 
 from conftest import partly_admitted_bundle
 
@@ -217,6 +217,22 @@ def test_simulate_net_and_trace_counts_whole_epochs_in_buckets(tmp_path, capsys)
                  "--epoch-len", "0.1", "--out-dir", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary_seed0.json").read_text())
     assert summary["n_epochs"] == 10
+
+
+def test_simulate_rejects_a_bucket_finer_than_the_trace(tmp_path, capsys):
+    net_path = tmp_path / "net.json"
+    save_network(build_network([SwitchSpec("s", 1e6)],
+                               [FlowSpec("f", "a", "b", ("s",), 0.1, 300.0, 0.0)]),
+                 str(net_path))
+    trace_path = tmp_path / "t.trace"
+    save_trace(RateProcess(0.1, 10, {"f": np.full(10, 300.0)}), str(trace_path))
+    argv = ["simulate", "--net", str(net_path), "--trace", str(trace_path),
+            "--epoch-len", "0.1", "--out-dir", str(tmp_path)]
+    assert main(argv + ["--bucket", "0.05"]) == 2
+    err = capsys.readouterr().err
+    assert "100 ms grid, read at bucket 0.05 s" in err and "Traceback" not in err
+    assert not (tmp_path / "summary_seed0.json").exists()
+    assert main(argv + ["--bucket", "0.1"]) == 0
 
 
 @pytest.mark.parametrize("epoch_length,n_epochs", [(0.1, 10), (0.2, 5)])

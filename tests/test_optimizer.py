@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import types
 import warnings
 
@@ -390,6 +391,94 @@ def test_search_fingerprint_pooled_bound():
         (9, True, 609, "9c920666dd314176")
 
 
+def _tight_instance(rng):
+    """2-8 switches of capacity 5-60 and 10-40 flows on paths of 1-4 of them:
+    too little capacity for most flows, so the search prunes on every bound."""
+    ns, nf = int(rng.integers(2, 9)), int(rng.integers(10, 41))
+    switches = [SwitchSpec(f"s{i}", float(rng.uniform(5, 60))) for i in range(ns)]
+    flows = [FlowSpec(f"f{j}", "a", "b",
+                      tuple(f"s{i}" for i in rng.choice(ns, int(rng.integers(1, min(4, ns) + 1)),
+                                                        replace=False)),
+                      float(rng.uniform(0.05, 0.5)), float(rng.uniform(5, 100)),
+                      float(rng.uniform(0, 1500)))
+             for j in range(nf)]
+    return build_network(switches, flows)
+
+
+def test_search_digest_tight_capacity():
+    # One digest over (objective, optimal, nodes, bound, sorted assignment)
+    # of 200 tight instances under all five formulations at node limits of
+    # 50-1,499: 652 solves end proven and 348 at their limit. It pins the
+    # search where the pooled bound and the per-switch terms decide, so a
+    # change to how either is computed must leave every node as it was.
+    rows = []
+    for seed in range(200):
+        rng = np.random.default_rng([seed, 16])
+        net = _tight_instance(rng)
+        delta = float(rng.uniform(0.01, 0.5))
+        node_limit = int(rng.integers(50, 1500))
+        for form in Formulation:
+            r = solve(net, SolverConfig(form, delta=delta, epsilon_pps=20.0,
+                                        node_limit=node_limit))
+            rows.append([r.objective, r.optimal, r.nodes_explored, r.bound,
+                         sorted(r.allocation.assignment.items())])
+    assert sum(r[1] for r in rows) == 652
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == "007da0e6b066d3a1"
+
+
+def test_pooled_bound_reads_as_the_exact_sum():
+    # The pooled test reads a running pool, and sums the residuals over all
+    # switches only when that pool is within a margin of the boundary. The
+    # margin grows with the node limit; at 10**18 it exceeds every pool, so
+    # every test takes the exact sum, and the search must not change.
+    r = solve(_pooled_instance(), SolverConfig(Formulation.DS, delta=0.2, node_limit=10**18))
+    assert _fingerprint(r.objective, r.optimal, r.nodes_explored,
+                        r.allocation.assignment.items()) == \
+        (9, True, 609, "9c920666dd314176")
+    # Capacities that sum to inf make the pool and the margin non-finite,
+    # which must also take the exact sum.
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        net = random_instance(rng, max_switches=3, max_flows=6)
+        huge = [dataclasses.replace(sw, capacity_pps=1e308) for sw in net.switches[:2]]
+        net = build_network(huge + list(net.switches[2:]), net.flows)
+        for form in Formulation:
+            cfg = SolverConfig(form, delta=0.2, epsilon_pps=20.0)
+            r = solve(net, cfg)
+            assert r.optimal and r.objective == brute_force_optimal(net, cfg).objective
+
+
+def test_running_pool_stays_well_inside_its_margin():
+    # Watch every pooled test of the tight searches: the running pool it is
+    # given must lie within margin / 64 of the residual sum of the state it
+    # tests, summed afresh. The pool does drift (most tests see a nonzero
+    # gap, so a zero margin fails here); the largest gap is about 0.002 of
+    # the margin.
+    seen = []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "pool_admits":
+            search = frame.f_back.f_locals
+            seen.append((abs(frame.f_locals["pool"] - search["residual_pool"]()),
+                         search["margin"]))
+
+    previous = sys.gettrace()
+    sys.settrace(watch)
+    try:
+        for seed in range(50):
+            rng = np.random.default_rng([seed, 16])
+            net = _tight_instance(rng)
+            delta = float(rng.uniform(0.01, 0.5))
+            node_limit = int(rng.integers(50, 1500))
+            for form in Formulation:
+                solve(net, SolverConfig(form, delta=delta, epsilon_pps=20.0,
+                                        node_limit=node_limit))
+    finally:
+        sys.settrace(previous)
+    assert len(seen) > 10_000 and sum(gap > 0 for gap, _ in seen) > len(seen) // 2
+    assert all(gap <= margin / 64 for gap, margin in seen)
+
+
 def test_search_stops_at_root_bound():
     # The greedy pass admits 32 of these 50 flows against a root bound of 33,
     # so the search runs; it stops at its first incumbent of 33 instead of
@@ -447,13 +536,15 @@ def test_time_limit_stops_the_search(monkeypatch):
 
 
 def test_prune_work_on_cone_instance(monkeypatch):
-    # Every per-switch term refresh, every test of a child's own term and
-    # every pooled test bisects once. The rem test decides nothing the
-    # pooled test would not (pooled <= rem), so only this count shows that
-    # it prunes first, before a child's term or the pooled bound is
-    # computed: without it the cone search takes 11,686 bisections. Under DS
+    # Every per-switch term computed as first[] moves down or recomputed
+    # after a drifted release, and every test of a child's own term,
+    # bisects once; a pooled test bisects only when the running pool is too
+    # near the boundary to decide, which never happens here. The rem test
+    # decides nothing the pooled test would not (pooled <= rem), so only
+    # this count shows that it prunes first, before a child's term is
+    # computed: without it the cone search takes 4,636 bisections. Under DS
     # the greedy pass meets the root bound, so the solve bisects only for
-    # the root bound: 11 per-switch terms and one pooled test (195 if the
+    # the root bound: 11 per-switch terms and one pooled count (164 if the
     # search's own first dive found the same incumbent).
     calls = 0
 
@@ -465,7 +556,7 @@ def test_prune_work_on_cone_instance(monkeypatch):
     monkeypatch.setattr(optimizer, "bisect_right", counting)
     net = runtime_comparison_network(7)
     r = solve(net, SolverConfig(Formulation.EXACT, delta=0.2, node_limit=2_000))
-    assert (r.objective, r.nodes_explored, calls) == (22, 2_000, 11_596)
+    assert (r.objective, r.nodes_explored, calls) == (22, 2_000, 4_453)
     calls = 0
     r = solve(net, SolverConfig(Formulation.DS, delta=0.2))
     assert (r.objective, r.optimal, r.nodes_explored, calls) == (33, True, 37, 12)

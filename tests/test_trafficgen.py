@@ -9,7 +9,7 @@ import pytest
 from flowsamp import (Distribution, MixtureConfig, RateModel, RateProcess,
                       draw_flow_model, generate_model_driven, kbps_to_pps,
                       load_trace, sample_rates, save_trace)
-from flowsamp.trafficgen import PACKET_BYTES, TRACE_HEADER
+from flowsamp.trafficgen import BUCKET_LINE, PACKET_BYTES, TRACE_HEADER
 
 
 def truncated_normal_mean(mean, sigma):
@@ -169,6 +169,26 @@ def test_trace_missing_entries_read_as_zero(tmp_path):
     assert list(p.rates["f"]) == [10.0, 0.0, 0.0, 40.0]
 
 
+def test_trace_is_refused_at_a_bucket_other_than_its_own(tmp_path):
+    # read at 0.05 s, this 100 ms trace would load as 19 buckets with a zero
+    # between every two of its rates
+    path = tmp_path / "coarse.trace"
+    save_trace(RateProcess(0.1, 10, {"f": np.full(10, 300.0)}), str(path))
+    assert path.read_text().splitlines()[1] == f"{BUCKET_LINE}100"
+    assert load_trace(str(path), 1.0, 0.1).n_buckets == 10
+    for bucket in (0.05, 0.2):
+        with pytest.raises(ValueError, match=rf":2: trace written on the 100 ms grid, "
+                                             rf"read at bucket {bucket} s"):
+            load_trace(str(path), 1.0, bucket)
+
+
+def test_trace_round_trip_of_a_flow_silent_in_every_odd_bucket(tmp_path):
+    # its starts all sit on a 200 ms grid, yet it loads at its own 100 ms
+    path = tmp_path / "sparse.trace"
+    save_trace(RateProcess(0.1, 5, {"f": np.array([5.0, 0.0, 7.0, 0.0, 9.0])}), str(path))
+    assert list(load_trace(str(path), 1.0, 0.1).rates["f"]) == [5.0, 0.0, 7.0, 0.0, 9.0]
+
+
 def test_empty_trace(tmp_path):
     path = tmp_path / "empty.trace"
     path.write_text(f"{TRACE_HEADER}\n")
@@ -183,6 +203,7 @@ def test_empty_trace(tmp_path):
     (f"{TRACE_HEADER}\n0,f,-5\n", "negative"),
     (f"{TRACE_HEADER}\n55,f,5\n", "grid"),
     (f"{TRACE_HEADER}\n0,f,5\n0,f,6\n", "duplicate"),
+    (f"{TRACE_HEADER}\n{BUCKET_LINE}abc\n0,f,5\n", ":2: malformed bucket_ms 'abc'"),
     (f"{TRACE_HEADER}\n0,f,nan\n", ":2: rate_pps"),
     (f"{TRACE_HEADER}\n0,f,5\n100,f,inf\n", ":3: rate_pps"),
     (f"{TRACE_HEADER}\nnan,f,5\n", ":2: bucket_start_ms"),
@@ -238,9 +259,12 @@ def test_make_trace_packet_on_bucket_boundary_opens_that_bucket(tmp_path):
     run = _make_trace(tmp_path, "10.0,a\n10.2,a\n", "--bucket-ms", "100")
     assert run.returncode == 0, run.stderr
     lines = (tmp_path / "out.trace").read_text().splitlines()
-    assert [line.split(",")[0] for line in lines[1:]] == ["0", "200"]
+    assert lines[1] == f"{BUCKET_LINE}100"
+    assert [line.split(",")[0] for line in lines[2:]] == ["0", "200"]
     p = load_trace(str(tmp_path / "out.trace"), 1.0, 0.1)
     assert list(p.rates["a"]) == [10.0, 0.0, 10.0]
+    with pytest.raises(ValueError, match="100 ms grid, read at bucket 0.05 s"):
+        load_trace(str(tmp_path / "out.trace"), 1.0, 0.05)
 
 
 def test_make_trace_keeps_far_bucket_starts(tmp_path):
