@@ -136,6 +136,7 @@ def _table(header: list[str], rows: list[list], path: str | None = None) -> None
     for line in lines:
         print("  ".join(c.rjust(w) for c, w in zip(line, widths)))
     if path:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w") as fh:
             fh.write("".join(",".join(line) + "\n" for line in lines))
 
@@ -178,11 +179,18 @@ def _run_distribution_sensitivity(args, out_dir: str) -> int:
     return 0
 
 
+def _seed(name: str, value) -> int:
+    """``value`` if it is an integer >= 0, as numpy's generators need."""
+    if _typed(name, value, int) < 0:
+        raise CliError(f"{name} must be >= 0, got {value}")
+    return value
+
+
 def _seeds(args, default) -> list[int]:
     """The run's 'seeds', or ``default`` when none were given."""
     if args.seeds == []:
         raise CliError("'seeds' must list at least one seed")
-    seeds = [_typed("'seeds' entry", s, int) for s in args.seeds or default]
+    seeds = [_seed("'seeds' entry", s) for s in args.seeds or default]
     repeated = _repeated(seeds)
     if repeated is not None:
         raise CliError(f"'seeds' lists seed {repeated} more than once")
@@ -281,12 +289,12 @@ def cmd_simulate(args) -> int:
     if not (args.preset or args.net and isinstance(args.trace, str)):
         raise CliError("simulate needs --preset, or --net and --trace (a file path)")
     run = _run(args)
-    out_dir = args.out_dir or "out"
-    os.makedirs(out_dir, exist_ok=True)
+    seed = _seed("'seed'", args.seed or 0)
+    out_dir = args.out_dir or "out"     # made only once there is something to write
     if run.table:
         return run.table(args, out_dir)
-    seed = args.seed or 0
     report = _simulate(run.bundles(args)(seed), seed)
+    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"flow_epochs_seed{seed}.csv")
     json_path = os.path.join(out_dir, f"summary_seed{seed}.json")
     write_flow_epochs_csv(report, csv_path)
@@ -307,7 +315,7 @@ def compare_algorithms(bundle_builder, algorithms: list[str], seeds: list[int]):
     Two tokens that parse to one (formulation, epsilon) are refused.
     """
     if len(algorithms) < 2:
-        raise CliError("compare needs at least two algorithms")
+        raise CliError("'algorithms' must list at least two algorithms")
     bundles = [bundle_builder(seed) for seed in seeds]
     seen = {}
     for token in algorithms:
@@ -344,7 +352,8 @@ def cmd_compare(args) -> int:
     if not args.preset:
         raise CliError(f"compare needs --preset {' or '.join(_COMPARED)}")
     algorithms = [_typed("'algorithms' entry", a, str)
-                  for a in args.algorithms or DEFAULT_COMPARE_ALGOS]
+                  for a in (DEFAULT_COMPARE_ALGOS if args.algorithms is None
+                            else args.algorithms)]
     seeds = _seeds(args, [1, 2, 3, 4, 5])
     results = compare_algorithms(_run(args).bundles(args), algorithms, seeds)
     header = ["algorithm", "admitted", "fully_sampled", "rate_q1", "rate_median",

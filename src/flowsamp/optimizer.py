@@ -21,9 +21,9 @@ of the linearized integer program are functionally determined by the
 assignment variables, searching assignments directly is equivalent to
 solving that program.
 
-All capacity checks allow a relative feasibility slack (default 1e-6, the
-usual MIP convention) so instances specified at published, rounded
-capacities behave as intended at the boundary.
+All capacity checks allow a slack of FEAS_TOL * max(1, capacity) (FEAS_TOL
+is 1e-6, the usual MIP convention) so instances specified at published,
+rounded capacities behave as intended at the boundary.
 """
 
 from __future__ import annotations
@@ -227,71 +227,18 @@ def squared_form_feasible(network: Network, alloc: Allocation, delta: float) -> 
 # Branch and bound
 # ---------------------------------------------------------------------------
 
-class _Instance:
-    """Search-ready arrays for one solve. Every flow is charged (g, var) =
-    flow_charge(flow, config) against a switch's capacity, summed per switch
-    as sum(g) + z*sqrt(sum(var)). Flows are ordered by ascending g (flow id
-    breaking ties), with per-switch membership in that order and prefix sums
-    of g for the fractional-relaxation bounds; g is a floor on what a flow
-    adds to any switch's load. Every number is a plain float, so the search
-    does no numpy-scalar arithmetic (the values are the same either way).
-
-    The search keeps, per switch s, first[s] (how many of its members sit at
-    positions below the depth being bounded) and a cached term: how many of
-    the remaining members fit in the residual capacity, cheapest first. The
-    term is valid for (first[s], used_g[s]). A frame at depth d bounds its
-    children with first[] at d + 1: its first visit moves first[] down
-    across the flow at d, recomputing the terms of the switches on that
-    flow's path, and an apply on s recomputes s's term. Both record what
-    they change on an undo trail, and a return to the frame pops the trail
-    back, so first[] and the terms come back without being recomputed; only
-    a switch whose used_g[s] an apply and its release left a rounding away
-    from the value its term was computed at has that term computed again. A
-    pruned child's term is computed aside and leaves the cache as it was.
-    At the root (first[] all 0, nothing used) the terms' sum is one part of
-    the root bound. The greedy pass that precedes the search adds to used_g
-    without touching the terms and clears it again before the search
-    starts, so the search starts from the root's terms. rank[s] is
-    switch s's position in switch id order, the tie-break among children
-    of equal utilization."""
-
-    def __init__(self, network: Network, config: SolverConfig):
-        self.z = float(normal_quantile(config.delta))
-        flows = network.flows
-        n = len(flows)
-        charges = [flow_charge(f, config) for f in flows]
-        order = sorted(range(n), key=lambda i: (charges[i][0], flows[i].id))
-        self.flow_ids = [flows[i].id for i in order]
-        self.g = [float(charges[i][0]) for i in order]
-        self.var = [float(charges[i][1]) for i in order]
-        self.prefix = [0.0] * (n + 1)
-        for k in range(n):
-            self.prefix[k + 1] = self.prefix[k] + self.g[k]
-
-        switches = network.switches
-        self.switch_ids = [s.id for s in switches]
-        by_id = {sid: r for r, sid in enumerate(sorted(self.switch_ids))}
-        self.rank = [by_id[sid] for sid in self.switch_ids]   # position in id order
-        self.capacity = [float(s.capacity_pps) for s in switches]
-        self.slack = [_slack(c) for c in self.capacity]
-        self.slack_total = sum(self.slack)
-        sidx = {s.id: k for k, s in enumerate(switches)}
-        self.on_path = [[sidx[sid] for sid in flows[i].path] for i in order]
-        # Per-switch prefix sums of g over the switch's members in search
-        # order; g is ascending in that order, so they give "k cheapest
-        # remaining on this switch".
-        self.member_prefix = [[0.0] for _ in switches]
-        for pos in range(n):
-            for s in self.on_path[pos]:
-                acc = self.member_prefix[s]
-                acc.append(acc[-1] + self.g[pos])
-        self.n = n
-
-
 def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
-    """Depth-first branch and bound over the flows in _Instance order: each
-    flow goes to one of the switches on its path that still fit it, least
-    utilized first, or is left unsampled last.
+    """Depth-first branch and bound: each flow goes to one of the switches
+    on its path that still fit it, least utilized first (ties in switch id
+    order), or is left unsampled last.
+
+    Every flow is charged (g, var) = flow_charge(flow, config) against a
+    switch's capacity, summed per switch as sum(g) + z*sqrt(sum(var)).
+    Flows are searched in ascending g (flow id breaking ties); per-switch
+    membership is kept in that order, with prefix sums of g for the
+    fractional-relaxation bounds, g being a floor on what a flow adds to
+    any switch's load. Every number is a plain float, so the search does no
+    numpy-scalar arithmetic (the values are the same either way).
 
     A child at depth d decides the flow at position d - 1 and is pruned
     unless the flows at positions >= d may still admit more than need =
@@ -305,15 +252,20 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
     the test (the incumbent is updated first), so a pooled <= 0 prunes
     either way.
 
+    The per-switch terms: the search keeps, per switch s, first[s] (how
+    many of its members sit at positions below the depth being bounded)
+    and term[s], how many of the remaining members fit in the residual
+    capacity, cheapest first, for (first[s], used_g[s]). A frame at depth d
+    bounds its children with first[] at d + 1: its first visit moves
+    first[] across the flow at d, recomputing the terms of the switches on
+    that flow's path.
+
     pooled > need is read from a running pool: each frame holds the residual
     sum of its state, and a child's is its frame's with one switch's
-    residual changed, computed aside. It is within `margin` of the exact
-    sum (see the comment there), and the count is monotone in the pool, so
-    the pool minus margin passing, or plus margin failing, decides as the
-    exact sum would. Only a near call, between the two, sums the residuals
-    over all switches, reading an applied child's used_g[s] + g in place
-    and putting it back if it prunes. A non-finite pool or margin fails
-    both comparisons, so it always takes the exact sum.
+    residual changed. The pool is within `margin` of the residuals summed
+    afresh (see the comment there) and the count only grows with the pool,
+    so the test counts at the pool plus margin. It may keep a child that
+    the fresh sum would prune, never the reverse.
 
     A child that applies the flow to switch s is tested before it is
     applied. Without it the terms give total_0, and since a term only falls
@@ -332,16 +284,15 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
     at a time would have stopped. The search thus visits the same nodes in
     the same order as one that applies, bounds and releases every child.
 
-    Backtracking restores the terms from an undo trail (see _Instance). The
-    first visit of a frame at depth d moves first[] from d to d + 1; that
-    move and every apply push (s, first[s], term[s], used_g[s]) before they
-    change s, and a release only takes the flow's charge off used_g and
-    used_var. A return to the frame pops the trail to the height the frame
-    recorded and takes total from the frame. A restored term was computed
-    at the used_g[s] of its entry; an apply and its release can leave
-    used_g[s] a rounding away from that, and only such a switch's term is
-    computed again, at the used_g[s] it has now. Every term thus equals
-    what computing it afresh would give.
+    Backtracking restores the state from an undo trail, with no arithmetic.
+    A frame's first visit (the move of first[]) and every apply push
+    (s, first[s], term[s], used_g[s], used_var[s]) before they change s. A
+    return to the frame pops the trail to the height the frame recorded,
+    writing each entry back, and takes total from the frame; releasing a
+    flow only clears its choice and the admitted count. used_g[s] and
+    used_var[s] are thus always the charges of the flows applied on the
+    path, added in path order, and every term equals what computing it
+    afresh would give.
 
     The root bound is the same three bounds at depth 0 with nothing
     admitted, min(rem, total, pooled): no assignment admits more flows. A
@@ -357,10 +308,38 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
     root bound. Either way optimal=True means proven: by the root bound or
     by exhausting the tree."""
     t0 = time.perf_counter()
-    inst = _Instance(network, config)
-    n = inst.n
-    n_switch = len(inst.capacity)
-    z = inst.z
+    z = float(normal_quantile(config.delta))
+    sqrt = math.sqrt
+    flows = network.flows
+    n = len(flows)
+    charges = [flow_charge(f, config) for f in flows]
+    order = sorted(range(n), key=lambda i: (charges[i][0], flows[i].id))
+    g = [float(charges[i][0]) for i in order]
+    var = [float(charges[i][1]) for i in order]
+    prefix = [0.0] * (n + 1)
+    for k in range(n):
+        prefix[k + 1] = prefix[k] + g[k]
+
+    switch_ids = [s.id for s in network.switches]
+    n_switch = len(switch_ids)
+    by_id = {sid: r for r, sid in enumerate(sorted(switch_ids))}
+    rank = [by_id[sid] for sid in switch_ids]   # position in switch id order
+    capacity = [float(s.capacity_pps) for s in network.switches]
+    slack = [_slack(c) for c in capacity]
+    slack_total = sum(slack)
+    limit = [c + sl for c, sl in zip(capacity, slack)]
+    sidx = {sid: k for k, sid in enumerate(switch_ids)}
+    on_path = [[sidx[sid] for sid in flows[i].path] for i in order]
+    # Per-switch prefix sums of g over the switch's members in search
+    # order; g is ascending in that order, so they give "k cheapest
+    # remaining on this switch".
+    member_prefix = [[0.0] for _ in range(n_switch)]
+    for pos in range(n):
+        for s in on_path[pos]:
+            acc = member_prefix[s]
+            acc.append(acc[-1] + g[pos])
+    n_members = [len(acc) - 1 for acc in member_prefix]
+
     used_g = [0.0] * n_switch
     used_var = [0.0] * n_switch
     choice = [-1] * n
@@ -370,24 +349,16 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
     nodes = 0
     node_limit = config.node_limit
     limit_hit = False
+    # The running pool starts as the root's residual sum and takes one
+    # rounded update per apply on the path to a frame (at most n). With
+    # unit roundoff u = 2**-53 and every residual, update and partial sum
+    # at most 2 * sum(limit) in size, a residual sum over all switches (the
+    # root's, or one summed afresh) is off the real sum by at most
+    # 2u * n_switch * sum(limit) and each update by 6u * sum(limit): the
+    # pool is off a fresh sum by under 8u * (n + n_switch) * sum(limit).
+    # margin is twice that.
+    margin = 2.0 ** -49 * (n + n_switch) * sum(limit)
 
-    g, var, sqrt = inst.g, inst.var, math.sqrt
-    capacity, slack, on_path, rank = inst.capacity, inst.slack, inst.on_path, inst.rank
-    member_prefix, prefix, slack_total = inst.member_prefix, inst.prefix, inst.slack_total
-    limit = [c + sl for c, sl in zip(capacity, slack)]
-    # The running pool starts as the root's exact sum and takes one rounded
-    # update per apply on the path to a frame (at most n). It does not see
-    # the rounding that an apply and its release can leave in used_g (at
-    # most node_limit of them). With unit roundoff u = 2**-53 and every
-    # residual, update and partial sum at most 2 * sum(limit) in size, each
-    # exact sum (the root's and the one compared) is off the real sum by at
-    # most 2u * n_switch * sum(limit), each update by 6u * sum(limit) and
-    # each round trip by 4u * sum(limit): in all, under
-    # 8u * (n + n_switch + node_limit) * sum(limit). margin is twice that.
-    margin = 2.0 ** -49 * (n + n_switch + node_limit) * sum(limit)
-
-    # Per-switch bound terms, see _Instance; `total` is their sum.
-    n_members = [len(acc) - 1 for acc in member_prefix]
     first = [0] * n_switch
     trail = []
 
@@ -421,37 +392,18 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
         kids.append(-1)  # leave the flow unsampled
         return kids
 
-    def residual_pool() -> float:
-        """The residual capacity summed over all switches."""
-        pool = 0.0
-        for c, u in zip(capacity, used_g):
-            r = c - u
-            if r > 0:
-                pool += r
-        return pool
-
     def target(depth: int, pool: float) -> float:
         # Account for the per-switch feasibility slack so the relaxation
         # stays an upper bound for assignments admitted at the boundary.
         return prefix[depth] + pool + slack_total + 1e-9 * (1.0 + pool)
 
-    def pooled(depth: int) -> int:
-        """How many of the cheapest flows at positions >= depth fit in the
-        residual capacity summed over all switches."""
-        return bisect_right(prefix, target(depth, residual_pool()), depth, n + 1) - 1 - depth
-
     def pool_admits(depth: int, need: int, pool: float) -> bool:
-        """pooled(depth) > need, given a running pool within margin of the
-        exact sum; depth + need < n."""
-        cheapest = prefix[depth + need + 1]
-        if cheapest <= target(depth, pool - margin):
-            return True
-        if cheapest > target(depth, pool + margin):
-            return False
-        return pooled(depth) > need
+        """pooled > need at `depth`, counted at a running pool plus margin;
+        depth + need < n."""
+        return prefix[depth + need + 1] <= target(depth, pool + margin)
 
-    pool = residual_pool()
-    root = min(n, total, pooled(0))
+    pool = sum(capacity)    # the root's residual sum; every capacity is >= 0
+    root = min(n, total, bisect_right(prefix, target(0, pool), 0, n + 1) - 1)
 
     # The greedy pass (see above); it stops at the node limit as the search
     # does, before an apply.
@@ -475,21 +427,18 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
         choice[:] = [-1] * n
         admitted = nodes = 0
         # Frames: [children (None until the frame's first visit), next
-        # index, switch applied on the edge into the frame (-1 if none),
-        # running pool, trail height and total as the frame left them].
-        stack = [[None, 0, -1, pool, 0, 0]]
+        # index, running pool, trail height and total as the frame left
+        # them].
+        stack = [[None, 0, pool, 0, 0]]
     deadline = t0 + config.time_limit
     while stack:
         frame = stack[-1]
-        kids, idx, edge, pool, height, saved = frame
+        kids, idx, pool, height, saved = frame
         depth = len(stack) - 1
         if kids is not None and idx >= len(kids):
             stack.pop()
-            if edge >= 0:
-                pos = depth - 1
-                used_g[edge] -= g[pos]
-                used_var[edge] = max(0.0, used_var[edge] - var[pos])
-                choice[pos] = -1
+            if depth and choice[depth - 1] >= 0:
+                choice[depth - 1] = -1
                 admitted -= 1
             continue
         nd = depth + 1
@@ -501,7 +450,7 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
                 for s in on_path[depth]:
                     j = first[s]
                     u = used_g[s]
-                    trail.append((s, j, term[s], u))
+                    trail.append((s, j, term[s], u, used_var[s]))
                     j = first[s] = j + 1
                     resid = capacity[s] - u
                     if j >= n_members[s] or resid < 0:
@@ -511,20 +460,13 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
                         t = bisect_right(acc, acc[j] + resid + slack[s], j) - 1 - j
                     total += t - term[s]
                     term[s] = t
-            frame[4] = len(trail)
-            frame[5] = total
+            frame[3] = len(trail)
+            frame[4] = total
         elif len(trail) > height:
-            undo = trail[height:]
+            for s, j, t, u, v in reversed(trail[height:]):
+                first[s], term[s], used_g[s], used_var[s] = j, t, u, v
             del trail[height:]
-            for s, j, t, u in reversed(undo):
-                first[s] = j
-                term[s] = t
             total = saved
-            for s in {s for s, j, t, u in undo if used_g[s] != u}:
-                t = fit_count(s, used_g[s])
-                total += t - term[s]
-                term[s] = t
-            frame[5] = total
         need = best_obj - admitted - 1   # an applied child must admit more than this below it
         if need >= 0 and (n - nd <= need or total <= need):
             # rem or total prunes every child left in the frame, the skip
@@ -548,7 +490,7 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
         if s < 0:
             need += 1
             if n - nd > need and total > need and pool_admits(nd, need, pool):
-                stack.append([None, 0, -1, pool, 0, 0])
+                stack.append([None, 0, pool, 0, 0])
             continue
         if need < 0:
             best_obj = admitted + 1
@@ -565,20 +507,19 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
             continue
         r, rg = capacity[s] - u, capacity[s] - ug
         kid_pool = pool + ((rg if rg > 0 else 0.0) - (r if r > 0 else 0.0))
-        used_g[s] = ug
         if not pool_admits(nd, need, kid_pool):
-            used_g[s] = u
             continue
+        trail.append((s, first[s], term[s], u, used_var[s]))
+        used_g[s] = ug
         used_var[s] += var[depth]
         choice[depth] = s
         admitted += 1
-        trail.append((s, first[s], term[s], u))
         total += t - term[s]
         term[s] = t
-        stack.append([None, 0, s, kid_pool, 0, 0])
+        stack.append([None, 0, kid_pool, 0, 0])
 
     assignment = {
-        inst.flow_ids[pos]: inst.switch_ids[s]
+        flows[order[pos]].id: switch_ids[s]
         for pos, s in enumerate(best_choice) if s >= 0
     }
     return SolveResult(

@@ -237,10 +237,15 @@ def load_trace(path: str, scale_divisor: float, bucket: float,
             if idx in per_flow:
                 raise ValueError(f"{path}:{lineno}: duplicate entry for flow {fid!r}")
             per_flow[idx] = rate / scale_divisor
-            n_buckets = max(n_buckets, idx + 1)
+            if idx >= n_buckets:
+                n_buckets, farthest = idx + 1, f"{path}:{lineno}: bucket_start_ms {parts[0]}"
     rates = {}
     for fid, per_flow in entries.items():
-        series = np.zeros(n_buckets)
+        try:
+            series = np.zeros(n_buckets)
+        except (MemoryError, ValueError):
+            raise ValueError(f"{farthest} needs {n_buckets} buckets of {bucket_ms:g} ms, "
+                             "more than can be allocated") from None
         for idx, rate in per_flow.items():
             series[idx] = rate
         rates[fid] = series

@@ -520,6 +520,43 @@ def test_empty_seeds_exit_2(tmp_path, argv, doc, capsys):
     assert "'seeds'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,doc", [
+    (["compare", "--preset", "model-driven", "--algorithms", ","], {}),
+    (["compare", "--preset", "model-driven"], {"algorithms": []}),
+])
+def test_empty_algorithms_exit_2(tmp_path, argv, doc, capsys):
+    # an empty list is not the default list
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seeds": [1], **doc}))
+    assert main([*argv, "--config", str(cfg)]) == 2
+    assert "'algorithms' must list at least two" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,doc,key", [
+    (["simulate", "--preset", "model-driven", "--seed", "-1"], {}, "'seed'"),
+    (["simulate", "--preset", "epoch-sweep"], {"seed": -3}, "'seed'"),
+    (["simulate", "--preset", "distribution-sensitivity"], {"seeds": [2, -1]}, "'seeds' entry"),
+    (["compare", "--preset", "model-driven"], {"seeds": [1, -2]}, "'seeds' entry"),
+])
+def test_negative_seed_exits_2_before_any_output(tmp_path, argv, doc, key, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    tail = ["--out-dir", str(out)] if argv[0] == "simulate" else ["--out", str(out / "c.json")]
+    assert main([*argv, "--config", str(cfg), *tail]) == 2
+    assert f"{key} must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_rejects_a_trace_too_long_to_allocate(tmp_path, toy_net_file, capsys):
+    trace_path = tmp_path / "t.trace"
+    trace_path.write_text(f"{TRACE_HEADER}\n0,f1,5\n1e20,f1,5\n")
+    assert main(["simulate", "--net", toy_net_file, "--trace", str(trace_path),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert ":3: bucket_start_ms 1e20 needs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_epoch_sweep_without_measured_rate_exits_2(tmp_path, capsys):
     # one search node admits no flow, so no rate is measured
     assert main(["simulate", "--preset", "epoch-sweep", "--node-limit", "1",

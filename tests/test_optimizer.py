@@ -408,7 +408,7 @@ def _tight_instance(rng):
 def test_search_digest_tight_capacity():
     # One digest over (objective, optimal, nodes, bound, sorted assignment)
     # of 200 tight instances under all five formulations at node limits of
-    # 50-1,499: 652 solves end proven and 348 at their limit. It pins the
+    # 50-1,499: 655 solves end proven and 345 at their limit. It pins the
     # search where the pooled bound and the per-switch terms decide, so a
     # change to how either is computed must leave every node as it was.
     rows = []
@@ -422,21 +422,70 @@ def test_search_digest_tight_capacity():
                                         node_limit=node_limit))
             rows.append([r.objective, r.optimal, r.nodes_explored, r.bound,
                          sorted(r.allocation.assignment.items())])
-    assert sum(r[1] for r in rows) == 652
-    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == "007da0e6b066d3a1"
+    assert sum(r[1] for r in rows) == 655
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == "a80c012d3eccf802"
+
+
+def _watch_tight_searches(watch, seeds):
+    """Run the tight searches of `seeds` under all five formulations with
+    `watch` as the trace function: no hook in the solver is needed."""
+    previous = sys.gettrace()
+    sys.settrace(watch)
+    try:
+        for seed in seeds:
+            rng = np.random.default_rng([seed, 16])
+            net = _tight_instance(rng)
+            delta = float(rng.uniform(0.01, 0.5))
+            node_limit = int(rng.integers(50, 1500))
+            for form in Formulation:
+                solve(net, SolverConfig(form, delta=delta, epsilon_pps=20.0,
+                                        node_limit=node_limit))
+    finally:
+        sys.settrace(previous)
+
+
+def test_search_loads_are_the_applied_charges():
+    # Whenever the search calls a helper, each switch's used_g and used_var
+    # must equal the charges of the flows applied on the path, added afresh
+    # in path order: a return to a frame restores them exactly, with no
+    # arithmetic, and a child being tested is not written into them. A load
+    # restored by subtraction reads, e.g., -3.6e-15 on an empty switch, and
+    # that switch then sorts ahead of an untouched one with a lower id.
+    bb_code = optimizer._bb_solve.__code__
+    helpers = {c for c in bb_code.co_consts
+               if isinstance(c, types.CodeType) and not c.co_name.startswith("<")}
+    checked, wrong = 0, []
+
+    def watch(frame, event, arg):
+        nonlocal checked
+        if event == "call" and frame.f_code in helpers and frame.f_back.f_code is bb_code:
+            search = frame.f_back.f_locals
+            used_g, used_var, g, var = (search[k] for k in ("used_g", "used_var", "g", "var"))
+            fresh_g, fresh_var = [0.0] * len(used_g), [0.0] * len(used_var)
+            for pos, s in enumerate(search["choice"]):
+                if s >= 0:
+                    fresh_g[s] += g[pos]
+                    fresh_var[s] += var[pos]
+            checked += 1
+            if fresh_g != used_g or fresh_var != used_var:
+                wrong.append((frame.f_code.co_name, list(used_g), fresh_g))
+
+    _watch_tight_searches(watch, range(30))
+    assert checked > 10_000
+    assert not wrong, wrong[:3]
 
 
 def test_pooled_bound_reads_as_the_exact_sum():
-    # The pooled test reads a running pool, and sums the residuals over all
-    # switches only when that pool is within a margin of the boundary. The
-    # margin grows with the node limit; at 10**18 it exceeds every pool, so
-    # every test takes the exact sum, and the search must not change.
+    # The pooled test reads a running pool plus a rounding margin, which
+    # depends on the instance only. If it grew with the node limit, at
+    # 10**18 it would exceed every pool, the pooled test would never prune
+    # and the search would take 1,437 nodes.
     r = solve(_pooled_instance(), SolverConfig(Formulation.DS, delta=0.2, node_limit=10**18))
     assert _fingerprint(r.objective, r.optimal, r.nodes_explored,
                         r.allocation.assignment.items()) == \
         (9, True, 609, "9c920666dd314176")
-    # Capacities that sum to inf make the pool and the margin non-finite,
-    # which must also take the exact sum.
+    # Capacities that sum to inf make the pool and the margin infinite, so
+    # the pooled test keeps every child; the search must still be right.
     rng = np.random.default_rng(5)
     for _ in range(20):
         net = random_instance(rng, max_switches=3, max_flows=6)
@@ -450,31 +499,24 @@ def test_pooled_bound_reads_as_the_exact_sum():
 
 def test_running_pool_stays_well_inside_its_margin():
     # Watch every pooled test of the tight searches: the running pool it is
-    # given must lie within margin / 64 of the residual sum of the state it
-    # tests, summed afresh. The pool does drift (most tests see a nonzero
-    # gap, so a zero margin fails here); the largest gap is about 0.002 of
-    # the margin.
+    # given must lie within margin / 64 of the residual sum of the child it
+    # tests (the frame's state, with the flow applied to switch s unless s
+    # is the skip child's -1), summed afresh. The pool does drift (most
+    # tests see a nonzero gap, so a zero margin fails here); the largest
+    # gap is about 0.012 of the margin.
     seen = []
 
     def watch(frame, event, arg):
         if event == "call" and frame.f_code.co_name == "pool_admits":
             search = frame.f_back.f_locals
-            seen.append((abs(frame.f_locals["pool"] - search["residual_pool"]()),
-                         search["margin"]))
+            used = list(search["used_g"])
+            s = search["s"]
+            if s >= 0:
+                used[s] += search["g"][search["depth"]]
+            fresh = math.fsum(max(c - u, 0.0) for c, u in zip(search["capacity"], used))
+            seen.append((abs(frame.f_locals["pool"] - fresh), search["margin"]))
 
-    previous = sys.gettrace()
-    sys.settrace(watch)
-    try:
-        for seed in range(50):
-            rng = np.random.default_rng([seed, 16])
-            net = _tight_instance(rng)
-            delta = float(rng.uniform(0.01, 0.5))
-            node_limit = int(rng.integers(50, 1500))
-            for form in Formulation:
-                solve(net, SolverConfig(form, delta=delta, epsilon_pps=20.0,
-                                        node_limit=node_limit))
-    finally:
-        sys.settrace(previous)
+    _watch_tight_searches(watch, range(50))
     assert len(seen) > 10_000 and sum(gap > 0 for gap, _ in seen) > len(seen) // 2
     assert all(gap <= margin / 64 for gap, margin in seen)
 
@@ -536,15 +578,14 @@ def test_time_limit_stops_the_search(monkeypatch):
 
 
 def test_prune_work_on_cone_instance(monkeypatch):
-    # Every per-switch term computed as first[] moves down or recomputed
-    # after a drifted release, and every test of a child's own term,
-    # bisects once; a pooled test bisects only when the running pool is too
-    # near the boundary to decide, which never happens here. The rem test
-    # decides nothing the pooled test would not (pooled <= rem), so only
-    # this count shows that it prunes first, before a child's term is
-    # computed: without it the cone search takes 4,636 bisections. Under DS
-    # the greedy pass meets the root bound, so the solve bisects only for
-    # the root bound: 11 per-switch terms and one pooled count (164 if the
+    # Every per-switch term computed as first[] moves down, and every test
+    # of a child's own term, bisects once; the pooled test and backtracking
+    # never do. The rem test decides nothing the pooled test would not
+    # (pooled <= rem); it comes first so that the pooled test's count stays
+    # inside the flows. Here it decides alone only for skip children, which
+    # compute no term, so without it the count is the same. Under DS the
+    # greedy pass meets the root bound, so the solve bisects only for the
+    # root bound: 11 per-switch terms and one pooled count (164 if the
     # search's own first dive found the same incumbent).
     calls = 0
 
@@ -556,7 +597,7 @@ def test_prune_work_on_cone_instance(monkeypatch):
     monkeypatch.setattr(optimizer, "bisect_right", counting)
     net = runtime_comparison_network(7)
     r = solve(net, SolverConfig(Formulation.EXACT, delta=0.2, node_limit=2_000))
-    assert (r.objective, r.nodes_explored, calls) == (22, 2_000, 4_453)
+    assert (r.objective, r.nodes_explored, calls) == (22, 2_000, 4_350)
     calls = 0
     r = solve(net, SolverConfig(Formulation.DS, delta=0.2))
     assert (r.objective, r.optimal, r.nodes_explored, calls) == (33, True, 37, 12)

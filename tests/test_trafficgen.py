@@ -209,6 +209,10 @@ def test_empty_trace(tmp_path):
     (f"{TRACE_HEADER}\nnan,f,5\n", ":2: bucket_start_ms"),
     (f"{TRACE_HEADER}\n-inf,f,5\n", ":2: bucket_start_ms"),
     (f"{TRACE_HEADER}\n0,f,1\n100,f,2\n200,f,3\n-100,f,9\n", ":5: bucket_start_ms"),
+    # 6.9 EiB of 100 ms buckets, then more than numpy's largest dimension:
+    # both fail at once, touching no memory
+    (f"{TRACE_HEADER}\n0,f,5\n1e20,f,5\n100,g,3\n", ":3: bucket_start_ms 1e20 needs"),
+    (f"{TRACE_HEADER}\n0,f,5\n1e21,f,5\n100,g,3\n", ":3: bucket_start_ms 1e21 needs"),
 ])
 def test_trace_malformed_lines(tmp_path, body, match):
     path = tmp_path / "bad.trace"
