@@ -19,11 +19,11 @@ import numpy as np
 
 from .instances import (ScenarioBundle, epoch_sweep_scenario, model_driven_scenario,
                         sensitivity_scenario, trace_driven_scenario, whole_epochs)
-from .model import ModelError, build_network, load_network
+from .model import ModelError, build_network, load_network, write_json
 from .optimizer import Formulation, SolverConfig, solve
 from .simulator import (EpochConfig, EstimatorMode, SamplingQuery, measure_metrics,
                         run_simulation, write_flow_epochs_csv, write_summary_json)
-from .trafficgen import Distribution, load_trace
+from .trafficgen import UPDATE_INTERVAL, Distribution, load_trace
 
 DEFAULT_COMPARE_ALGOS = ["ds", "ds2sigma", "apx", "csamp+100", "csamp+150", "csamp+200"]
 # solver setting flag destinations -> the SolverConfig field each one replaces
@@ -63,11 +63,13 @@ def parse_algorithm(token: str, base: SolverConfig) -> SolverConfig:
 
 def _typed(name: str, value, *kinds: type):
     """``value`` if it is one of the JSON ``kinds``; an integer passes as a
-    number, a bool as nothing."""
+    number if a float can hold it, a bool as nothing."""
     accepted = kinds + ((int,) if float in kinds else ())
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise CliError(f"{name} must be {' or '.join(k.__name__ for k in kinds)}, "
                        f"got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise CliError(f"{name} is an integer too large for a float")
     return value
 
 
@@ -233,7 +235,7 @@ def _trace_driven(args):
     process = load_trace(
         trace["path"],
         float(_typed("'trace.scale_divisor'", trace.get("scale_divisor", 100.0), float)),
-        float(_typed("'trace.bucket'", trace.get("bucket", 0.1), float)))
+        float(_typed("'trace.bucket'", trace.get("bucket", UPDATE_INTERVAL), float)))
     return lambda seed: _scenario(args, trace_driven_scenario, process, seed)
 
 
@@ -242,14 +244,14 @@ def _net_trace(args):
     network = load_network(args.net)
     # an explicit 0 is kept, so that validation rejects it
     epoch = EpochConfig(epoch_length=5.0 if args.epoch_len is None else args.epoch_len,
-                        bucket=0.1 if args.bucket is None else args.bucket,
+                        bucket=UPDATE_INTERVAL if args.bucket is None else args.bucket,
                         solver=_solver(args, SolverConfig()),
                         estimator_mode=EstimatorMode.WINDOWED)
     process = load_trace(args.trace, 1.0, epoch.bucket,
                          known_flows={f.id for f in network.flows})
-    alpha = 0.1 if args.alpha is None else args.alpha
     n_epochs = whole_epochs(process, epoch)
-    queries = tuple(SamplingQuery(f.id, 0.0, n_epochs * epoch.epoch_length, alpha)
+    queries = tuple(SamplingQuery(f.id, 0.0, n_epochs * epoch.epoch_length,
+                                  f.target_rate if args.alpha is None else args.alpha)
                     for f in network.flows)
     return lambda seed: ScenarioBundle(network, queries, process, epoch)
 
@@ -367,10 +369,7 @@ def cmd_compare(args) -> int:
     _table(header, rows)
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w") as fh:
-            json.dump({"version": "compare/1", "seeds": seeds, "results": results},
-                      fh, indent=1)
-            fh.write("\n")
+        write_json({"version": "compare/1", "seeds": seeds, "results": results}, args.out)
         print(f"wrote {args.out}")
     return 0
 

@@ -17,7 +17,8 @@ import numpy as np
 from .model import FlowSpec, Network, SwitchSpec, build_network, load_stats
 from .optimizer import Formulation, SolverConfig, min_required_capacity
 from .simulator import EpochConfig, EstimatorMode, SamplingQuery
-from .trafficgen import (UPDATE_INTERVAL, Distribution, MixtureConfig, RateProcess,
+from .stats import estimate_flow_stats
+from .trafficgen import (UPDATE_INTERVAL, Distribution, MixtureConfig, RateModel, RateProcess,
                          draw_flow_model, generate_model_driven, kbps_to_pps)
 
 # Violation probability whose standard-normal quantile is exactly 2.0, i.e.
@@ -48,25 +49,31 @@ def scale_free_graph(n: int, seed: int) -> nx.Graph:
     return g.subgraph(nodes).copy()
 
 
+def _one_model(distribution: Distribution, mean_kbps: float,
+               cov: float) -> tuple[MixtureConfig, RateModel]:
+    """A mixture that gives every flow the same rate model, and that model."""
+    return (MixtureConfig(distribution, (mean_kbps,), cov_low=cov, cov_low_prob=1.0,
+                          cov_high=cov),
+            RateModel(distribution, kbps_to_pps(mean_kbps), cov))
+
+
 # The rate model of every flow that uniform_rate_network declares, and the
 # traffic the epoch-sweep preset draws for them: 200 KBps at cov 1.
-UNIFORM_MIXTURE = MixtureConfig(mean_choices_kbps=(200.0,), cov_low=1.0, cov_low_prob=1.0,
-                                cov_high=1.0)
+UNIFORM_MIXTURE, _UNIFORM_MODEL = _one_model(Distribution.TRUNC_NORMAL, 200.0, 1.0)
 
 
 def uniform_rate_network(graph: nx.Graph, n_flows: int, capacity_pps: float,
                          seed: int = 0) -> Network:
     """Random source/destination flows, all declaring UNIFORM_MIXTURE's rate
     model and sampled at 0.1."""
-    mean_pps = kbps_to_pps(UNIFORM_MIXTURE.mean_choices_kbps[0])
-    var = (UNIFORM_MIXTURE.cov_low * mean_pps) ** 2
+    mean, var = _UNIFORM_MODEL.moments()
     rng = np.random.default_rng([seed, 4294967296])
     nodes = sorted(graph.nodes, key=str)
     flows = []
     for i in range(n_flows):
         src, dst = (nodes[j] for j in rng.choice(len(nodes), size=2, replace=False))
         path = tuple(str(v) for v in nx.shortest_path(graph, src, dst))
-        flows.append(FlowSpec(f"f{i:04d}", str(src), str(dst), path, 0.1, mean_pps, var))
+        flows.append(FlowSpec(f"f{i:04d}", str(src), str(dst), path, 0.1, mean, var))
     return build_network([SwitchSpec(str(v), capacity_pps) for v in nodes], flows)
 
 
@@ -136,9 +143,10 @@ def model_driven_scenario(seed: int, *, n_epochs: int = 5, epoch_length: float =
 
     All 110 ordered node pairs are flows; each epoch independently queries
     roughly 80% of them. Flow means come from {200, 300, 500} KBps and each
-    flow is smooth (cov 0.2, probability 0.3) or bursty (cov 2.0). Declared
-    flow moments match the generator's nominal parameters, so the solvers
-    see the statistics the queries would carry.
+    flow is smooth (cov 0.2, probability 0.3) or bursty (cov 2.0). Each flow
+    declares its rate model's :meth:`~flowsamp.trafficgen.RateModel.moments`.
+    The smooth flows' draws carry them; the bursty flows' draws, truncated at
+    zero, do not (about twice the mean and half the variance).
     """
     epoch = _random_query_epoch(n_epochs, epoch_length, UPDATE_INTERVAL, inclusion_prob,
                                 node_limit)
@@ -152,10 +160,9 @@ def model_driven_scenario(seed: int, *, n_epochs: int = 5, epoch_length: float =
             if src == dst:
                 continue
             fid = f"{src}-{dst}"
-            model = draw_flow_model(mixture, seed, fid)
             path = tuple(nx.shortest_path(graph, src, dst))
             flows.append(FlowSpec(fid, src, dst, path, target_rate,
-                                  model.mean_pps, (model.cov * model.mean_pps) ** 2))
+                                  *draw_flow_model(mixture, seed, fid).moments()))
     network = build_network(switches, flows)
     process = generate_model_driven(network, mixture, n_epochs * epoch_length, seed)
     return _random_query_bundle(network, process, seed, n_epochs, epoch, target_rate,
@@ -167,17 +174,16 @@ def sensitivity_scenario(distribution: Distribution, seed: int, *,
     """Single switch carrying 20 identical flows sampled at rate 1, capacity
     at their tail bound for violation probability 0.05. Measures how the
     realized per-bucket violation frequency tracks delta per distribution."""
-    mean, cov, delta = 1000.0, 0.1, 0.05   # 1000 KBps is 1000 pps at PACKET_BYTES
-    flows = [FlowSpec(f"f{i:02d}", "src", "SW", ("SW",), 1.0, mean, (cov * mean) ** 2)
+    delta = 0.05
+    mixture, model = _one_model(distribution, 1000.0, 0.1)
+    flows = [FlowSpec(f"f{i:02d}", "src", "SW", ("SW",), 1.0, *model.moments())
              for i in range(20)]
     capacity = min_required_capacity([load_stats(f) for f in flows], delta)
     network = build_network([SwitchSpec("SW", capacity)], flows)
     queries = tuple(SamplingQuery(f.id, 0.0, horizon, 1.0) for f in network.flows)
-    mixture = MixtureConfig(distribution=distribution, mean_choices_kbps=(mean,),
-                            cov_low=cov, cov_low_prob=1.0, cov_high=cov)
     process = generate_model_driven(network, mixture, horizon, seed)
     epoch = EpochConfig(
-        epoch_length=horizon, bucket=0.1,
+        epoch_length=horizon, bucket=UPDATE_INTERVAL,
         solver=SolverConfig(Formulation.EXACT, delta=delta),
         estimator_mode=EstimatorMode.DECLARED,
     )
@@ -192,7 +198,7 @@ def epoch_sweep_scenario(epoch_length: float, seed: int) -> ScenarioBundle:
     queries = tuple(SamplingQuery(f.id, 0.0, epoch_length, f.target_rate)
                     for f in network.flows)
     process = generate_model_driven(network, UNIFORM_MIXTURE, epoch_length, seed)
-    epoch = EpochConfig(epoch_length=epoch_length, bucket=0.1,
+    epoch = EpochConfig(epoch_length=epoch_length, bucket=UPDATE_INTERVAL,
                         solver=SolverConfig(Formulation.APX, delta=0.2),
                         estimator_mode=EstimatorMode.DECLARED)
     return ScenarioBundle(network, queries, process, epoch)
@@ -232,6 +238,7 @@ def trace_driven_scenario(process: RateProcess, seed: int, *,
     trace itself, and queries follow the per-epoch random-subset pattern."""
     epoch = _random_query_epoch(n_epochs, epoch_length, process.bucket, inclusion_prob,
                                 node_limit)
+    max_epochs = whole_epochs(process, epoch)
     graph = abilene_graph()
     nodes = sorted(graph.nodes)
     pairs = [(s, d) for s in nodes for d in nodes if s != d]
@@ -239,13 +246,11 @@ def trace_driven_scenario(process: RateProcess, seed: int, *,
     flows = []
     for i, fid in enumerate(sorted(process.rates)):
         src, dst = pairs[i % len(pairs)]
-        series = process.rates[fid]
-        mean = float(series.mean())
-        var = float(series.var(ddof=1)) if len(series) > 1 else 0.0
+        mean, var = (m.item() for m in estimate_flow_stats(process.rates[fid][None],
+                                                           process.n_buckets))
         flows.append(FlowSpec(fid, src, dst, tuple(nx.shortest_path(graph, src, dst)),
                               target_rate, mean, var))
     network = build_network(switches, flows)
-    max_epochs = whole_epochs(process, epoch)
     if n_epochs is None:
         n_epochs = max_epochs
     elif n_epochs > max_epochs:

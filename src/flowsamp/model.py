@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -162,6 +163,14 @@ def validate_allocation(network: Network, alloc: Allocation) -> None:
             raise ModelError(f"allocation: switch {sid!r} not on path of flow {fid!r}")
 
 
+def write_json(doc, path: str) -> None:
+    """Write ``doc`` in the layout of every JSON file the package writes:
+    one-space indents, then a newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
 # ---------------------------------------------------------------------------
 # Network file format (documented in docs/formats.md, schemas/network.schema.json)
 # ---------------------------------------------------------------------------
@@ -197,20 +206,10 @@ def load_network(path: str) -> Network:
 
 
 def save_network(network: Network, path: str) -> None:
-    doc = {
-        "switches": [{"id": s.id, "capacity_pps": s.capacity_pps} for s in network.switches],
-        "flows": [
-            {
-                "id": f.id, "src": f.src, "dst": f.dst, "path": list(f.path),
-                "target_rate": f.target_rate, "rate_mean_pps": f.rate_mean_pps,
-                "rate_var_pps2": f.rate_var_pps2,
-            }
-            for f in network.flows
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_json({"switches": [{k: getattr(s, k) for k in _SWITCH_FIELDS}
+                             for s in network.switches],
+                "flows": [{k: getattr(f, k) for k in _FLOW_FIELDS} for f in network.flows]},
+               path)
 
 
 _NUMBER = (int, float)
@@ -222,7 +221,8 @@ _FLOW_FIELDS = {"id": str, "src": str, "dst": str, "path": list, "target_rate": 
 
 def _entry(entry, fields: dict, where: str) -> dict:
     """The entry's fields, each checked against its JSON type; an unknown
-    key or a missing field is rejected, naming it."""
+    key, a missing field, an integer too large for a float and an id that
+    the output files cannot carry are rejected, naming the field."""
     if not isinstance(entry, dict):
         raise ModelError(f"{where}: expected an object")
     for key in entry:
@@ -235,5 +235,11 @@ def _entry(entry, fields: dict, where: str) -> dict:
         value = entry[name]
         if not isinstance(value, types) or isinstance(value, bool):
             raise ModelError(f"{where}.{name}: wrong type")
+        if types is _NUMBER and isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise ModelError(f"{where}.{name}: integer too large for a float")
+        # the flow-epoch CSV has comma-separated lines, and an empty
+        # assigned_switch there means "not admitted"
+        if name == "id" and (not value or any(c in value for c in ",\r\n")):
+            raise ModelError(f"{where}.id: empty, or holds a comma or line break: {value!r}")
         values[name] = value
     return values

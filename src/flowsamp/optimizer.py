@@ -36,7 +36,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .model import Allocation, FlowSpec, LoadStats, Network, load_stats
+from .model import Allocation, FlowSpec, LoadStats, Network, load_stats, write_json
 from .stats import normal_quantile
 
 FEAS_TOL = 1e-6
@@ -94,9 +94,7 @@ class SolveResult:
         }
 
     def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-            fh.write("\n")
+        write_json(self.to_json_dict(), path)
 
 
 def load_solve_result(path: str) -> SolveResult:

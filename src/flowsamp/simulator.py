@@ -26,19 +26,20 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .model import Network, build_network
+from .model import Network, build_network, write_json
 from .optimizer import SolverConfig, solve
 from .stats import estimate_flow_stats
-from .trafficgen import RateProcess
+from .trafficgen import UPDATE_INTERVAL, RateProcess
 
 ESTIMATOR_WINDOW = 5   # past epochs the windowed estimator averages over
+# A fully sampled flow's measured rate is at least 1 - this times its target.
+FULLY_SAMPLED_TOLERANCE = 0.05
 
 
 class EstimatorMode(str, Enum):
@@ -67,9 +68,8 @@ class SamplingQuery:
 @dataclass(frozen=True)
 class EpochConfig:
     epoch_length: float = 5.0
-    bucket: float = 0.1
+    bucket: float = UPDATE_INTERVAL
     solver: SolverConfig = field(default_factory=SolverConfig)
-    fully_sampled_tolerance: float = 0.05
     estimator_mode: EstimatorMode = EstimatorMode.WINDOWED
 
     def __post_init__(self):
@@ -82,8 +82,6 @@ class EpochConfig:
         if not math.isfinite(ratio) or round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
             raise ValueError(f"epoch_length must be a whole number of buckets "
                              f"({self.bucket:g} s), got {self.epoch_length:g}")
-        if not 0.0 <= self.fully_sampled_tolerance < 1.0:
-            raise ValueError("fully_sampled_tolerance must be in [0, 1)")
 
     @property
     def buckets_per_epoch(self) -> int:
@@ -138,7 +136,6 @@ class SimReport:
     solves: list[dict]
     epoch_length: float
     bucket: float
-    fully_sampled_tolerance: float
 
     @property
     def n_epochs(self) -> int:
@@ -160,8 +157,8 @@ class SimReport:
         """Every flow with an active cell, by sorted flow id.
 
         A flow is fully sampled when it was admitted in every epoch its
-        query was active and measured at the target rate within the
-        configured tolerance.
+        query was active and measured at no less than its target rate
+        times 1 - ``FULLY_SAMPLED_TOLERANCE``.
         """
         active = self.target > 0
         admitted = self.assigned >= 0
@@ -176,7 +173,7 @@ class SimReport:
                         key=self.flow_ids.__getitem__):
             rate = forwarded[i] / offered[i] if offered[i] > 0 else None
             fully = (always[i] and rate is not None
-                     and rate >= target[i] * (1.0 - self.fully_sampled_tolerance))
+                     and rate >= target[i] * (1.0 - FULLY_SAMPLED_TOLERANCE))
             table[self.flow_ids[i]] = FlowOutcome(rate, ever[i], fully, target[i])
         return table
 
@@ -236,7 +233,6 @@ def run_simulation(network: Network, queries: list[SamplingQuery], rates: RatePr
         switch_ids=switch_ids, switch_loads=np.zeros((ns, n_buckets), dtype=np.int64),
         switch_violations=np.zeros((ns, n_buckets), dtype=bool), solves=[],
         epoch_length=config.epoch_length, bucket=config.bucket,
-        fully_sampled_tolerance=config.fully_sampled_tolerance,
     )
 
     rng = np.random.default_rng(seed)
@@ -433,6 +429,4 @@ def write_summary_json(report: SimReport, path: str) -> None:
               "fully_sampled": o.fully_sampled, "ever_admitted": o.ever_admitted}
         for fid, o in report.outcomes.items()
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_json(doc, path)

@@ -8,7 +8,6 @@ the mass above the switch capacity.
 
 from __future__ import annotations
 
-import functools
 import math
 from statistics import NormalDist
 
@@ -63,8 +62,6 @@ def estimate_flow_stats(rates: np.ndarray, window: int) -> tuple[np.ndarray, np.
     """Per row of the (flow, epoch) ``rates``, oldest epoch first: the sample
     mean and unbiased sample variance of the last ``window`` columns; the
     variance is 0 when only one column exists.
-
-    The columns are added left to right, in the order ``sum`` adds a list.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -72,7 +69,7 @@ def estimate_flow_stats(rates: np.ndarray, window: int) -> tuple[np.ndarray, np.
     n = recent.shape[1]
     if n == 0:
         raise ValueError("no rates to estimate from")
-    mean = functools.reduce(np.add, recent.T) / n
+    mean = recent.mean(axis=1)
     if n == 1:
         return mean, np.zeros_like(mean)
-    return mean, functools.reduce(np.add, (recent - mean[:, None]).T ** 2) / (n - 1)
+    return mean, recent.var(axis=1, ddof=1)

@@ -53,12 +53,27 @@ class RateModel:
         if not (math.isfinite(self.cov) and self.cov >= 0):
             raise ValueError(f"cov must be finite and >= 0, got {self.cov}")
 
+    @property
+    def sigma_pps(self) -> float:
+        """Standard deviation of the draws before truncation: cov times the mean."""
+        return self.cov * self.mean_pps
+
+    def moments(self) -> tuple[float, float]:
+        """The rate mean and variance that a flow of this model declares.
+
+        These are the moments before truncation at zero. The draws carry them
+        at a low cov, but not at a high one: for the truncated normal at cov
+        2.0, generated over declared is 2.02 for the mean and 0.49 for the
+        variance.
+        """
+        return self.mean_pps, self.sigma_pps ** 2
+
 
 def sample_rates(model: RateModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` bucket rates; never negative."""
     if model.cov == 0.0:
         return np.full(n, model.mean_pps)
-    mean, sigma = model.mean_pps, model.cov * model.mean_pps
+    mean, sigma = model.mean_pps, model.sigma_pps
     dist = model.distribution
     if dist == Distribution.TRUNC_NORMAL:
         return _reject_negative(lambda size: rng.normal(mean, sigma, size), n)
@@ -167,7 +182,11 @@ def generate_model_driven(network: Network, config: MixtureConfig, horizon: floa
     for f in network.flows:
         rng = _flow_rng(seed, f.id)
         model = _draw_model(config, rng)
-        rates[f.id] = sample_rates(model, n_buckets, rng)
+        try:
+            rates[f.id] = sample_rates(model, n_buckets, rng)
+        except (MemoryError, ValueError):   # numpy's ValueError: past its largest dimension
+            raise ValueError(f"horizon {horizon:g} s needs {n_buckets} buckets per flow, "
+                             "more than can be allocated") from None
     return RateProcess(UPDATE_INTERVAL, n_buckets, rates)
 
 

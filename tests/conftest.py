@@ -49,6 +49,5 @@ def partly_admitted_bundle(seed):
                SamplingQuery("small", 1.0, 1.0, 0.5))
     process = RateProcess(0.1, 20, {fid: np.full(20, m) for fid, m in means.items()})
     epoch = EpochConfig(epoch_length=1.0, solver=SolverConfig(Formulation.DS),
-                        estimator_mode=EstimatorMode.DECLARED,
-                        fully_sampled_tolerance=0.5)
+                        estimator_mode=EstimatorMode.DECLARED)
     return ScenarioBundle(net, queries, process, epoch)

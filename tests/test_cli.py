@@ -557,6 +557,72 @@ def test_simulate_rejects_a_trace_too_long_to_allocate(tmp_path, toy_net_file, c
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("params", [{"n_epochs": 10 ** 15}, {"epoch_length": 1e15}])
+def test_model_driven_rejects_a_horizon_too_long_to_allocate(tmp_path, params, capsys):
+    # 5e16 buckets of 8 bytes are 355 PiB, beyond any address space, so the
+    # first draw fails at once; never test a size a host could overcommit
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"preset": "model-driven", "params": params}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "horizon 5e+15 s needs 50000000000000000 buckets" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+_HUGE = 10 ** 400   # a JSON integer larger than any float
+
+
+@pytest.mark.parametrize("net_field, config, named", [
+    (("switches", "capacity_pps"), {}, "switches[0].capacity_pps"),
+    (("flows", "rate_mean_pps"), {}, "flows[0].rate_mean_pps"),
+    (None, {"time_limit": _HUGE}, "config key 'time_limit'"),
+    (None, {"delta": _HUGE}, "config key 'delta'"),
+    (None, {"preset": "model-driven", "params": {"capacity_pps": _HUGE}},
+     "params key 'capacity_pps'"),
+    (None, {"preset": "model-driven", "params": {"n_epochs": _HUGE}}, "params key 'n_epochs'"),
+    (None, {"preset": "trace-driven", "trace": {"scale_divisor": _HUGE}},
+     "'trace.scale_divisor'"),
+])
+def test_integer_too_large_for_a_float_exits_2_naming_it(tmp_path, toy_net_file, net_field,
+                                                          config, named, capsys):
+    doc = json.loads(Path(toy_net_file).read_text())
+    if net_field:
+        entries, key = net_field
+        doc[entries][0][key] = _HUGE
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps(doc))
+    if "trace" in config:
+        _write_trace(tmp_path / "t.trace", ["a"], 60, 300.0)
+        config = dict(config, trace=dict(config["trace"], path=str(tmp_path / "t.trace")))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    argv = (["simulate", "--out-dir", str(tmp_path / "out")] if "preset" in config
+            else ["solve", "--net", str(net_path)])
+    assert main([*argv, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "too large for a float" in err
+
+
+def test_simulate_net_queries_each_flow_at_its_declared_rate(tmp_path, capsys):
+    # --alpha is the uniform override, as in solve
+    net_path = tmp_path / "net.json"
+    save_network(build_network([SwitchSpec("s", 1e6)],
+                               [FlowSpec("f", "a", "b", ("s",), 0.5, 300.0, 0.0),
+                                FlowSpec("g", "a", "b", ("s",), 0.3, 300.0, 0.0)]),
+                 str(net_path))
+    trace_path = tmp_path / "t.trace"
+    _write_trace(trace_path, ["f", "g"], 50, 300.0)
+    argv = ["simulate", "--net", str(net_path), "--trace", str(trace_path),
+            "--out-dir", str(tmp_path)]
+    targets = []
+    for alpha in ([], ["--alpha", "0.2"]):
+        assert main(argv + alpha) == 0
+        flows = json.loads((tmp_path / "summary_seed0.json").read_text())["flows"]
+        targets.append({fid: flow["target"] for fid, flow in flows.items()})
+    assert targets == [{"f": 0.5, "g": 0.3}, {"f": 0.2, "g": 0.2}]
+
+
 def test_epoch_sweep_without_measured_rate_exits_2(tmp_path, capsys):
     # one search node admits no flow, so no rate is measured
     assert main(["simulate", "--preset", "epoch-sweep", "--node-limit", "1",

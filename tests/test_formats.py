@@ -52,3 +52,15 @@ def test_bad_network_rejected_by_schema():
     doc = {"switches": [{"id": "s", "capacity_pps": -1.0}], "flows": []}
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(doc, _schema("network.schema.json"))
+
+
+@pytest.mark.parametrize("bad_id", ["", "a,b", "a\nb", "a\n", "a\r"])
+@pytest.mark.parametrize("kind", ["switches", "flows"])
+def test_schema_rejects_ids_the_outputs_cannot_carry(kind, bad_id):
+    doc = {"switches": [{"id": "s", "capacity_pps": 1.0}],
+           "flows": [{"id": "f", "src": "a", "dst": "b", "path": ["s"], "target_rate": 0.5,
+                      "rate_mean_pps": 1.0, "rate_var_pps2": 0.0}]}
+    jsonschema.validate(doc, _schema("network.schema.json"))
+    doc[kind][0]["id"] = bad_id
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, _schema("network.schema.json"))

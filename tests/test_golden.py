@@ -9,7 +9,12 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
+
+from flowsamp import Allocation, Distribution, RateProcess, SolveResult, save_network
 from flowsamp.cli import main
+from flowsamp.instances import (abilene_graph, model_driven_scenario, sensitivity_scenario,
+                                trace_driven_scenario, uniform_rate_network)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -48,3 +53,35 @@ def test_golden_outputs(tmp_path, capsys):
         "distribution_sensitivity.csv": "d911d6a5406f16ea",
         "model_driven_compare.json": "1fbfe0a6912ee4b8",
     }
+
+
+def test_network_file_bytes(tmp_path):
+    # every preset's declared moments, as save_network writes them
+    rng = np.random.default_rng(5)
+    process = RateProcess(0.1, 137, {f"t{i}": rng.gamma(0.5, 400.0, 137) for i in range(30)})
+    networks = {
+        "model-driven": model_driven_scenario(1).network,
+        "sensitivity": sensitivity_scenario(Distribution.GAMMA, 0).network,
+        "trace-driven": trace_driven_scenario(process, 0, epoch_length=1.0).network,
+        "uniform": uniform_rate_network(abilene_graph(), 20, 70.0, seed=2),
+    }
+    digests = {}
+    for name, network in networks.items():
+        path = tmp_path / f"{name}.json"
+        save_network(network, str(path))
+        digests[name] = _digest(path)
+    assert digests == {
+        "model-driven": "a3ec687cbbabe49d",
+        "sensitivity": "094ea3bbddbfc64b",
+        "trace-driven": "008b4c6a12e621be",
+        "uniform": "2e9535eef1d34f12",
+    }
+
+
+def test_solve_result_file_bytes(tmp_path):
+    result = SolveResult(Allocation({"SEA-NY": "SEA", "ATL-DC": "DC", "CHI-KC": "IND"}),
+                         objective=3, optimal=False, nodes_explored=40, wall_time=0.125,
+                         bound=5)
+    path = tmp_path / "result.json"
+    result.save(str(path))
+    assert _digest(path) == "4c0396f80a59613e"

@@ -198,9 +198,16 @@ def _network_doc(**changes):
     ({"flows__path": ["s", 3]}, "flows[0].path[1]"),
     ({"flows__extra": 1}, "flows[0]: unknown key 'extra'"),
     ({"switches__extra": 1}, "switches[0]: unknown key 'extra'"),
+    # an id the flow-epoch CSV cannot carry
+    ({"flows__id": "a,b"}, "flows[0].id"),
+    ({"flows__id": "a\nb"}, "flows[0].id"),
+    ({"flows__id": ""}, "flows[0].id"),
+    ({"switches__id": "s\r"}, "switches[0].id"),
+    ({"switches__id": ""}, "switches[0].id"),
 ])
 def test_load_network_rejects_what_the_schema_rejects(tmp_path, changes, named):
-    # schemas/network.schema.json: string path items, no additional properties
+    # schemas/network.schema.json: string path items, no additional properties,
+    # ids that are non-empty without a comma or line break
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(_network_doc(**changes)))
     with pytest.raises(ModelError, match=re.escape(named)):

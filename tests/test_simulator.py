@@ -98,7 +98,7 @@ def test_fully_sampled_requires_admission_in_every_active_epoch():
     process = constant_process({"big": 90.0, "small": 20.0}, 20)
     config = EpochConfig(
         epoch_length=1.0, solver=SolverConfig(Formulation.DS),
-        estimator_mode=EstimatorMode.DECLARED, fully_sampled_tolerance=0.9)
+        estimator_mode=EstimatorMode.DECLARED)
     queries = [SamplingQuery("big", 0.0, 2.0, 1.0),
                SamplingQuery("small", 1.0, 1.0, 1.0)]
     report = run_simulation(net, queries, process, config, 0)
@@ -198,8 +198,6 @@ def test_epoch_config_validation():
     for length in (0.55, 1e-12):   # 1e-12 s is within 1e-9 of zero buckets
         with pytest.raises(ValueError, match="whole number of buckets"):
             EpochConfig(epoch_length=length, bucket=0.1)
-    with pytest.raises(ValueError):
-        EpochConfig(fully_sampled_tolerance=1.0)
     for bucket in (-0.1, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="bucket"):
             EpochConfig(bucket=bucket)
@@ -409,7 +407,7 @@ def _dict_aggregation(report, queries):
         rate = forwarded[fid] / offered[fid] if offered[fid] > 0 else None
         active = active_epochs.get(fid, [])
         fully = (bool(active) and admitted_in[fid].issuperset(active) and rate is not None
-                 and rate >= targets[fid] * (1.0 - report.fully_sampled_tolerance))
+                 and rate >= targets[fid] * (1.0 - fs.FULLY_SAMPLED_TOLERANCE))
         outcomes[fid] = (rate, bool(admitted_in[fid]), fully)
     measured = tuple(rate for rate, ever, _ in outcomes.values()
                      if ever and rate is not None)
@@ -470,8 +468,7 @@ def test_table_reductions_match_dict_aggregation(tmp_path):
         config = EpochConfig(epoch_length=epoch_length,
                              solver=SolverConfig(Formulation.DS if case % 2 else Formulation.APX,
                                                  node_limit=500),
-                             estimator_mode=list(EstimatorMode)[case % 3 == 0],
-                             fully_sampled_tolerance=float(rng.choice([0.05, 0.5])))
+                             estimator_mode=list(EstimatorMode)[case % 3 == 0])
         queries = [] if case == 0 else _random_queries(rng, ["a", "b", "c", "idle"],
                                                        epoch_length)
         report = run_simulation(net, queries, process, config, case)
