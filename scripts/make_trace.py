@@ -16,6 +16,7 @@ import argparse
 import math
 import sys
 from collections import defaultdict
+from contextlib import closing
 from decimal import Decimal, InvalidOperation
 
 
@@ -29,6 +30,26 @@ def _bucket_ms(text: str) -> float:
     return value
 
 
+def _utf8_lines(path: str):
+    """The lines of a UTF-8 text file, split as ``open`` splits them; a byte
+    that is not UTF-8 raises ValueError naming the file and its line. The
+    same as flowsamp.trafficgen._utf8_lines: this script runs without the
+    package."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+            return
+        except UnicodeDecodeError:
+            pass    # the decoder reads ahead; find the line on a second pass
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            for c in line:
+                if "\udc80" <= c <= "\udcff":
+                    raise ValueError(f"{path}:{lineno}: byte {ord(c) - 0xdc00:#04x} "
+                                     "is not UTF-8")
+    raise ValueError(f"{path}: not UTF-8")
+
+
 def count_packets(path: str, bucket_ms: float) -> dict[tuple[int, str], int]:
     """Packets per (bucket, flow id), buckets counted from the first line's
     timestamp; a malformed line raises ``ValueError`` naming it. Timestamps
@@ -37,8 +58,8 @@ def count_packets(path: str, bucket_ms: float) -> dict[tuple[int, str], int]:
     counts: dict[tuple[int, str], int] = defaultdict(int)
     width_ms = Decimal(repr(bucket_ms))
     t0 = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with closing(_utf8_lines(path)) as lines:
+        for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

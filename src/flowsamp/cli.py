@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
-import json
 import os
 import sys
 from collections import namedtuple
@@ -19,7 +18,7 @@ import numpy as np
 
 from .instances import (ScenarioBundle, epoch_sweep_scenario, model_driven_scenario,
                         sensitivity_scenario, trace_driven_scenario, whole_epochs)
-from .model import ModelError, build_network, load_network, write_json
+from .model import ModelError, build_network, load_network, read_json, write_json
 from .optimizer import Formulation, SolverConfig, solve
 from .simulator import (EpochConfig, EstimatorMode, SamplingQuery, measure_metrics,
                         run_simulation, write_flow_epochs_csv, write_summary_json)
@@ -80,11 +79,7 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     destinations and config-only defaults) plus ``version``; each value must
     have the type its flag parses to."""
     path = args.config
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise CliError(f"{path}: config must be a JSON object")
     version = doc.pop("version", "runconfig/1")
@@ -96,9 +91,10 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         if key not in accepted:
             raise CliError(f"{path}: unknown config key {key!r} for {args.command}")
         action = actions.get(key) or argparse.Action((), key)   # a config-only key
-        _typed(f"config key {key!r}", value, *_STRUCTURED.get(key, (action.type or str,)))
+        _typed(f"{path}: config key {key!r}", value,
+               *_STRUCTURED.get(key, (action.type or str,)))
         if action.choices and value not in action.choices:
-            raise CliError(f"config key {key!r} must be one of "
+            raise CliError(f"{path}: config key {key!r} must be one of "
                            f"{', '.join(action.choices)}, got {value!r}")
         setattr(args, key, float(value) if action.type is float else value)
 

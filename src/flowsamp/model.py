@@ -171,6 +171,30 @@ def write_json(doc, path: str) -> None:
         fh.write("\n")
 
 
+def read_json(path: str):
+    """The JSON document at ``path``. Text that is not UTF-8 or not JSON
+    raises ModelError naming the file (and the line of a JSON syntax
+    error)."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh, parse_int=_parse_int)
+        except json.JSONDecodeError as exc:
+            raise ModelError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+        except UnicodeDecodeError as exc:
+            raise ModelError(f"{path}: byte {exc.object[exc.start]:#04x} at offset "
+                             f"{exc.start} is not UTF-8") from None
+
+
+def _parse_int(text: str) -> int:
+    """A JSON integer literal. One too long for ``int`` to convert (over
+    4,300 digits) is far beyond float range, so it reads as 10**400 of its
+    sign and the field checks reject it by name."""
+    try:
+        return int(text)
+    except ValueError:
+        return -10 ** 400 if text.startswith("-") else 10 ** 400
+
+
 # ---------------------------------------------------------------------------
 # Network file format (documented in docs/formats.md, schemas/network.schema.json)
 # ---------------------------------------------------------------------------
@@ -178,14 +202,10 @@ def write_json(doc, path: str) -> None:
 def load_network(path: str) -> Network:
     """Read a network from its JSON document.
 
-    Raises ModelError naming the offending field; JSON syntax errors carry
-    the line number from the decoder.
+    Raises ModelError naming the file and the offending field; JSON syntax
+    errors carry the line number from the decoder.
     """
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ModelError(f"{path}: top-level document must be an object")
     for key, entries in doc.items():
@@ -193,16 +213,19 @@ def load_network(path: str) -> Network:
             raise ModelError(f"{path}: unknown key {key!r}")
         if not isinstance(entries, list):
             raise ModelError(f"{path}: {key} must be an array")
-    switches = [SwitchSpec(**_entry(entry, _SWITCH_FIELDS, f"switches[{i}]"))
-                for i, entry in enumerate(doc.get("switches", []))]
-    flows = []
-    for i, entry in enumerate(doc.get("flows", [])):
-        fields = _entry(entry, _FLOW_FIELDS, f"flows[{i}]")
-        for j, sid in enumerate(fields["path"]):
-            if not isinstance(sid, str):
-                raise ModelError(f"flows[{i}].path[{j}]: expected a switch id string")
-        flows.append(FlowSpec(**fields))
-    return build_network(switches, flows)
+    try:
+        switches = [SwitchSpec(**_entry(entry, _SWITCH_FIELDS, f"switches[{i}]"))
+                    for i, entry in enumerate(doc.get("switches", []))]
+        flows = []
+        for i, entry in enumerate(doc.get("flows", [])):
+            fields = _entry(entry, _FLOW_FIELDS, f"flows[{i}]")
+            for j, sid in enumerate(fields["path"]):
+                if not isinstance(sid, str):
+                    raise ModelError(f"flows[{i}].path[{j}]: expected a switch id string")
+            flows.append(FlowSpec(**fields))
+        return build_network(switches, flows)
+    except ModelError as exc:
+        raise ModelError(f"{path}: {exc}") from None
 
 
 def save_network(network: Network, path: str) -> None:

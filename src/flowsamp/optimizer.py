@@ -23,20 +23,22 @@ solving that program.
 
 All capacity checks allow a slack of FEAS_TOL * max(1, capacity) (FEAS_TOL
 is 1e-6, the usual MIP convention) so instances specified at published,
-rounded capacities behave as intended at the boundary.
+rounded capacities behave as intended at the boundary. A switch's limit is
+its capacity plus that slack: the search admits flows up to it, and its
+bounds count the room below it, the same room the fit test fills.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .model import Allocation, FlowSpec, LoadStats, Network, load_stats, write_json
+from .model import (Allocation, FlowSpec, LoadStats, Network, load_stats, read_json,
+                    write_json)
 from .stats import normal_quantile
 
 FEAS_TOL = 1e-6
@@ -89,7 +91,6 @@ class SolveResult:
             "optimal": self.optimal,
             "nodes_explored": self.nodes_explored,
             "bound": self.bound,
-            "wall_time_s": self.wall_time,
             "assignment": dict(sorted(self.allocation.assignment.items())),
         }
 
@@ -97,20 +98,31 @@ class SolveResult:
         write_json(self.to_json_dict(), path)
 
 
+# The JSON types of a solve-result file's keys. The file holds no wall time,
+# so that reruns write identical bytes; an older file's wall_time_s is read.
+_RESULT_TYPES = {"objective": (int,), "optimal": (bool,), "nodes_explored": (int,),
+                 "bound": (int, type(None)), "wall_time_s": (int, float),
+                 "assignment": (dict,)}
+
+
 def load_solve_result(path: str) -> SolveResult:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("version") != "solve-result/1":
-        raise ValueError(f"{path}: unsupported result version {doc.get('version')!r}")
+    """Read a solve result; a missing or wrongly typed key raises ValueError
+    naming it. An absent ``bound`` reads as unknown (None), an absent
+    ``wall_time_s`` as NaN."""
+    doc = read_json(path)
+    if not isinstance(doc, dict) or doc.get("version") != "solve-result/1":
+        raise ValueError(f"{path}: not a solve-result/1 document")
+    doc = {"bound": None, "wall_time_s": math.nan, **doc}
+    for key, kinds in _RESULT_TYPES.items():
+        if key not in doc:
+            raise ValueError(f"{path}: missing key {key!r}")
+        if not isinstance(doc[key], kinds) or isinstance(doc[key], bool) != (bool in kinds):
+            raise ValueError(f"{path}: {key} has the wrong type: {doc[key]!r}")
+    if not all(isinstance(sid, str) for sid in doc["assignment"].values()):
+        raise ValueError(f"{path}: assignment must map flow ids to switch ids")
     alloc = Allocation(doc["assignment"])
-    result = SolveResult(
-        allocation=alloc,
-        objective=int(doc["objective"]),
-        optimal=bool(doc["optimal"]),
-        nodes_explored=int(doc["nodes_explored"]),
-        wall_time=float(doc["wall_time_s"]),
-        bound=None if doc.get("bound") is None else int(doc["bound"]),
-    )
+    result = SolveResult(alloc, doc["objective"], doc["optimal"], doc["nodes_explored"],
+                         doc["wall_time_s"], doc["bound"])
     if result.objective != len(alloc):
         raise ValueError(f"{path}: objective does not match assignment size")
     if result.bound is not None and result.bound < result.objective:
@@ -244,26 +256,29 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
     child. Three upper bounds on that count are tested, cheapest first, and
     the first that is <= need prunes: (1) rem = n - d; (2) total, the sum of
     the per-switch terms with first[] at d; (3) pooled, how many of the
-    cheapest remaining flows fit in the residual capacity summed over all
-    switches plus slack. This is the same decision as admitted' + min(rem,
-    max(0, pooled), total) > best_obj: every term is >= 0 and need >= 0 at
-    the test (the incumbent is updated first), so a pooled <= 0 prunes
-    either way.
+    cheapest remaining flows fit in the room summed over all switches. This
+    is the same decision as admitted' + min(rem, max(0, pooled), total) >
+    best_obj: every term is >= 0 and need >= 0 at the test (the incumbent
+    is updated first), so a pooled <= 0 prunes either way.
 
-    The per-switch terms: the search keeps, per switch s, first[s] (how
-    many of its members sit at positions below the depth being bounded)
-    and term[s], how many of the remaining members fit in the residual
-    capacity, cheapest first, for (first[s], used_g[s]). A frame at depth d
-    bounds its children with first[] at d + 1: its first visit moves
-    first[] across the flow at d, recomputing the terms of the switches on
-    that flow's path.
+    Both (2) and (3) read one per-switch quantity, the room limit[s] -
+    used_g[s], where limit[s] is the capacity plus slack that the fit test
+    admits flows up to: the flows still to come on s have g summing to at
+    most the room. The per-switch terms: the search keeps, per switch s,
+    first[s] (how many of its members sit at positions below the depth
+    being bounded) and term[s] = fit_count(s, used_g[s]), how many of the
+    remaining members fit in the room, cheapest first; 0 only if none
+    remain or the room is negative. A frame at depth d bounds its children
+    with first[] at d + 1: its first visit moves first[] across the flow
+    at d, recomputing the terms of the switches on that flow's path.
 
-    pooled > need is read from a running pool: each frame holds the residual
-    sum of its state, and a child's is its frame's with one switch's
-    residual changed. The pool is within `margin` of the residuals summed
-    afresh (see the comment there) and the count only grows with the pool,
-    so the test counts at the pool plus margin. It may keep a child that
-    the fresh sum would prune, never the reverse.
+    pooled > need is read from a running pool: each frame holds the room
+    of its state summed over all switches, sum(max(0, limit - used_g)), and
+    a child's is its frame's with one switch's room changed. The pool is
+    within `margin` of the room summed afresh (see the comment there) and
+    the count only grows with the pool, so the test counts at the pool
+    plus margin. It may keep a child that the fresh sum would prune, never
+    the reverse.
 
     A child that applies the flow to switch s is tested before it is
     applied. Without it the terms give total_0, and since a term only falls
@@ -323,9 +338,7 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
     by_id = {sid: r for r, sid in enumerate(sorted(switch_ids))}
     rank = [by_id[sid] for sid in switch_ids]   # position in switch id order
     capacity = [float(s.capacity_pps) for s in network.switches]
-    slack = [_slack(c) for c in capacity]
-    slack_total = sum(slack)
-    limit = [c + sl for c, sl in zip(capacity, slack)]
+    limit = [c + _slack(c) for c in capacity]
     sidx = {sid: k for k, sid in enumerate(switch_ids)}
     on_path = [[sidx[sid] for sid in flows[i].path] for i in order]
     # Per-switch prefix sums of g over the switch's members in search
@@ -347,11 +360,11 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
     nodes = 0
     node_limit = config.node_limit
     limit_hit = False
-    # The running pool starts as the root's residual sum and takes one
-    # rounded update per apply on the path to a frame (at most n). With
-    # unit roundoff u = 2**-53 and every residual, update and partial sum
-    # at most 2 * sum(limit) in size, a residual sum over all switches (the
-    # root's, or one summed afresh) is off the real sum by at most
+    # The running pool starts as the root's room sum and takes one rounded
+    # update per apply on the path to a frame (at most n). With unit
+    # roundoff u = 2**-53 and every room, update and partial sum at most
+    # 2 * sum(limit) in size, a room sum over all switches (the root's, or
+    # one summed afresh) is off the real sum by at most
     # 2u * n_switch * sum(limit) and each update by 6u * sum(limit): the
     # pool is off a fresh sum by under 8u * (n + n_switch) * sum(limit).
     # margin is twice that.
@@ -361,13 +374,15 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
     trail = []
 
     def fit_count(s: int, used: float) -> int:
-        """Switch s's term at first[s] if its used charge were `used`."""
+        """Switch s's term at first[s] if its used charge were `used`: how
+        many of its remaining members fit in the room limit[s] - used,
+        cheapest first; 0 if none remain or the room is negative."""
         j = first[s]
-        resid = capacity[s] - used
-        if j >= n_members[s] or resid < 0:
+        room = limit[s] - used
+        if j >= n_members[s] or room < 0:
             return 0
         acc = member_prefix[s]
-        return bisect_right(acc, acc[j] + resid + slack[s], j) - 1 - j
+        return bisect_right(acc, acc[j] + room, j) - 1 - j
 
     term = [fit_count(s, 0.0) for s in range(n_switch)]
     total = sum(term)
@@ -391,16 +406,14 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
         return kids
 
     def target(depth: int, pool: float) -> float:
-        # Account for the per-switch feasibility slack so the relaxation
-        # stays an upper bound for assignments admitted at the boundary.
-        return prefix[depth] + pool + slack_total + 1e-9 * (1.0 + pool)
+        return prefix[depth] + pool + 1e-9 * (1.0 + pool)
 
     def pool_admits(depth: int, need: int, pool: float) -> bool:
         """pooled > need at `depth`, counted at a running pool plus margin;
         depth + need < n."""
         return prefix[depth + need + 1] <= target(depth, pool + margin)
 
-    pool = sum(capacity)    # the root's residual sum; every capacity is >= 0
+    pool = sum(limit)    # the root's room summed; every limit is > 0
     root = min(n, total, bisect_right(prefix, target(0, pool), 0, n + 1) - 1)
 
     # The greedy pass (see above); it stops at the node limit as the search
@@ -442,20 +455,11 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
         nd = depth + 1
         if kids is None:
             if nd < n:
-                # Move first[] across the flow at `depth`. Most of the
-                # search's bisections happen here, so the refresh is
-                # written out rather than calling fit_count.
+                # move first[] across the flow at `depth`
                 for s in on_path[depth]:
-                    j = first[s]
-                    u = used_g[s]
-                    trail.append((s, j, term[s], u, used_var[s]))
-                    j = first[s] = j + 1
-                    resid = capacity[s] - u
-                    if j >= n_members[s] or resid < 0:
-                        t = 0
-                    else:
-                        acc = member_prefix[s]
-                        t = bisect_right(acc, acc[j] + resid + slack[s], j) - 1 - j
+                    trail.append((s, first[s], term[s], used_g[s], used_var[s]))
+                    first[s] += 1
+                    t = fit_count(s, used_g[s])
                     total += t - term[s]
                     term[s] = t
             frame[3] = len(trail)
@@ -503,7 +507,7 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
         t = fit_count(s, ug)
         if nd >= n or total - term[s] + t <= need:
             continue
-        r, rg = capacity[s] - u, capacity[s] - ug
+        r, rg = limit[s] - u, limit[s] - ug
         kid_pool = pool + ((rg if rg > 0 else 0.0) - (r if r > 0 else 0.0))
         if not pool_admits(nd, need, kid_pool):
             continue

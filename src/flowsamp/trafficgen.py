@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 import zlib
+from contextlib import closing
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -210,11 +211,11 @@ def load_trace(path: str, scale_divisor: float, bucket: float,
     bucket_ms = bucket * 1000.0
     entries: dict[str, dict[int, float]] = {}
     n_buckets = 0
-    with open(path) as fh:
-        first = fh.readline().strip()
+    with closing(_utf8_lines(path)) as lines:
+        first = next(lines, "").strip()
         if first != TRACE_HEADER:
             raise ValueError(f"{path}:1: expected header {TRACE_HEADER!r}")
-        for lineno, line in enumerate(fh, start=2):
+        for lineno, line in enumerate(lines, start=2):
             line = line.strip()
             if line.startswith(BUCKET_LINE):
                 written = line[len(BUCKET_LINE):]
@@ -269,6 +270,24 @@ def load_trace(path: str, scale_divisor: float, bucket: float,
             series[idx] = rate
         rates[fid] = series
     return RateProcess(bucket, n_buckets, rates)
+
+
+def _utf8_lines(path: str):
+    """The lines of a UTF-8 text file, split as ``open`` splits them; a byte
+    that is not UTF-8 raises ValueError naming the file and its line."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+            return
+        except UnicodeDecodeError:
+            pass    # the decoder reads ahead; find the line on a second pass
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            for c in line:
+                if "\udc80" <= c <= "\udcff":
+                    raise ValueError(f"{path}:{lineno}: byte {ord(c) - 0xdc00:#04x} "
+                                     "is not UTF-8")
+    raise ValueError(f"{path}: not UTF-8")
 
 
 def save_trace(process: RateProcess, path: str) -> None:

@@ -571,11 +571,18 @@ def test_model_driven_rejects_a_horizon_too_long_to_allocate(tmp_path, params, c
 
 
 _HUGE = 10 ** 400   # a JSON integer larger than any float
+# A JSON integer literal longer than Python's 4,300-digit conversion limit;
+# it is written into the document as bare digits.
+_OVERLONG = "1" + "0" * 5000
+
+
+def _dump(doc) -> str:
+    return json.dumps(doc).replace(f'"{_OVERLONG}"', _OVERLONG)
 
 
 @pytest.mark.parametrize("net_field, config, named", [
-    (("switches", "capacity_pps"), {}, "switches[0].capacity_pps"),
-    (("flows", "rate_mean_pps"), {}, "flows[0].rate_mean_pps"),
+    (("switches", "capacity_pps", _HUGE), {}, "switches[0].capacity_pps"),
+    (("flows", "rate_mean_pps", _HUGE), {}, "flows[0].rate_mean_pps"),
     (None, {"time_limit": _HUGE}, "config key 'time_limit'"),
     (None, {"delta": _HUGE}, "config key 'delta'"),
     (None, {"preset": "model-driven", "params": {"capacity_pps": _HUGE}},
@@ -583,25 +590,46 @@ _HUGE = 10 ** 400   # a JSON integer larger than any float
     (None, {"preset": "model-driven", "params": {"n_epochs": _HUGE}}, "params key 'n_epochs'"),
     (None, {"preset": "trace-driven", "trace": {"scale_divisor": _HUGE}},
      "'trace.scale_divisor'"),
+    (("switches", "capacity_pps", _OVERLONG), {}, "net.json: switches[0].capacity_pps"),
+    (None, {"time_limit": _OVERLONG}, "run.json: config key 'time_limit'"),
 ])
 def test_integer_too_large_for_a_float_exits_2_naming_it(tmp_path, toy_net_file, net_field,
                                                           config, named, capsys):
     doc = json.loads(Path(toy_net_file).read_text())
     if net_field:
-        entries, key = net_field
-        doc[entries][0][key] = _HUGE
+        entries, key, value = net_field
+        doc[entries][0][key] = value
     net_path = tmp_path / "net.json"
-    net_path.write_text(json.dumps(doc))
+    net_path.write_text(_dump(doc))
     if "trace" in config:
         _write_trace(tmp_path / "t.trace", ["a"], 60, 300.0)
         config = dict(config, trace=dict(config["trace"], path=str(tmp_path / "t.trace")))
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps(config))
+    cfg.write_text(_dump(config))
     argv = (["simulate", "--out-dir", str(tmp_path / "out")] if "preset" in config
             else ["solve", "--net", str(net_path)])
     assert main([*argv, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert named in err and "too large for a float" in err
+
+
+@pytest.mark.parametrize("flag", ["--net", "--config"])
+def test_non_utf8_json_input_exits_2_naming_the_file(tmp_path, toy_net_file, flag, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"switches": [{"id": "caf\xe9", "capacity_pps": 1}], "flows": []}')
+    argv = ["solve", "--net", toy_net_file, flag, str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: byte 0xe9 at offset 25 is not UTF-8" in err and "Traceback" not in err
+
+
+def test_solve_out_is_byte_identical_across_runs(tmp_path, toy_net_file, capsys):
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert main(["solve", "--net", toy_net_file, "--out", str(out)]) == 0
+        assert "wall_time=" in capsys.readouterr().out
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert "wall" not in outs[0].read_text()
 
 
 def test_simulate_net_queries_each_flow_at_its_declared_rate(tmp_path, capsys):

@@ -84,4 +84,6 @@ def test_solve_result_file_bytes(tmp_path):
                          bound=5)
     path = tmp_path / "result.json"
     result.save(str(path))
-    assert _digest(path) == "4c0396f80a59613e"
+    # the file holds no wall time: this is the earlier pin's file
+    # (4c0396f80a59613e) without its "wall_time_s" line
+    assert _digest(path) == "6fbe828970ff0097"

@@ -278,13 +278,38 @@ def test_greedy_incumbent_under_node_limit():
     assert result.nodes_explored == 3
 
 
+# No sum of distinct charges here equals a switch limit of 1e-6 or 1.2e-6:
+# in units of 1e-8 a sum of k of them is k mod 4, and no four sum to 100
+# or 120. So no load lands on a limit, where rounding would decide a fit.
+TINY_CHARGES = (1.3e-7, 2.9e-7, 3.3e-7, 4.1e-7, 4.9e-7, 5.3e-7, 5.7e-7)
+
+
+def _tiny_room_instance(rng):
+    """1-3 switches of capacity 0 or 2e-7 and 1-6 flows at target 1 and
+    variance 0, each charged a distinct one of TINY_CHARGES: loads sit
+    between a switch's capacity and its limit, inside the slack, and stay
+    off the limit under every formulation."""
+    ns, nf = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+    switches = [SwitchSpec(f"s{i}", float(rng.choice([0.0, 2e-7]))) for i in range(ns)]
+    flows = [FlowSpec(f"f{j}", "x", "y",
+                      tuple(f"s{i}" for i in rng.choice(ns, int(rng.integers(1, ns + 1)),
+                                                        replace=False)),
+                      1.0, float(c), 0.0)
+             for j, c in enumerate(rng.choice(TINY_CHARGES, nf, replace=False))]
+    return build_network(switches, flows)
+
+
 @given(seed=st.integers(0, 2**32 - 1), form=st.sampled_from(list(Formulation)),
        delta=st.floats(0.01, 0.5), epsilon=st.floats(0.0, 50.0),
-       node_limit=st.integers(1, 300))
+       node_limit=st.integers(1, 300), tiny=st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_node_limited_search_against_oracle(seed, form, delta, epsilon, node_limit):
-    # A stale bound prunes a better subtree and still reports optimal=True.
-    net = random_instance(np.random.default_rng(seed), max_switches=3, max_flows=6)
+def test_node_limited_search_against_oracle(seed, form, delta, epsilon, node_limit, tiny):
+    # A stale bound prunes a better subtree and still reports optimal=True;
+    # so does a bound that reads less room than the fit test admits, which
+    # the tiny-room instances catch.
+    rng = np.random.default_rng(seed)
+    net = _tiny_room_instance(rng) if tiny else random_instance(rng, max_switches=3,
+                                                                max_flows=6)
     cfg = SolverConfig(form, delta=delta, epsilon_pps=epsilon, node_limit=node_limit)
     result = solve(net, cfg)
     validate_allocation(net, result.allocation)
@@ -294,6 +319,19 @@ def test_node_limited_search_against_oracle(seed, form, delta, epsilon, node_lim
     if result.optimal:
         assert result.objective == best
     assert result.nodes_explored <= node_limit
+
+
+def test_bounds_count_the_slack_as_room():
+    # Every load here lies between capacity 0 and the limit 1e-6, which the
+    # fit test admits; bounds that gave a switch no room past its capacity
+    # proved 2 optimal against the root bound 3.
+    net = build_network([SwitchSpec("s0", 0.0), SwitchSpec("s1", 0.0)],
+                        [FlowSpec("f0", "x", "y", ("s1", "s0"), 1.0, 4.1e-7, 0.0),
+                         FlowSpec("f1", "x", "y", ("s0",), 1.0, 5.3e-7, 0.0),
+                         FlowSpec("f2", "x", "y", ("s0",), 1.0, 1.3e-7, 0.0)])
+    for form in Formulation:
+        r = solve(net, SolverConfig(form, delta=0.2))
+        assert (r.objective, r.optimal, r.bound) == (3, True, 3), form
 
 
 def _fingerprint(objective, optimal, nodes, pairs):
@@ -499,11 +537,11 @@ def test_pooled_bound_reads_as_the_exact_sum():
 
 def test_running_pool_stays_well_inside_its_margin():
     # Watch every pooled test of the tight searches: the running pool it is
-    # given must lie within margin / 64 of the residual sum of the child it
-    # tests (the frame's state, with the flow applied to switch s unless s
-    # is the skip child's -1), summed afresh. The pool does drift (most
-    # tests see a nonzero gap, so a zero margin fails here); the largest
-    # gap is about 0.012 of the margin.
+    # given must lie within margin / 64 of the room of the child it tests
+    # (the frame's state, with the flow applied to switch s unless s is the
+    # skip child's -1), sum(max(0, limit - load)) summed afresh. The pool
+    # does drift (most tests see a nonzero gap, so a zero margin fails
+    # here); the largest gap is about 0.010 of the margin.
     seen = []
 
     def watch(frame, event, arg):
@@ -513,7 +551,7 @@ def test_running_pool_stays_well_inside_its_margin():
             s = search["s"]
             if s >= 0:
                 used[s] += search["g"][search["depth"]]
-            fresh = math.fsum(max(c - u, 0.0) for c, u in zip(search["capacity"], used))
+            fresh = math.fsum(max(lim - u, 0.0) for lim, u in zip(search["limit"], used))
             seen.append((abs(frame.f_locals["pool"] - fresh), search["margin"]))
 
     _watch_tight_searches(watch, range(50))
@@ -620,6 +658,28 @@ def test_solve_result_round_trip(tmp_path, toy_network):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="bound"):
         load_solve_result(str(path))
+
+
+def test_load_solve_result_reads_older_files_and_names_bad_keys(tmp_path, toy_network):
+    path = tmp_path / "result.json"
+    solve(toy_network, SolverConfig(Formulation.APX, delta=0.08)).save(str(path))
+    doc = json.loads(path.read_text())
+    assert "wall_time_s" not in doc and math.isnan(load_solve_result(str(path)).wall_time)
+    path.write_text(json.dumps(dict(doc, wall_time_s=0.25)))    # written with a wall time
+    assert load_solve_result(str(path)).wall_time == 0.25
+    for key, value, named in [("assignment", None, "missing key 'assignment'"),
+                              ("objective", "2", "objective has the wrong type"),
+                              ("optimal", 1, "optimal has the wrong type"),
+                              ("nodes_explored", True, "nodes_explored has the wrong type"),
+                              ("bound", 2.0, "bound has the wrong type"),
+                              ("wall_time_s", "0.25", "wall_time_s has the wrong type"),
+                              ("assignment", {"f1": 3}, "assignment must map")]:
+        bad = dict(doc, **{key: value})
+        if value is None:
+            del bad[key]
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match=named):
+            load_solve_result(str(path))
 
 
 @pytest.mark.parametrize("kwargs", [

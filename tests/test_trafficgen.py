@@ -221,6 +221,15 @@ def test_trace_malformed_lines(tmp_path, body, match):
         load_trace(str(path), 1.0, 0.1)
 
 
+def test_trace_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    # the bad byte sits past the decoder's first read-ahead chunk
+    path = tmp_path / "latin1.trace"
+    rows = "".join(f"{k * 100},f,5\n" for k in range(2000))
+    path.write_bytes(f"{TRACE_HEADER}\n{rows}".encode() + b"0,caf\xe9,5\n")
+    with pytest.raises(ValueError, match="latin1.trace:2002: byte 0xe9 is not UTF-8"):
+        load_trace(str(path), 1.0, 0.1)
+
+
 def test_trace_unknown_flow_gate(tmp_path):
     path = tmp_path / "u.trace"
     path.write_text(f"{TRACE_HEADER}\n0,ghost,5\n")
@@ -243,8 +252,8 @@ def test_trace_rejects_bad_scale_divisor_and_bucket(tmp_path, value):
 MAKE_TRACE = Path(__file__).resolve().parents[1] / "scripts" / "make_trace.py"
 
 
-def _make_trace(tmp_path, log: str, *flags: str) -> subprocess.CompletedProcess:
-    (tmp_path / "packets.csv").write_text(log)
+def _make_trace(tmp_path, log: str | bytes, *flags: str) -> subprocess.CompletedProcess:
+    (tmp_path / "packets.csv").write_bytes(log.encode() if isinstance(log, str) else log)
     return subprocess.run([sys.executable, str(MAKE_TRACE), str(tmp_path / "packets.csv"),
                            str(tmp_path / "out.trace"), *flags],
                           capture_output=True, text=True, timeout=60)
@@ -293,6 +302,7 @@ def test_make_trace_keeps_far_bucket_starts(tmp_path):
     ("1.0,a\n", ["--bucket-ms", "nan"], "--bucket-ms"),
     ("1.0,a\n", ["--bucket-ms", "-5"], "--bucket-ms"),
     ("1.0,a\n", ["--bucket-ms", "x"], "--bucket-ms"),
+    (b"1.0,a\n1.5,caf\xe9\n", [], "packets.csv:2: byte 0xe9 is not UTF-8"),
 ])
 def test_make_trace_rejects_malformed_input(tmp_path, log, flags, match):
     run = _make_trace(tmp_path, log, *flags)
