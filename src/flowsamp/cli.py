@@ -19,7 +19,7 @@ import numpy as np
 from .instances import (ScenarioBundle, epoch_sweep_scenario, model_driven_scenario,
                         sensitivity_scenario, trace_driven_scenario, whole_epochs)
 from .model import ModelError, build_network, load_network, read_json, write_json
-from .optimizer import Formulation, SolverConfig, solve
+from .optimizer import Formulation, SolverConfig, reused_searches, solve
 from .simulator import (EpochConfig, EstimatorMode, SamplingQuery, measure_metrics,
                         run_simulation, write_flow_epochs_csv, write_summary_json)
 from .trafficgen import UPDATE_INTERVAL, Distribution, load_trace
@@ -45,6 +45,7 @@ def _repeated(items: list):
 
 def parse_algorithm(token: str, base: SolverConfig) -> SolverConfig:
     """Algorithm tokens: ds, ds2sigma, apx, exact, csamp+<epsilon_pps>."""
+    given = token
     token = token.strip().lower()
     eps = base.epsilon_pps
     if token.startswith("csamp+"):
@@ -57,7 +58,10 @@ def parse_algorithm(token: str, base: SolverConfig) -> SolverConfig:
         form = Formulation(token)
     except ValueError:
         raise CliError(f"unknown algorithm {token!r}") from None
-    return dataclasses.replace(base, formulation=form, epsilon_pps=eps)
+    try:
+        return dataclasses.replace(base, formulation=form, epsilon_pps=eps)
+    except ValueError as exc:
+        raise CliError(f"algorithm {given!r}: {exc}") from None
 
 
 def _typed(name: str, value, *kinds: type):
@@ -308,8 +312,10 @@ def compare_algorithms(bundle_builder, algorithms: list[str], seeds: list[int]):
     """Run every (algorithm, seed) pair and aggregate per algorithm.
 
     Returns a dict keyed by algorithm token with summed admitted and fully
-    sampled counts, pooled measured-rate quartiles, and mean solve time
-    (for the stdout table only; ``compare --out`` leaves it out).
+    sampled counts, pooled measured-rate quartiles, and, for the stdout
+    table only (``compare --out`` leaves them out), the mean solve time and
+    how many of the row's solves there were and how many an identical
+    earlier search in this call served (see :func:`optimizer.solve`).
     Two tokens that parse to one (formulation, epsilon) are refused.
     """
     if len(algorithms) < 2:
@@ -323,26 +329,32 @@ def compare_algorithms(bundle_builder, algorithms: list[str], seeds: list[int]):
             raise CliError(f"algorithms {seen[key]!r} and {token!r} are the same algorithm")
         seen[key] = token
     results = {}
-    for token in algorithms:
-        admitted = fully = 0
-        rates, times, per_seed = [], [], []
-        for seed, bundle in zip(seeds, bundles):
-            bundle = bundle.with_solver(parse_algorithm(token, bundle.epoch.solver))
-            summary = measure_metrics(_simulate(bundle, seed))
-            admitted += summary.admitted_flows
-            fully += summary.fully_sampled_flows
-            times.append(summary.mean_solver_wall_time)
-            rates.extend(summary.measured_rates)
-            per_seed.append({"seed": seed, "admitted": summary.admitted_flows,
-                             "fully_sampled": summary.fully_sampled_flows})
-        quartiles = [float(q) for q in np.percentile(rates, [25, 50, 75])] if rates else None
-        results[token] = {
-            "admitted": admitted,
-            "fully_sampled": fully,
-            "rate_quartiles": quartiles,
-            "mean_solver_wall_time_s": float(np.mean(times)) if times else 0.0,
-            "per_seed": per_seed,
-        }
+    with reused_searches() as reuse:
+        for token in algorithms:
+            admitted = fully = solves = 0
+            reused_before = reuse.reused
+            rates, times, per_seed = [], [], []
+            for seed, bundle in zip(seeds, bundles):
+                bundle = bundle.with_solver(parse_algorithm(token, bundle.epoch.solver))
+                report = _simulate(bundle, seed)
+                summary = measure_metrics(report)
+                admitted += summary.admitted_flows
+                fully += summary.fully_sampled_flows
+                solves += len(report.solves)
+                times.append(summary.mean_solver_wall_time)
+                rates.extend(summary.measured_rates)
+                per_seed.append({"seed": seed, "admitted": summary.admitted_flows,
+                                 "fully_sampled": summary.fully_sampled_flows})
+            quartiles = [float(q) for q in np.percentile(rates, [25, 50, 75])] if rates else None
+            results[token] = {
+                "admitted": admitted,
+                "fully_sampled": fully,
+                "rate_quartiles": quartiles,
+                "mean_solver_wall_time_s": float(np.mean(times)) if times else 0.0,
+                "solves": solves,
+                "reused": reuse.reused - reused_before,
+                "per_seed": per_seed,
+            }
     return results
 
 
@@ -355,13 +367,14 @@ def cmd_compare(args) -> int:
     seeds = _seeds(args, [1, 2, 3, 4, 5])
     results = compare_algorithms(_run(args).bundles(args), algorithms, seeds)
     header = ["algorithm", "admitted", "fully_sampled", "rate_q1", "rate_median",
-              "rate_q3", "mean_solve_s"]
+              "rate_q3", "mean_solve_s", "reused"]
     rows = []
     for token, res in results.items():
         q = res["rate_quartiles"] or ["", "", ""]
         rows.append([token, res["admitted"], res["fully_sampled"],
                      *(f"{v:.4f}" if v != "" else "" for v in q),
-                     f"{res.pop('mean_solver_wall_time_s'):.4f}"])
+                     f"{res.pop('mean_solver_wall_time_s'):.4f}",
+                     f"{res.pop('reused')}/{res.pop('solves')}"])
     _table(header, rows)
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)

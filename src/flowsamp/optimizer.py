@@ -30,11 +30,14 @@ bounds count the room below it, the same room the fit test fills.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .model import (Allocation, FlowSpec, LoadStats, Network, load_stats, read_json,
@@ -167,11 +170,17 @@ def _slack(capacity: float) -> float:
 def feasible(network: Network, alloc: Allocation, config: SolverConfig) -> bool:
     """True iff every switch satisfies
     sum(g) + z(delta) * sqrt(sum(var)) <= capacity (within slack), each
-    assigned flow charged (g, var) = flow_charge(flow, config)."""
+    assigned flow charged (g, var) = flow_charge(flow, config).
+
+    Each switch's charges are summed in the search's order, ascending g
+    with flow id breaking ties, so that a load on a switch's limit rounds
+    as it does in the search."""
     z = normal_quantile(config.delta)
+    charges = {fid: flow_charge(network.flow(fid), config) for fid in alloc.assignment}
     used: dict[str, tuple[float, float]] = {}
-    for fid, sid in alloc.assignment.items():
-        g, var = flow_charge(network.flow(fid), config)
+    for fid in sorted(charges, key=lambda fid: (charges[fid][0], fid)):
+        sid = alloc.assignment[fid]
+        g, var = charges[fid]
         g_sum, var_sum = used.get(sid, (0.0, 0.0))
         used[sid] = (g_sum + g, var_sum + var)
     for sid, (g_sum, var_sum) in used.items():
@@ -549,9 +558,69 @@ def solve_exact(network: Network, config: SolverConfig) -> SolveResult:
     return _bb_solve(network, replace(config, formulation=Formulation.EXACT))
 
 
+@dataclass
+class SearchReuse:
+    """The searches of one :func:`reused_searches` block, by what they read,
+    and how many solves an earlier search's result served."""
+    results: dict[bytes, SolveResult] = field(default_factory=dict)
+    reused: int = 0
+
+
+_reuse: ContextVar[SearchReuse | None] = ContextVar("flowsamp_search_reuse", default=None)
+
+
+@contextmanager
+def reused_searches():
+    """Within the block, :func:`solve` runs each distinct search once.
+
+    Yields the block's :class:`SearchReuse`, which is dropped when the
+    block exits: no solve after the block is served from it."""
+    token = _reuse.set(SearchReuse())
+    try:
+        yield _reuse.get()
+    finally:
+        _reuse.reset(token)
+
+
+def _search_key(network: Network, config: SolverConfig) -> bytes:
+    """A SHA-256 digest of everything :func:`_bb_solve` reads: z(delta), the
+    limits, each flow's id, path and charge, and each switch's id and
+    capacity, in declaration order. The formulation reaches the search only
+    through the charges, so formulations that charge alike share a key.
+
+    Every number enters as the repr of a Python float, which round-trips
+    exactly, so equal digests mean equal inputs. A block keeps 32 bytes per
+    search rather than its inputs, which would hold more memory than the
+    results do."""
+    inputs = (float(normal_quantile(config.delta)), config.node_limit,
+              float(config.time_limit),
+              [(f.id, f.path, *map(float, flow_charge(f, config))) for f in network.flows],
+              [(s.id, float(s.capacity_pps)) for s in network.switches])
+    return hashlib.sha256(repr(inputs).encode()).digest()
+
+
 def solve(network: Network, config: SolverConfig) -> SolveResult:
-    """Solve the configured formulation by branch and bound."""
-    return _bb_solve(network, config)
+    """Solve the configured formulation by branch and bound.
+
+    Inside a :func:`reused_searches` block, a solve whose search reads the
+    same inputs as an earlier one in the block (see :func:`_search_key`)
+    is given that search's result, wall_time included, and counted in the
+    block's ``reused``. Only a search that did not stop at its deadline is
+    kept: it is proven optimal or explored exactly node_limit nodes, so a
+    rerun would return the same result. Outside a block every call
+    searches."""
+    reuse = _reuse.get()
+    if reuse is None:
+        return _bb_solve(network, config)
+    key = _search_key(network, config)
+    result = reuse.results.get(key)
+    if result is not None:
+        reuse.reused += 1
+        return result
+    result = _bb_solve(network, config)
+    if result.optimal or result.nodes_explored == config.node_limit:
+        reuse.results[key] = result
+    return result
 
 
 def brute_force_optimal(network: Network, config: SolverConfig) -> SolveResult:

@@ -11,7 +11,8 @@ import pytest
 
 from flowsamp import (EpochConfig, EstimatorMode, Formulation, FlowSpec, RateProcess,
                       SamplingQuery, SolverConfig, SwitchSpec, build_network,
-                      measure_metrics, run_simulation, save_network, simulator)
+                      measure_metrics, optimizer, run_simulation, save_network,
+                      simulator)
 from flowsamp.cli import (_COMPARED, _RUNS, CliError, _params, compare_algorithms, main,
                           parse_algorithm, parse_args)
 from flowsamp.instances import (ScenarioBundle, epoch_sweep_scenario, model_driven_scenario,
@@ -119,6 +120,46 @@ def test_compare_zero_variance_rows_identical():
     rows = {(r["admitted"], r["fully_sampled"], tuple(r["rate_quartiles"]))
             for r in results.values()}
     assert len(rows) == 1
+    # every formulation charges mu alone and both seeds build one instance,
+    # so the first search serves every other solve
+    assert [(r["reused"], r["solves"]) for r in results.values()] == \
+        [(1, 2)] + [(2, 2)] * 4
+
+
+HEADLINE_ALGOS = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                             / "model_driven.json").read_text())["algorithms"]
+
+
+def test_compare_searches_each_distinct_instance_once(monkeypatch):
+    # At TWO_SIGMA_DELTA, z is exactly 2, so apx charges every flow what
+    # ds2sigma does: its 10 solves are served by ds2sigma's searches.
+    searches, solves = [], []
+    search, solve = optimizer._bb_solve, optimizer.solve
+    monkeypatch.setattr(optimizer, "_bb_solve",
+                        lambda net, cfg: searches.append(cfg) or search(net, cfg))
+
+    def recording_solve(net, cfg):
+        n_searches = len(searches)
+        result = solve(net, cfg)
+        solves.append((net, cfg, result, len(searches) == n_searches))
+        return result
+
+    monkeypatch.setattr(simulator, "solve", recording_solve)
+    results = compare_algorithms(model_driven_scenario, HEADLINE_ALGOS, [1, 2])
+    assert (len(searches), len(solves)) == (50, 60)
+    assert {token: (r["reused"], r["solves"]) for token, r in results.items()} == \
+        {token: (10 if token == "apx" else 0, 10) for token in HEADLINE_ALGOS}
+    reused = [(net, cfg, result) for net, cfg, result, was_reused in solves if was_reused]
+    assert {cfg.formulation for _, cfg, _ in reused} == {Formulation.APX}
+    for net, cfg, result in reused:
+        fresh = search(net, cfg)
+        assert (result.objective, result.optimal, result.nodes_explored, result.bound,
+                sorted(result.allocation.assignment.items())) == \
+            (fresh.objective, fresh.optimal, fresh.nodes_explored, fresh.bound,
+             sorted(fresh.allocation.assignment.items()))
+    # the reuse ends with the call
+    compare_algorithms(model_driven_scenario, HEADLINE_ALGOS, [1, 2])
+    assert len(searches) == 100
 
 
 def test_compare_pools_per_seed_measured_rates():
@@ -146,6 +187,14 @@ def test_compare_unknown_algorithm_exits_2(capsys):
     assert main(["compare", "--preset", "model-driven",
                  "--algorithms", "apx,warlock", "--seeds", "1"]) == 2
     assert "warlock" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["csamp+nan", "csamp+-5", "csamp+1e400"])
+def test_compare_bad_epsilon_exits_2_naming_the_token(token, capsys):
+    assert main(["compare", "--preset", "model-driven",
+                 "--algorithms", f"ds,{token}", "--seeds", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"algorithm {token!r}: epsilon_pps must be a finite number >= 0" in err
 
 
 @pytest.mark.parametrize("tokens,first,second", [

@@ -284,18 +284,19 @@ def test_greedy_incumbent_under_node_limit():
 TINY_CHARGES = (1.3e-7, 2.9e-7, 3.3e-7, 4.1e-7, 4.9e-7, 5.3e-7, 5.7e-7)
 
 
-def _tiny_room_instance(rng):
+def _tiny_room_instance(rng, repeated=False, var=0.0):
     """1-3 switches of capacity 0 or 2e-7 and 1-6 flows at target 1 and
-    variance 0, each charged a distinct one of TINY_CHARGES: loads sit
-    between a switch's capacity and its limit, inside the slack, and stay
-    off the limit under every formulation."""
+    variance ``var``, each charged one of TINY_CHARGES: loads sit between a
+    switch's capacity and its limit, inside the slack. Distinct charges
+    (the default) keep every load off the limit under every formulation;
+    ``repeated`` charges let some loads land on it."""
     ns, nf = int(rng.integers(1, 4)), int(rng.integers(1, 7))
     switches = [SwitchSpec(f"s{i}", float(rng.choice([0.0, 2e-7]))) for i in range(ns)]
     flows = [FlowSpec(f"f{j}", "x", "y",
                       tuple(f"s{i}" for i in rng.choice(ns, int(rng.integers(1, ns + 1)),
                                                         replace=False)),
-                      1.0, float(c), 0.0)
-             for j, c in enumerate(rng.choice(TINY_CHARGES, nf, replace=False))]
+                      1.0, float(c), var)
+             for j, c in enumerate(rng.choice(TINY_CHARGES, nf, replace=repeated))]
     return build_network(switches, flows)
 
 
@@ -332,6 +333,38 @@ def test_bounds_count_the_slack_as_room():
     for form in Formulation:
         r = solve(net, SolverConfig(form, delta=0.2))
         assert (r.objective, r.optimal, r.bound) == (3, True, 3), form
+
+
+def test_load_on_a_limit_rounds_as_in_the_search():
+    # 1.3e-7 + 3.3e-7 + 4.1e-7 + 1.3e-7 is exactly the limit 1e-6 in this
+    # order and 1.0000000000000002e-06 in the search's (ascending) order.
+    # feasible summed in assignment order, so the oracle admitted all four
+    # while the search proved 3.
+    net = build_network([SwitchSpec("s0", 0.0)],
+                        [FlowSpec(f"f{j}", "x", "y", ("s0",), 1.0, c, 0.0)
+                         for j, c in enumerate((1.3e-7, 3.3e-7, 4.1e-7, 1.3e-7))])
+    assert not feasible(net, Allocation({f.id: "s0" for f in net.flows}),
+                        SolverConfig(Formulation.DS))
+    for form in Formulation:
+        cfg = SolverConfig(form, delta=0.2)
+        r = solve(net, cfg)
+        assert (r.objective, r.optimal, r.bound) == (3, True, 3), form
+        assert brute_force_optimal(net, cfg).objective == 3, form
+
+
+@pytest.mark.parametrize("var", [0.0, 1e-16])
+def test_repeated_charges_against_oracle(var):
+    # With repeated charges some loads land exactly on a limit; draws 570,
+    # 802 and 1127 are false proofs when feasible and the search round a
+    # load in different orders.
+    for seed in range(1200):
+        net = _tiny_room_instance(np.random.default_rng(seed), repeated=True, var=var)
+        for form in Formulation:
+            cfg = SolverConfig(form, delta=0.2)
+            r = solve(net, cfg)
+            assert feasible(net, r.allocation, cfg)
+            assert r.optimal and r.objective == brute_force_optimal(net, cfg).objective, \
+                (seed, form)
 
 
 def _fingerprint(objective, optimal, nodes, pairs):
@@ -613,6 +646,28 @@ def test_time_limit_stops_the_search(monkeypatch):
     assert not r.optimal
     assert (r.objective, r.nodes_explored, r.bound, r.allocation.assignment) == \
         (at_512.objective, 512, at_512.bound, at_512.allocation.assignment)
+
+
+def test_reused_searches_keep_only_searches_that_a_rerun_repeats(monkeypatch):
+    searches = []
+    search = optimizer._bb_solve
+    monkeypatch.setattr(optimizer, "_bb_solve",
+                        lambda net, cfg: searches.append(cfg) or search(net, cfg))
+    net = runtime_comparison_network(7)
+    limited = SolverConfig(Formulation.EXACT, delta=0.2, node_limit=512)
+    # no node limit is reached before the deadline, read at 512 nodes
+    late = dataclasses.replace(limited, node_limit=200_000, time_limit=1e-9)
+    with optimizer.reused_searches() as reuse:
+        stopped = [solve(net, late) for _ in range(2)]
+        assert len(searches) == 2 and reuse.reused == 0
+        assert [(r.optimal, r.nodes_explored) for r in stopped] == [(False, 512)] * 2
+        first, again = solve(net, limited), solve(net, limited)
+        assert len(searches) == 3 and reuse.reused == 1
+        assert again is first and (first.optimal, first.nodes_explored) == (False, 512)
+    # outside a block every solve searches
+    solve(net, limited)
+    solve(net, limited)
+    assert len(searches) == 5
 
 
 def test_prune_work_on_cone_instance(monkeypatch):
