@@ -19,9 +19,10 @@ import numpy as np
 from .instances import (ScenarioBundle, epoch_sweep_scenario, model_driven_scenario,
                         sensitivity_scenario, trace_driven_scenario, whole_epochs)
 from .model import ModelError, build_network, load_network, read_json, write_json
-from .optimizer import Formulation, SolverConfig, reused_searches, solve
-from .simulator import (EpochConfig, EstimatorMode, SamplingQuery, measure_metrics,
-                        run_simulation, write_flow_epochs_csv, write_summary_json)
+from .optimizer import Formulation, SolverConfig, reused_searches, search_ahead, solve
+from .simulator import (EpochConfig, EstimatorMode, SamplingQuery, epoch_instances,
+                        measure_metrics, run_simulation, write_flow_epochs_csv,
+                        write_summary_json)
 from .trafficgen import UPDATE_INTERVAL, Distribution, load_trace
 
 DEFAULT_COMPARE_ALGOS = ["ds", "ds2sigma", "apx", "csamp+100", "csamp+150", "csamp+200"]
@@ -317,25 +318,32 @@ def compare_algorithms(bundle_builder, algorithms: list[str], seeds: list[int]):
     how many of the row's solves there were and how many an identical
     earlier search in this call served (see :func:`optimizer.solve`).
     Two tokens that parse to one (formulation, epsilon) are refused.
+
+    Every run's epoch instances go first to :func:`optimizer.search_ahead`,
+    which runs their distinct searches on the usable CPUs; the runs then
+    replay one at a time, each solve served its search's result.
     """
     if len(algorithms) < 2:
         raise CliError("'algorithms' must list at least two algorithms")
     bundles = [bundle_builder(seed) for seed in seeds]
-    seen = {}
+    seen, runs = {}, {}
     for token in algorithms:
-        config = parse_algorithm(token, bundles[0].epoch.solver)
-        key = (config.formulation, config.epsilon_pps)
+        configs = [parse_algorithm(token, bundle.epoch.solver) for bundle in bundles]
+        key = (configs[0].formulation, configs[0].epsilon_pps)
         if key in seen:
             raise CliError(f"algorithms {seen[key]!r} and {token!r} are the same algorithm")
         seen[key] = token
+        runs[token] = [bundle.with_solver(c) for bundle, c in zip(bundles, configs)]
     results = {}
     with reused_searches() as reuse:
-        for token in algorithms:
+        search_ahead(instance for run in runs.values() for bundle in run
+                     for instance in epoch_instances(bundle.network, list(bundle.queries),
+                                                     bundle.process, bundle.epoch))
+        for token, run in runs.items():
             admitted = fully = solves = 0
             reused_before = reuse.reused
             rates, times, per_seed = [], [], []
-            for seed, bundle in zip(seeds, bundles):
-                bundle = bundle.with_solver(parse_algorithm(token, bundle.epoch.solver))
+            for seed, bundle in zip(seeds, run):
                 report = _simulate(bundle, seed)
                 summary = measure_metrics(report)
                 admitted += summary.admitted_flows

@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import os
 import time
 from bisect import bisect_right
 from contextlib import contextmanager
@@ -560,9 +561,14 @@ def solve_exact(network: Network, config: SolverConfig) -> SolveResult:
 
 @dataclass
 class SearchReuse:
-    """The searches of one :func:`reused_searches` block, by what they read,
-    and how many solves an earlier search's result served."""
+    """The searches of one :func:`reused_searches` block, by what they read:
+    ``results`` those a solve in the block has returned, ``ahead`` those
+    :func:`search_ahead` ran that no solve has returned yet. ``searched``
+    counts the block's searches, in this process or a worker, and
+    ``reused`` the solves an earlier solve's result served."""
     results: dict[bytes, SolveResult] = field(default_factory=dict)
+    ahead: dict[bytes, SolveResult] = field(default_factory=dict)
+    searched: int = 0
     reused: int = 0
 
 
@@ -599,16 +605,84 @@ def _search_key(network: Network, config: SolverConfig) -> bytes:
     return hashlib.sha256(repr(inputs).encode()).digest()
 
 
+def _repeatable(result: SolveResult, config: SolverConfig) -> bool:
+    """Whether a rerun of the search would return ``result``: it is proven
+    optimal or explored exactly node_limit nodes, rather than stopping at
+    its deadline."""
+    return result.optimal or result.nodes_explored == config.node_limit
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def search_ahead(instances) -> None:
+    """Run the distinct searches among ``instances``, (network, config)
+    pairs, in a pool of worker processes, one per usable CPU, so that the
+    enclosing :func:`reused_searches` block's solve of each is served its
+    result; the solve that takes it does not count as reused.
+
+    A search that stopped at its deadline is not kept, so its solve searches
+    again. With one usable CPU, fewer than two distinct searches, no
+    ``fork`` start method or other threads running (a forked child would
+    inherit their locks), nothing runs and every solve searches in turn.
+    ``instances`` is read only if a pool may start. Every worker has
+    exited when this returns."""
+    reuse = _reuse.get()
+    if reuse is None:
+        raise RuntimeError("search_ahead needs a reused_searches block")
+    cpus = usable_cpus()
+    if cpus < 2:
+        return
+    import multiprocessing
+    import threading
+    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+        return
+    pending = {}
+    for network, config in instances:
+        pending.setdefault(_search_key(network, config), (network, config))
+    if len(pending) < 2:
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    searches = list(pending.values())
+    # forked workers inherit the instances, so only an index and the result
+    # cross between processes
+    with ProcessPoolExecutor(min(cpus, len(searches)),
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_adopt, initargs=(searches,)) as pool:
+        results = list(pool.map(_search_one, range(len(searches))))
+    reuse.searched += len(results)
+    for key, (_, config), result in zip(pending, searches, results):
+        if _repeatable(result, config):
+            reuse.ahead[key] = result
+
+
+_adopted: list[tuple[Network, SolverConfig]] = []   # a worker's instances
+
+
+def _adopt(searches: list[tuple[Network, SolverConfig]]) -> None:
+    _adopted[:] = searches
+
+
+def _search_one(index: int) -> SolveResult:
+    return _bb_solve(*_adopted[index])
+
+
 def solve(network: Network, config: SolverConfig) -> SolveResult:
     """Solve the configured formulation by branch and bound.
 
     Inside a :func:`reused_searches` block, a solve whose search reads the
-    same inputs as an earlier one in the block (see :func:`_search_key`)
-    is given that search's result, wall_time included, and counted in the
-    block's ``reused``. Only a search that did not stop at its deadline is
-    kept: it is proven optimal or explored exactly node_limit nodes, so a
-    rerun would return the same result. Outside a block every call
-    searches."""
+    same inputs as an earlier solve in the block (see :func:`_search_key`)
+    is given that solve's result, wall_time included, and counted in the
+    block's ``reused``. The first solve of a search that
+    :func:`search_ahead` ran is given its result uncounted. Only a search
+    that did not stop at its deadline is kept: it is proven optimal or
+    explored exactly node_limit nodes, so a rerun would return the same
+    result. Outside a block every call searches."""
     reuse = _reuse.get()
     if reuse is None:
         return _bb_solve(network, config)
@@ -617,9 +691,13 @@ def solve(network: Network, config: SolverConfig) -> SolveResult:
     if result is not None:
         reuse.reused += 1
         return result
-    result = _bb_solve(network, config)
-    if result.optimal or result.nodes_explored == config.node_limit:
-        reuse.results[key] = result
+    result = reuse.ahead.pop(key, None)
+    if result is None:
+        result = _bb_solve(network, config)
+        reuse.searched += 1
+        if not _repeatable(result, config):
+            return result
+    reuse.results[key] = result
     return result
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -192,40 +193,84 @@ class SimReport:
         return float(flags.mean()) if flags.size else 0.0
 
 
-def run_simulation(network: Network, queries: list[SamplingQuery], rates: RateProcess,
-                   config: EpochConfig, seed: int) -> SimReport:
+def epoch_instances(network: Network, queries: list[SamplingQuery], rates: RateProcess,
+                    config: EpochConfig) -> Iterator[tuple[Network, SolverConfig]]:
+    """Each epoch's solve, epoch by epoch: the network of the flows queried
+    at the epoch boundary, each at its target rate and with the moments the
+    estimator gives it, and the solver configuration. These are the
+    (network, config) pairs :func:`run_simulation` passes to ``solve``, in
+    order; neither depends on a solve's result."""
+    for instance, _ in _epochs(network, _epoch_targets(network, queries, rates, config),
+                               rates, config):
+        yield instance
+
+
+def _epoch_targets(network: Network, queries: list[SamplingQuery], rates: RateProcess,
+                   config: EpochConfig) -> np.ndarray:
+    """The run's (epoch, flow) target rates (see :func:`_query_targets`),
+    after checking that the queries name the network's flows and that the
+    rate process covers their whole epochs in the run's buckets."""
     for q in queries:
         if not network.has_flow(q.flow_id):
             raise ValueError(f"query references unknown flow {q.flow_id!r}")
     if abs(rates.bucket - config.bucket) > 1e-12:
         raise ValueError(f"rate process bucket {rates.bucket:g} s differs from "
                          f"simulation bucket {config.bucket:g} s")
-    bpe = config.buckets_per_epoch
     span = max((q.start + q.duration for q in queries), default=0.0)
     # no epoch boundary t_e >= 0 falls in spans that end at or before 0
     n_epochs = max(0, math.ceil(span / config.epoch_length - 1e-9))
-    n_buckets = n_epochs * bpe
-    if n_buckets > rates.n_buckets:
+    if n_epochs * config.buckets_per_epoch > rates.n_buckets:
         raise ValueError(
             f"rate process horizon {rates.horizon:g} s is shorter than the "
             f"{n_epochs} whole epochs ({n_epochs * config.epoch_length:g} s) "
             "spanned by the queries")
+    return _query_targets(queries, {f.id: i for i, f in enumerate(network.flows)},
+                          config.epoch_length, n_epochs)
 
+
+def _epochs(network: Network, target: np.ndarray, rates: RateProcess, config: EpochConfig
+            ) -> Iterator[tuple[tuple[Network, SolverConfig], np.ndarray]]:
+    """Per epoch of ``target``: the (network, solver config) its solve
+    reads, and its (flow, bucket) rates, which the replay reads and the
+    windowed estimator averages in later epochs."""
     flows = network.flows
-    nf = len(flows)
-    flow_ids = [f.id for f in flows]
+    bpe = config.buckets_per_epoch
+    series = [rates.series(f.id) for f in flows]
+    # (flow, epoch) rate means, each column filled as its epoch is reached;
+    # the estimator reads only past epochs
+    epoch_means = np.zeros((len(flows), len(target)))
+    declared = [f.rate_mean_pps for f in flows], [f.rate_var_pps2 for f in flows]
+    for e, alpha in enumerate(target):
+        means, variances = declared
+        if config.estimator_mode == EstimatorMode.WINDOWED and e > 0:
+            means, variances = (m.tolist() for m in
+                                estimate_flow_stats(epoch_means[:, :e], ESTIMATOR_WINDOW))
+        targets = alpha.tolist()
+        epoch_flows = [dataclasses.replace(flows[i], target_rate=targets[i],
+                                           rate_mean_pps=means[i], rate_var_pps2=variances[i])
+                       for i in np.nonzero(alpha > 0)[0].tolist()]
+        k0 = e * bpe
+        rate_e = np.concatenate([r[k0:k0 + bpe] for r in series]).reshape(len(flows), bpe)
+        epoch_means[:, e] = rate_e.mean(axis=1)
+        yield (build_network(network.switches, epoch_flows), config.solver), rate_e
+
+
+def run_simulation(network: Network, queries: list[SamplingQuery], rates: RateProcess,
+                   config: EpochConfig, seed: int) -> SimReport:
+    target = _epoch_targets(network, queries, rates, config)
+    n_epochs = len(target)
+    bpe = config.buckets_per_epoch
+    n_buckets = n_epochs * bpe
+    nf = len(network.flows)
+    flow_ids = [f.id for f in network.flows]
     fidx = {fid: i for i, fid in enumerate(flow_ids)}
     switch_ids = [s.id for s in network.switches]
     ns = len(switch_ids)
     sidx = {sid: i for i, sid in enumerate(switch_ids)}
-    series = [rates.series(fid) for fid in flow_ids]
-    # (flow, epoch) rate means, each column filled when its epoch is
-    # replayed; the estimator reads only past epochs
-    epoch_means = np.zeros((nf, n_epochs))
     cap_bucket = np.array([math.floor(s.capacity_pps * config.bucket) for s in network.switches],
                           dtype=np.int64)
     report = SimReport(
-        flow_ids=flow_ids, target=_query_targets(queries, fidx, config.epoch_length, n_epochs),
+        flow_ids=flow_ids, target=target,
         assigned=np.full((n_epochs, nf), -1, dtype=np.int64),
         offered=np.zeros((n_epochs, nf), dtype=np.int64),
         sampled=np.zeros((n_epochs, nf), dtype=np.int64),
@@ -238,19 +283,12 @@ def run_simulation(network: Network, queries: list[SamplingQuery], rates: RatePr
     rng = np.random.default_rng(seed)
     carry = np.zeros(nf)
     bucket_base = np.arange(bpe)[:, None] * ns
-    declared = [f.rate_mean_pps for f in flows], [f.rate_var_pps2 for f in flows]
-    for e in range(n_epochs):
-        alpha = report.target[e]
+    # the instances are read one epoch at a time, so a wide run holds one
+    # epoch's network and rates at once
+    for e, (instance, rate_e) in enumerate(_epochs(network, target, rates, config)):
+        alpha = target[e]
         active = alpha > 0
-        means, variances = declared
-        if config.estimator_mode == EstimatorMode.WINDOWED and e > 0:
-            means, variances = (m.tolist() for m in
-                                estimate_flow_stats(epoch_means[:, :e], ESTIMATOR_WINDOW))
-        targets = alpha.tolist()
-        epoch_flows = [dataclasses.replace(flows[i], target_rate=targets[i],
-                                           rate_mean_pps=means[i], rate_var_pps2=variances[i])
-                       for i in np.nonzero(active)[0].tolist()]
-        result = solve(build_network(network.switches, epoch_flows), config.solver)
+        result = solve(*instance)
         report.solves.append({
             "epoch": e, "objective": result.objective, "optimal": result.optimal,
             "nodes_explored": result.nodes_explored, "bound": result.bound,
@@ -264,8 +302,6 @@ def run_simulation(network: Network, queries: list[SamplingQuery], rates: RatePr
         # the whole epoch as (bucket, flow) arrays, bucket-major: one binomial
         # call draws the same variates in the same order as one call per bucket
         k0 = e * bpe
-        rate_e = np.concatenate([r[k0:k0 + bpe] for r in series]).reshape(nf, bpe)
-        epoch_means[:, e] = rate_e.mean(axis=1)
         offered, carry = _offered_counts((rate_e * config.bucket).T, carry)
         sampled = rng.binomial(np.where(admit_mask, offered, 0), alpha)
         admitted = np.nonzero(admit_mask)[0]

@@ -1,18 +1,21 @@
 import argparse
+import contextlib
 import dataclasses
 import inspect
 import json
 import math
+import multiprocessing
+import os
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flowsamp import (EpochConfig, EstimatorMode, Formulation, FlowSpec, RateProcess,
-                      SamplingQuery, SolverConfig, SwitchSpec, build_network,
-                      measure_metrics, optimizer, run_simulation, save_network,
-                      simulator)
+from flowsamp import (Allocation, EpochConfig, EstimatorMode, Formulation, FlowSpec,
+                      RateProcess, SamplingQuery, SolveResult, SolverConfig, SwitchSpec,
+                      build_network, cli, measure_metrics, optimizer, run_simulation,
+                      save_network, simulator)
 from flowsamp.cli import (_COMPARED, _RUNS, CliError, _params, compare_algorithms, main,
                           parse_algorithm, parse_args)
 from flowsamp.instances import (ScenarioBundle, epoch_sweep_scenario, model_driven_scenario,
@@ -126,40 +129,124 @@ def test_compare_zero_variance_rows_identical():
         [(1, 2)] + [(2, 2)] * 4
 
 
-HEADLINE_ALGOS = json.loads((Path(__file__).resolve().parents[1] / "configs"
-                             / "model_driven.json").read_text())["algorithms"]
+HEADLINE = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                       / "model_driven.json").read_text())
+HEADLINE_ALGOS = HEADLINE["algorithms"]
 
 
-def test_compare_searches_each_distinct_instance_once(monkeypatch):
+@pytest.fixture
+def blocks(monkeypatch):
+    """The SearchReuse of every reused_searches block compare opens, in order."""
+    opened = []
+    block = optimizer.reused_searches
+
+    @contextlib.contextmanager
+    def recording():
+        with block() as reuse:
+            opened.append(reuse)
+            yield reuse
+
+    monkeypatch.setattr(cli, "reused_searches", recording)
+    return opened
+
+
+def test_compare_searches_each_distinct_instance_once(monkeypatch, blocks):
     # At TWO_SIGMA_DELTA, z is exactly 2, so apx charges every flow what
-    # ds2sigma does: its 10 solves are served by ds2sigma's searches.
-    searches, solves = [], []
-    search, solve = optimizer._bb_solve, optimizer.solve
-    monkeypatch.setattr(optimizer, "_bb_solve",
-                        lambda net, cfg: searches.append(cfg) or search(net, cfg))
+    # ds2sigma does: its 10 solves are served by ds2sigma's searches. The
+    # searches run in worker processes, which the block counts.
+    monkeypatch.setattr(optimizer, "usable_cpus", lambda: 2)
+    solves = []
+    solve = optimizer.solve
 
     def recording_solve(net, cfg):
-        n_searches = len(searches)
+        n_reused = blocks[-1].reused
         result = solve(net, cfg)
-        solves.append((net, cfg, result, len(searches) == n_searches))
+        solves.append((net, cfg, result, blocks[-1].reused > n_reused))
         return result
 
     monkeypatch.setattr(simulator, "solve", recording_solve)
     results = compare_algorithms(model_driven_scenario, HEADLINE_ALGOS, [1, 2])
-    assert (len(searches), len(solves)) == (50, 60)
+    assert (blocks[0].searched, len(solves)) == (50, 60)
     assert {token: (r["reused"], r["solves"]) for token, r in results.items()} == \
         {token: (10 if token == "apx" else 0, 10) for token in HEADLINE_ALGOS}
     reused = [(net, cfg, result) for net, cfg, result, was_reused in solves if was_reused]
     assert {cfg.formulation for _, cfg, _ in reused} == {Formulation.APX}
     for net, cfg, result in reused:
-        fresh = search(net, cfg)
+        fresh = optimizer._bb_solve(net, cfg)
         assert (result.objective, result.optimal, result.nodes_explored, result.bound,
                 sorted(result.allocation.assignment.items())) == \
             (fresh.objective, fresh.optimal, fresh.nodes_explored, fresh.bound,
              sorted(fresh.allocation.assignment.items()))
     # the reuse ends with the call
     compare_algorithms(model_driven_scenario, HEADLINE_ALGOS, [1, 2])
-    assert len(searches) == 100
+    assert [b.searched for b in blocks] == [50, 50]
+
+
+def _headline_compare(monkeypatch, tmp_path, capsys, cpus):
+    """The headline compare at seeds 1-2 with ``cpus`` usable CPUs: its
+    --out bytes, its stdout table without the mean_solve_s column, every
+    solve's result without its wall time, and how many searches ran in
+    this process."""
+    monkeypatch.setattr(optimizer, "usable_cpus", lambda: cpus)
+    parent, here = os.getpid(), []
+    search, solve, results = optimizer._bb_solve, optimizer.solve, []
+    monkeypatch.setattr(optimizer, "_bb_solve", lambda net, cfg: (
+        os.getpid() == parent and here.append(cfg)) or search(net, cfg))
+    monkeypatch.setattr(simulator, "solve",
+                        lambda net, cfg: results.append(solve(net, cfg)) or results[-1])
+    out, config = tmp_path / f"compare{cpus}.json", tmp_path / "run.json"
+    config.write_text(json.dumps({**HEADLINE, "seeds": [1, 2], "out": str(out)}))
+    capsys.readouterr()
+    assert main(["compare", "--config", str(config)]) == 0
+    *lines, wrote = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert wrote == ["wrote", str(out)]
+    column = lines[0].index("mean_solve_s")
+    table = [line[:column] + line[column + 1:] for line in lines]
+    fields = [{f.name: getattr(r, f.name) for f in dataclasses.fields(r)
+               if f.name != "wall_time"} for r in results]
+    return out.read_bytes(), table, fields, len(here)
+
+
+def test_compare_in_workers_equals_compare_in_process(monkeypatch, tmp_path, capsys):
+    *pooled, pooled_here = _headline_compare(monkeypatch, tmp_path, capsys, 2)
+    *serial, serial_here = _headline_compare(monkeypatch, tmp_path, capsys, 1)
+    assert (pooled_here, serial_here) == (0, 50)
+    assert len(pooled[2]) == 60
+    assert pooled == serial
+
+
+def test_compare_searches_again_what_a_worker_stopped_at_its_deadline(monkeypatch, tmp_path,
+                                                                      blocks):
+    # every worker search returns as if stopped at its deadline, short of
+    # the node limit: none may serve a solve, and the workers are gone
+    # once compare returns
+    monkeypatch.setattr(optimizer, "usable_cpus", lambda: 2)
+    parent, here, keys = os.getpid(), [], []
+    search = optimizer._bb_solve
+
+    def deadline_in_workers(net, cfg):
+        if os.getpid() == parent:
+            here.append(optimizer._search_key(net, cfg))
+            return search(net, cfg)
+        (tmp_path / str(os.getpid())).touch()
+        return SolveResult(Allocation({}), 0, False, 1, 0.0, None)
+
+    monkeypatch.setattr(optimizer, "_bb_solve", deadline_in_workers)
+    solve = optimizer.solve
+    monkeypatch.setattr(simulator, "solve", lambda net, cfg: keys.append(
+        optimizer._search_key(net, cfg)) or solve(net, cfg))
+    results = compare_algorithms(lambda seed: model_driven_scenario(seed, n_epochs=2),
+                                 HEADLINE_ALGOS, [1])
+    assert len(keys) == 12 and len(set(keys)) == 10
+    assert sorted(here) == sorted(set(keys))
+    assert blocks[0].searched == 20
+    assert results["apx"]["reused"] == 2
+    workers = [int(p.name) for p in tmp_path.iterdir()]
+    assert workers and parent not in workers
+    assert multiprocessing.active_children() == []
+    for pid in workers:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_compare_pools_per_seed_measured_rates():

@@ -296,6 +296,27 @@ def test_windowed_estimate_reaches_solver(monkeypatch):
         [r.assigned_switch for r in report.records]
 
 
+@pytest.mark.parametrize("mode", list(EstimatorMode))
+def test_epoch_instances_are_the_solves_of_the_run(monkeypatch, mode):
+    # queries of several start times and rates, so that epochs differ in
+    # their flows and targets as well as in their estimates
+    net, queries, process, config = _windowed_case(mode)
+    queries = [SamplingQuery(q.flow_id, 0.5 * (i % 4), 2.0, 0.25 * (1 + i % 3))
+               for i, q in enumerate(queries)]
+    seen = []
+    monkeypatch.setattr(fs, "solve", lambda network, cfg: seen.append(
+        (network.switches, network.flows, cfg)) or solve(network, cfg))
+    run_simulation(net, queries, process, config, 7)
+    assert len(seen) == 7 and len({flows for _, flows, _ in seen}) == 7
+    built = []
+    build = fs.build_network
+    monkeypatch.setattr(fs, "build_network", lambda *args: built.append(1) or build(*args))
+    instances = fs.epoch_instances(net, queries, process, config)
+    first = next(instances)
+    assert len(built) == 1   # read epoch by epoch
+    assert [(n.switches, n.flows, cfg) for n, cfg in (first, *instances)] == seen
+
+
 def test_active_epoch_range_matches_scan():
     # one flow per query, so each target column holds one query's epochs
     rng = np.random.default_rng(3)
