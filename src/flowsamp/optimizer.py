@@ -139,29 +139,36 @@ def effective_load(flow: FlowSpec, config: SolverConfig) -> float:
 
     Undefined for EXACT, whose per-switch charge is not additive.
     """
-    stats = load_stats(flow)
-    form = config.formulation
-    if form == Formulation.APX:
-        return stats.mu + normal_quantile(config.delta) * stats.sigma
-    if form == Formulation.DS:
-        return stats.mu
-    if form == Formulation.DS2SIGMA:
-        return stats.mu + 2.0 * stats.sigma
-    if form == Formulation.CSAMP_EPS:
-        return flow.target_rate * (flow.rate_mean_pps + config.epsilon_pps)
-    raise ValueError(f"no additive load for formulation {form}")
+    if config.formulation == Formulation.EXACT:
+        raise ValueError(f"no additive load for formulation {config.formulation}")
+    return flow_charge(flow, config)[0]
 
 
 def flow_charge(flow: FlowSpec, config: SolverConfig) -> tuple[float, float]:
     """(g, var): what a flow adds to the per-switch charge
     sum(g) + z(delta) * sqrt(sum(var)). EXACT charges the load moments
     (mu, sigma^2), every additive formulation its effective load and no
-    variance. The one definition of the charge: the search, the brute-force
-    oracle and the feasibility checks all read it."""
-    if config.formulation == Formulation.EXACT:
-        stats = load_stats(flow)
-        return stats.mu, stats.sigma ** 2
-    return effective_load(flow, config), 0.0
+    variance. The one definition of the charge, kept in :func:`_charges`:
+    the search, the brute-force oracle and the feasibility checks all read
+    it."""
+    return _charges([flow], config)[0]
+
+
+def _charges(flows: list[FlowSpec], config: SolverConfig) -> list[tuple[float, float]]:
+    """:func:`flow_charge` of each of ``flows``, with z(delta) computed once
+    for the list rather than once per flow."""
+    form = config.formulation
+    if form == Formulation.CSAMP_EPS:
+        return [(f.target_rate * (f.rate_mean_pps + config.epsilon_pps), 0.0) for f in flows]
+    moments = [load_stats(f) for f in flows]
+    if form == Formulation.EXACT:
+        return [(m.mu, m.sigma ** 2) for m in moments]
+    if form == Formulation.DS:
+        return [(m.mu, 0.0) for m in moments]
+    if form not in (Formulation.APX, Formulation.DS2SIGMA):
+        raise ValueError(f"no charge for formulation {form}")
+    k = 2.0 if form == Formulation.DS2SIGMA else normal_quantile(config.delta)
+    return [(m.mu + k * m.sigma, 0.0) for m in moments]
 
 
 def _slack(capacity: float) -> float:
@@ -177,7 +184,8 @@ def feasible(network: Network, alloc: Allocation, config: SolverConfig) -> bool:
     with flow id breaking ties, so that a load on a switch's limit rounds
     as it does in the search."""
     z = normal_quantile(config.delta)
-    charges = {fid: flow_charge(network.flow(fid), config) for fid in alloc.assignment}
+    flows = [network.flow(fid) for fid in alloc.assignment]
+    charges = dict(zip(alloc.assignment, _charges(flows, config)))
     used: dict[str, tuple[float, float]] = {}
     for fid in sorted(charges, key=lambda fid: (charges[fid][0], fid)):
         sid = alloc.assignment[fid]
@@ -309,18 +317,26 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
 
     Backtracking restores the state from an undo trail, with no arithmetic.
     A frame's first visit (the move of first[]) and every apply push
-    (s, first[s], term[s], used_g[s], used_var[s]) before they change s. A
-    return to the frame pops the trail to the height the frame recorded,
-    writing each entry back, and takes total from the frame; releasing a
-    flow only clears its choice and the admitted count. used_g[s] and
-    used_var[s] are thus always the charges of the flows applied on the
-    path, added in path order, and every term equals what computing it
-    afresh would give.
+    (s, first[s], term[s], used_g[s], used_var[s]) before they change s;
+    an apply also adds its position to `applied`. A return to a frame pops
+    the trail to the height its first visit left, writing each entry back,
+    clears the choices applied below it and takes total and admitted from
+    the frame. used_g[s] and used_var[s] are thus always the charges of the
+    flows applied on the path, added in path order, and every term equals
+    what computing it afresh would give. The skip child, every frame's
+    last, takes its frame's place, and a frame whose last child is pruned
+    is dropped at once, so no loop pass is spent on a finished frame.
+
+    Each test has one definition, a local function: the fit test
+    `fitting`, the per-switch term `fit_count` and the pooled test
+    `pool_admits`. A frame's first visit, the loop's hottest step, writes
+    the first two in place, in one pass over the flow's path. bisect_right
+    and time.perf_counter are read once per search.
 
     The root bound is the same three bounds at depth 0 with nothing
     admitted, min(rem, total, pooled): no assignment admits more flows. A
-    greedy pass runs first. It is the search's first dive, taking
-    children(d)[0] at every depth d and counting one node per step under
+    greedy pass runs first. It is the search's first dive, taking the first
+    child at every depth d and counting one node per step under
     the same node limit (it takes at most n steps and leaves the time limit
     to the search), but it keeps no per-switch terms and tests no bound.
     If its incumbent meets the root bound, that incumbent is optimal and
@@ -330,12 +346,14 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
     there had been no pass, returning as soon as its incumbent meets the
     root bound. Either way optimal=True means proven: by the root bound or
     by exhausting the tree."""
-    t0 = time.perf_counter()
+    clock = time.perf_counter    # read at call time, so a patched module is seen
+    bisect = bisect_right
+    t0 = clock()
     z = float(normal_quantile(config.delta))
     sqrt = math.sqrt
     flows = network.flows
     n = len(flows)
-    charges = [flow_charge(f, config) for f in flows]
+    charges = _charges(flows, config)
     order = sorted(range(n), key=lambda i: (charges[i][0], flows[i].id))
     g = [float(charges[i][0]) for i in order]
     var = [float(charges[i][1]) for i in order]
@@ -384,21 +402,21 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
     trail = []
 
     def fit_count(s: int, used: float) -> int:
-        """Switch s's term at first[s] if its used charge were `used`: how
-        many of its remaining members fit in the room limit[s] - used,
-        cheapest first; 0 if none remain or the room is negative."""
+        """The per-switch term of s at first[s] if its used charge were
+        `used`: how many of its remaining members fit in the room limit[s] -
+        used, cheapest first; 0 if none remain or the room is negative."""
         j = first[s]
         room = limit[s] - used
         if j >= n_members[s] or room < 0:
             return 0
         acc = member_prefix[s]
-        return bisect_right(acc, acc[j] + room, j) - 1 - j
+        return bisect(acc, acc[j] + room, j) - 1 - j
 
     term = [fit_count(s, 0.0) for s in range(n_switch)]
     total = sum(term)
 
     def fitting(depth: int) -> list[int]:
-        """The switches on the path of the flow at `depth` that still fit it."""
+        """The fit test: the switches on the flow at `depth`'s path that fit it."""
         gd, vd = g[depth], var[depth]
         return [s for s in on_path[depth]
                 if used_g[s] + gd + z * sqrt(used_var[s] + vd) <= limit[s]]
@@ -408,23 +426,16 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
         cap = capacity[s]
         return (used_g[s] + z * sqrt(used_var[s])) / cap if cap > 0 else 1.0, rank[s]
 
-    def children(depth: int) -> list[int]:
-        kids = fitting(depth)
-        if len(kids) > 1:
-            kids.sort(key=child_key)
-        kids.append(-1)  # leave the flow unsampled
-        return kids
-
     def target(depth: int, pool: float) -> float:
         return prefix[depth] + pool + 1e-9 * (1.0 + pool)
 
     def pool_admits(depth: int, need: int, pool: float) -> bool:
-        """pooled > need at `depth`, counted at a running pool plus margin;
-        depth + need < n."""
+        """The pooled test: pooled > need at `depth`, counted at a running
+        pool plus margin; depth + need < n."""
         return prefix[depth + need + 1] <= target(depth, pool + margin)
 
     pool = sum(limit)    # the root's room summed; every limit is > 0
-    root = min(n, total, bisect_right(prefix, target(0, pool), 0, n + 1) - 1)
+    root = min(n, total, bisect(prefix, target(0, pool), 0, n + 1) - 1)
 
     # The greedy pass (see above); it stops at the node limit as the search
     # does, before an apply.
@@ -434,8 +445,9 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
         nodes += 1
         if nodes >= node_limit:
             break
-        s = children(pos)[0]
-        if s >= 0:
+        kids = fitting(pos)
+        if kids:
+            s = min(kids, key=child_key)
             used_g[s] += g[pos]
             used_var[s] += var[pos]
             choice[pos] = s
@@ -447,62 +459,79 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
         used_g[:] = used_var[:] = [0.0] * n_switch
         choice[:] = [-1] * n
         admitted = nodes = 0
-        # Frames: [children (None until the frame's first visit), next
-        # index, running pool, trail height and total as the frame left
-        # them].
-        stack = [[None, 0, pool, 0, 0]]
+        # Frames: [depth, children (None until the frame's first visit),
+        # next index, running pool, and the trail height, total and
+        # admitted count as the frame left them].
+        stack = [[0, None, 0, pool, 0, 0, 0]]
+    applied = []    # the positions of the flows applied on the path, in order
     deadline = t0 + config.time_limit
     while stack:
         frame = stack[-1]
-        kids, idx, pool, height, saved = frame
-        depth = len(stack) - 1
-        if kids is not None and idx >= len(kids):
-            stack.pop()
-            if depth and choice[depth - 1] >= 0:
-                choice[depth - 1] = -1
-                admitted -= 1
-            continue
+        depth, kids, idx, pool, height, saved, was = frame
         nd = depth + 1
         if kids is None:
-            if nd < n:
-                # move first[] across the flow at `depth`
-                for s in on_path[depth]:
-                    trail.append((s, first[s], term[s], used_g[s], used_var[s]))
-                    first[s] += 1
-                    t = fit_count(s, used_g[s])
-                    total += t - term[s]
-                    term[s] = t
-            frame[3] = len(trail)
-            frame[4] = total
+            # one pass over the flow's path takes the fit test and moves
+            # first[] across the flow, recomputing each term (both inlined)
+            gd, vd = g[depth], var[depth]
+            fits = []
+            for s in on_path[depth]:
+                u = used_g[s]
+                if u + gd + z * sqrt(used_var[s] + vd) <= limit[s]:
+                    fits.append(s)
+                j, t_was = first[s], term[s]
+                trail.append((s, j, t_was, u, used_var[s]))
+                j += 1
+                first[s] = j
+                room = limit[s] - u
+                if j >= n_members[s] or room < 0:
+                    t = 0
+                else:
+                    acc = member_prefix[s]
+                    t = bisect(acc, acc[j] + room, j) - 1 - j
+                total += t - t_was
+                term[s] = t
+            frame[4] = len(trail)
+            frame[5] = total
+            frame[6] = admitted
         elif len(trail) > height:
             for s, j, t, u, v in reversed(trail[height:]):
                 first[s], term[s], used_g[s], used_var[s] = j, t, u, v
             del trail[height:]
-            total = saved
+            for pos in applied[was:]:
+                choice[pos] = -1
+            del applied[was:]
+            total, admitted = saved, was
         need = best_obj - admitted - 1   # an applied child must admit more than this below it
         if need >= 0 and (n - nd <= need or total <= need):
             # rem or total prunes every child left in the frame, the skip
             # child too (it must admit more than need + 1)
-            step = len(kids) - idx if kids else len(fitting(depth)) + 1
-            frame[0] = kids = ()
+            step = len(fits) + 1 if kids is None else len(kids) - idx
+            kids = ()
         else:
             if kids is None:
-                kids = frame[0] = children(depth)
-            frame[1] += 1
+                if len(fits) > 1:
+                    fits.sort(key=child_key)
+                fits.append(-1)
+                kids = frame[1] = fits
+            frame[2] += 1
             step = 1
         nodes += step
-        if nodes >= node_limit or (nodes % 512 < step and time.perf_counter() > deadline):
+        if nodes >= node_limit or (nodes % 512 < step and clock() > deadline):
             # report the step the per-step count would have stopped at
             nodes = node_limit if nodes >= node_limit else nodes - nodes % 512
             limit_hit = True
             break
         if not kids:
+            stack.pop()
             continue
         s = kids[idx]
         if s < 0:
+            # the skip child, every frame's last, takes its frame's place
             need += 1
             if n - nd > need and total > need and pool_admits(nd, need, pool):
-                stack.append([None, 0, pool, 0, 0])
+                stack[-1] = [nd, None, 0, pool, 0, 0, 0]
+            else:
+                stack.pop()
             continue
         if need < 0:
             best_obj = admitted + 1
@@ -511,7 +540,7 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
             if best_obj >= root:
                 break
             need = 0
-        # s's term with the flow applied; first[] is at nd unless nd = n
+        # s's term with the flow applied; first[] is at nd
         u = used_g[s]
         ug = u + g[depth]
         t = fit_count(s, ug)
@@ -525,10 +554,11 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
         used_g[s] = ug
         used_var[s] += var[depth]
         choice[depth] = s
+        applied.append(depth)
         admitted += 1
         total += t - term[s]
         term[s] = t
-        stack.append([None, 0, kid_pool, 0, 0])
+        stack.append([nd, None, 0, kid_pool, 0, 0, 0])
 
     assignment = {
         flows[order[pos]].id: switch_ids[s]
@@ -539,7 +569,7 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
         objective=len(assignment),
         optimal=not limit_hit,
         nodes_explored=nodes,
-        wall_time=time.perf_counter() - t0,
+        wall_time=clock() - t0,
         bound=root,
     )
 
@@ -600,7 +630,8 @@ def _search_key(network: Network, config: SolverConfig) -> bytes:
     results do."""
     inputs = (float(normal_quantile(config.delta)), config.node_limit,
               float(config.time_limit),
-              [(f.id, f.path, *map(float, flow_charge(f, config))) for f in network.flows],
+              [(f.id, f.path, float(g), float(var))
+               for f, (g, var) in zip(network.flows, _charges(network.flows, config))],
               [(s.id, float(s.capacity_pps)) for s in network.switches])
     return hashlib.sha256(repr(inputs).encode()).digest()
 

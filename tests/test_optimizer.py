@@ -397,6 +397,17 @@ def test_search_fingerprint_cone_instance():
         assert got == expected, form
 
 
+def test_search_fingerprint_full_size_surrogate():
+    # The benchmark's 500-switch, 5,000-flow surrogate solve: the greedy
+    # pass meets the root bound of 1,000 in 2,731 steps.
+    r = solve(big_scale_free_network(3), SolverConfig(Formulation.APX, delta=0.2,
+                                                      node_limit=20_000))
+    assert r.bound == 1000
+    assert _fingerprint(r.objective, r.optimal, r.nodes_explored,
+                        r.allocation.assignment.items()) == \
+        (1000, True, 2_731, "c2dd20a40624144b")
+
+
 def test_search_fingerprint_scale_free_and_simulation():
     net = big_scale_free_network(3, n_switches=50, n_flows=300)
     r = solve(net, SolverConfig(Formulation.APX, delta=0.2, node_limit=2_000))
@@ -522,13 +533,16 @@ def test_search_loads_are_the_applied_charges():
     # arithmetic, and a child being tested is not written into them. A load
     # restored by subtraction reads, e.g., -3.6e-15 on an empty switch, and
     # that switch then sorts ahead of an untouched one with a lower id.
+    # Only the main loop makes pooled tests, so their count shows that the
+    # checks reach it; the greedy pass's calls alone could pass a count of
+    # every helper call.
     bb_code = optimizer._bb_solve.__code__
     helpers = {c for c in bb_code.co_consts
                if isinstance(c, types.CodeType) and not c.co_name.startswith("<")}
-    checked, wrong = 0, []
+    pooled, wrong = 0, []
 
     def watch(frame, event, arg):
-        nonlocal checked
+        nonlocal pooled
         if event == "call" and frame.f_code in helpers and frame.f_back.f_code is bb_code:
             search = frame.f_back.f_locals
             used_g, used_var, g, var = (search[k] for k in ("used_g", "used_var", "g", "var"))
@@ -537,12 +551,12 @@ def test_search_loads_are_the_applied_charges():
                 if s >= 0:
                     fresh_g[s] += g[pos]
                     fresh_var[s] += var[pos]
-            checked += 1
+            pooled += frame.f_code.co_name == "pool_admits"
             if fresh_g != used_g or fresh_var != used_var:
                 wrong.append((frame.f_code.co_name, list(used_g), fresh_g))
 
     _watch_tight_searches(watch, range(30))
-    assert checked > 10_000
+    assert pooled > 10_000
     assert not wrong, wrong[:3]
 
 
