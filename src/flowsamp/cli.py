@@ -320,8 +320,9 @@ def compare_algorithms(bundle_builder, algorithms: list[str], seeds: list[int]):
     Two tokens that parse to one (formulation, epsilon) are refused.
 
     Every run's epoch instances go first to :func:`optimizer.search_ahead`,
-    which runs their distinct searches on the usable CPUs; the runs then
-    replay one at a time, each solve served its search's result.
+    which submits their distinct searches, in run order, to workers on the
+    usable CPUs. The runs then replay one at a time while the workers
+    search the later runs, each solve waiting for its own search's result.
     """
     if len(algorithms) < 2:
         raise CliError("'algorithms' must list at least two algorithms")

@@ -40,10 +40,14 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from .model import (Allocation, FlowSpec, LoadStats, Network, load_stats, read_json,
                     write_json)
 from .stats import normal_quantile
+
+if TYPE_CHECKING:   # imported only when a compare may start workers
+    from concurrent.futures import Executor, Future
 
 FEAS_TOL = 1e-6
 ENUMERATION_BUDGET = 10_000_000
@@ -592,12 +596,14 @@ def solve_exact(network: Network, config: SolverConfig) -> SolveResult:
 @dataclass
 class SearchReuse:
     """The searches of one :func:`reused_searches` block, by what they read:
-    ``results`` those a solve in the block has returned, ``ahead`` those
-    :func:`search_ahead` ran that no solve has returned yet. ``searched``
-    counts the block's searches, in this process or a worker, and
-    ``reused`` the solves an earlier solve's result served."""
+    ``results`` those a solve in the block has returned, ``ahead`` the
+    futures of those :func:`search_ahead` submitted to ``pool`` that no
+    solve has taken yet. ``searched`` counts the block's searches, in this
+    process or a worker, and ``reused`` the solves an earlier solve's
+    result served."""
     results: dict[bytes, SolveResult] = field(default_factory=dict)
-    ahead: dict[bytes, SolveResult] = field(default_factory=dict)
+    ahead: dict[bytes, Future] = field(default_factory=dict)
+    pool: Executor | None = None
     searched: int = 0
     reused: int = 0
 
@@ -610,12 +616,17 @@ def reused_searches():
     """Within the block, :func:`solve` runs each distinct search once.
 
     Yields the block's :class:`SearchReuse`, which is dropped when the
-    block exits: no solve after the block is served from it."""
-    token = _reuse.set(SearchReuse())
+    block exits: no solve after the block is served from it. On any exit
+    the searches no worker has started are cancelled, and every worker has
+    exited when the block ends."""
+    reuse = SearchReuse()
+    token = _reuse.set(reuse)
     try:
-        yield _reuse.get()
+        yield reuse
     finally:
         _reuse.reset(token)
+        if reuse.pool is not None:
+            reuse.pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _search_key(network: Network, config: SolverConfig) -> bytes:
@@ -652,17 +663,19 @@ def usable_cpus() -> int:
 
 
 def search_ahead(instances) -> None:
-    """Run the distinct searches among ``instances``, (network, config)
-    pairs, in a pool of worker processes, one per usable CPU, so that the
-    enclosing :func:`reused_searches` block's solve of each is served its
-    result; the solve that takes it does not count as reused.
+    """Submit the distinct searches among ``instances``, (network, config)
+    pairs, in order to a pool of worker processes, one per usable CPU, and
+    return at once. The enclosing :func:`reused_searches` block owns the
+    pool. Its solve of each search waits for that result alone, uncounted
+    as reused, so the caller replays while the workers search. A worker's
+    ``wall_time`` can include time spent sharing a core with the caller.
 
     A search that stopped at its deadline is not kept, so its solve searches
     again. With one usable CPU, fewer than two distinct searches, no
     ``fork`` start method or other threads running (a forked child would
-    inherit their locks), nothing runs and every solve searches in turn.
-    ``instances`` is read only if a pool may start. Every worker has
-    exited when this returns."""
+    inherit their locks; a block's own pool runs one), nothing is submitted
+    and every solve searches in turn. ``instances`` is read only if a pool
+    may start."""
     reuse = _reuse.get()
     if reuse is None:
         raise RuntimeError("search_ahead needs a reused_searches block")
@@ -682,14 +695,12 @@ def search_ahead(instances) -> None:
     searches = list(pending.values())
     # forked workers inherit the instances, so only an index and the result
     # cross between processes
-    with ProcessPoolExecutor(min(cpus, len(searches)),
-                             mp_context=multiprocessing.get_context("fork"),
-                             initializer=_adopt, initargs=(searches,)) as pool:
-        results = list(pool.map(_search_one, range(len(searches))))
-    reuse.searched += len(results)
-    for key, (_, config), result in zip(pending, searches, results):
-        if _repeatable(result, config):
-            reuse.ahead[key] = result
+    reuse.pool = ProcessPoolExecutor(min(cpus, len(searches)),
+                                     mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_adopt, initargs=(searches,))
+    for index, key in enumerate(pending):
+        reuse.ahead[key] = reuse.pool.submit(_search_one, index)
+    reuse.searched += len(searches)
 
 
 _adopted: list[tuple[Network, SolverConfig]] = []   # a worker's instances
@@ -710,10 +721,12 @@ def solve(network: Network, config: SolverConfig) -> SolveResult:
     same inputs as an earlier solve in the block (see :func:`_search_key`)
     is given that solve's result, wall_time included, and counted in the
     block's ``reused``. The first solve of a search that
-    :func:`search_ahead` ran is given its result uncounted. Only a search
-    that did not stop at its deadline is kept: it is proven optimal or
-    explored exactly node_limit nodes, so a rerun would return the same
-    result. Outside a block every call searches."""
+    :func:`search_ahead` submitted waits for that search and is given its
+    result uncounted. Only a search that did not stop at its deadline is
+    kept: it is proven optimal or explored exactly node_limit nodes, so a
+    rerun would return the same result; a worker's search that stopped at
+    its deadline is searched again here. Outside a block every call
+    searches."""
     reuse = _reuse.get()
     if reuse is None:
         return _bb_solve(network, config)
@@ -722,8 +735,9 @@ def solve(network: Network, config: SolverConfig) -> SolveResult:
     if result is not None:
         reuse.reused += 1
         return result
-    result = reuse.ahead.pop(key, None)
-    if result is None:
+    future = reuse.ahead.pop(key, None)
+    result = None if future is None else future.result()
+    if result is None or not _repeatable(result, config):
         result = _bb_solve(network, config)
         reuse.searched += 1
         if not _repeatable(result, config):

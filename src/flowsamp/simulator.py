@@ -24,7 +24,6 @@ per-flow outcomes and metrics are all read from its columns.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from collections.abc import Iterator
@@ -33,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import Network, build_network, write_json
+from .model import FlowSpec, Network, build_network, write_json
 from .optimizer import SolverConfig, solve
 from .stats import estimate_flow_stats
 from .trafficgen import UPDATE_INTERVAL, RateProcess
@@ -142,16 +141,20 @@ class SimReport:
     def n_epochs(self) -> int:
         return len(self.target)
 
+    def _active_cells(self) -> Iterator[tuple[int, int, int, int, int, int]]:
+        """(epoch, flow index, switch index, offered, sampled, forwarded) of
+        each active cell, in epoch order and then flow order."""
+        epochs, flows = np.nonzero(self.target > 0)
+        return zip(epochs.tolist(), flows.tolist(),
+                   *(c[epochs, flows].tolist()
+                     for c in (self.assigned, self.offered, self.sampled, self.forwarded)))
+
     @functools.cached_property
     def records(self) -> list[FlowEpochRecord]:
         """The active cells, in epoch order and then flow order."""
-        epochs, flows = np.nonzero(self.target > 0)
-        columns = (c[epochs, flows].tolist()
-                   for c in (self.assigned, self.offered, self.sampled, self.forwarded))
         return [FlowEpochRecord(e, self.flow_ids[i], self.switch_ids[s] if s >= 0 else None,
                                 offered, sampled, forwarded, sampled - forwarded)
-                for e, i, s, offered, sampled, forwarded
-                in zip(epochs.tolist(), flows.tolist(), *columns)]
+                for e, i, s, offered, sampled, forwarded in self._active_cells()]
 
     @functools.cached_property
     def outcomes(self) -> dict[str, FlowOutcome]:
@@ -246,9 +249,8 @@ def _epochs(network: Network, target: np.ndarray, rates: RateProcess, config: Ep
             means, variances = (m.tolist() for m in
                                 estimate_flow_stats(epoch_means[:, :e], ESTIMATOR_WINDOW))
         targets = alpha.tolist()
-        epoch_flows = [dataclasses.replace(flows[i], target_rate=targets[i],
-                                           rate_mean_pps=means[i], rate_var_pps2=variances[i])
-                       for i in np.nonzero(alpha > 0)[0].tolist()]
+        epoch_flows = [FlowSpec(f.id, f.src, f.dst, f.path, targets[i], means[i], variances[i])
+                       for i in np.nonzero(alpha > 0)[0].tolist() for f in [flows[i]]]
         k0 = e * bpe
         rate_e = np.concatenate([r[k0:k0 + bpe] for r in series]).reshape(len(flows), bpe)
         epoch_means[:, e] = rate_e.mean(axis=1)
@@ -441,14 +443,16 @@ def measure_metrics(report: SimReport) -> MetricSummary:
 
 
 def write_flow_epochs_csv(report: SimReport, path: str) -> None:
-    """One row per (flow, epoch); see docs/formats.md."""
+    """One row per active (epoch, flow) cell; see docs/formats.md."""
+    switch_ids = report.switch_ids + [""]   # switch index -1, not admitted, reads ""
+    flow_ids = report.flow_ids
     with open(path, "w") as fh:
         fh.write("#flow-epochs v1\n")
         fh.write("epoch,flow,assigned_switch,offered,sampled,forwarded,dropped,measured_rate\n")
-        for r in report.records:
-            rate = f"{r.forwarded / r.offered:.6f}" if r.offered else ""
-            fh.write(f"{r.epoch},{r.flow_id},{r.assigned_switch or ''},"
-                     f"{r.offered},{r.sampled},{r.forwarded},{r.dropped},{rate}\n")
+        for e, i, s, offered, sampled, forwarded in report._active_cells():
+            rate = f"{forwarded / offered:.6f}" if offered else ""
+            fh.write(f"{e},{flow_ids[i]},{switch_ids[s]},"
+                     f"{offered},{sampled},{forwarded},{sampled - forwarded},{rate}\n")
 
 
 def write_summary_json(report: SimReport, path: str) -> None:

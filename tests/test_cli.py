@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +242,65 @@ def test_compare_searches_again_what_a_worker_stopped_at_its_deadline(monkeypatc
     assert sorted(here) == sorted(set(keys))
     assert blocks[0].searched == 20
     assert results["apx"]["reused"] == 2
+    workers = [int(p.name) for p in tmp_path.iterdir()]
+    assert workers and parent not in workers
+    assert multiprocessing.active_children() == []
+    for pid in workers:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def test_compare_replays_while_the_workers_search(monkeypatch, tmp_path):
+    # each worker search of the last run waits, up to a timeout, for the
+    # marker the first replay leaves: a compare that searched everything
+    # before replaying anything would find it only after the timeout
+    monkeypatch.setattr(optimizer, "usable_cpus", lambda: 2)
+    parent, marker = os.getpid(), tmp_path / "first-replay-done"
+    search, simulate = optimizer._bb_solve, cli._simulate
+
+    def waiting_in_workers(net, cfg):
+        if os.getpid() != parent and cfg.formulation == Formulation.EXACT:
+            deadline = time.monotonic() + 10.0
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            (tmp_path / f"waited-{optimizer._search_key(net, cfg).hex()}").write_text(
+                "marker" if marker.exists() else "timeout")
+        return search(net, cfg)
+
+    def marking(bundle, seed):
+        report = simulate(bundle, seed)
+        marker.touch()
+        return report
+
+    monkeypatch.setattr(optimizer, "_bb_solve", waiting_in_workers)
+    monkeypatch.setattr(cli, "_simulate", marking)
+    compare_algorithms(lambda seed: model_driven_scenario(seed, n_epochs=2),
+                       ["ds", "exact"], [1])
+    waits = [p.read_text() for p in tmp_path.glob("waited-*")]
+    assert len(waits) == 2 and set(waits) == {"marker"}
+
+
+def test_compare_that_fails_mid_replay_leaves_no_worker(monkeypatch, tmp_path):
+    monkeypatch.setattr(optimizer, "usable_cpus", lambda: 2)
+    parent, search, simulate = os.getpid(), optimizer._bb_solve, cli._simulate
+    calls = []
+
+    def marking_workers(net, cfg):
+        if os.getpid() != parent:
+            (tmp_path / str(os.getpid())).touch()
+        return search(net, cfg)
+
+    def failing_second(bundle, seed):
+        calls.append(seed)
+        if len(calls) == 2:
+            raise RuntimeError("replay failed")
+        return simulate(bundle, seed)
+
+    monkeypatch.setattr(optimizer, "_bb_solve", marking_workers)
+    monkeypatch.setattr(cli, "_simulate", failing_second)
+    with pytest.raises(RuntimeError, match="replay failed"):
+        compare_algorithms(model_driven_scenario, HEADLINE_ALGOS, [1, 2])
+    assert len(calls) == 2
     workers = [int(p.name) for p in tmp_path.iterdir()]
     assert workers and parent not in workers
     assert multiprocessing.active_children() == []
