@@ -19,7 +19,7 @@ import numpy as np
 from .instances import (ScenarioBundle, epoch_sweep_scenario, model_driven_scenario,
                         sensitivity_scenario, trace_driven_scenario, whole_epochs)
 from .model import ModelError, build_network, load_network, read_json, write_json
-from .optimizer import Formulation, SolverConfig, reused_searches, search_ahead, solve
+from .optimizer import Formulation, SolverConfig, reused_searches, solve
 from .simulator import (EpochConfig, EstimatorMode, SamplingQuery, epoch_instances,
                         measure_metrics, run_simulation, write_flow_epochs_csv,
                         write_summary_json)
@@ -314,15 +314,16 @@ def compare_algorithms(bundle_builder, algorithms: list[str], seeds: list[int]):
 
     Returns a dict keyed by algorithm token with summed admitted and fully
     sampled counts, pooled measured-rate quartiles, and, for the stdout
-    table only (``compare --out`` leaves them out), the mean solve time and
-    how many of the row's solves there were and how many an identical
-    earlier search in this call served (see :func:`optimizer.solve`).
+    table only (``compare --out`` leaves them out), the mean wall time over
+    the row's solves, how many solves there were and how many of them an
+    identical earlier search in this call served (see :func:`optimizer.solve`).
     Two tokens that parse to one (formulation, epsilon) are refused.
 
-    Every run's epoch instances go first to :func:`optimizer.search_ahead`,
-    which submits their distinct searches, in run order, to workers on the
-    usable CPUs. The runs then replay one at a time while the workers
-    search the later runs, each solve waiting for its own search's result.
+    One :func:`optimizer.reused_searches` block, opened on every run's
+    epoch instances, submits their distinct searches, in run order, to
+    workers on the usable CPUs. The runs then replay one at a time while
+    the workers search the later runs, each solve waiting for its own
+    search's result.
     """
     if len(algorithms) < 2:
         raise CliError("'algorithms' must list at least two algorithms")
@@ -336,12 +337,12 @@ def compare_algorithms(bundle_builder, algorithms: list[str], seeds: list[int]):
         seen[key] = token
         runs[token] = [bundle.with_solver(c) for bundle, c in zip(bundles, configs)]
     results = {}
-    with reused_searches() as reuse:
-        search_ahead(instance for run in runs.values() for bundle in run
-                     for instance in epoch_instances(bundle.network, list(bundle.queries),
-                                                     bundle.process, bundle.epoch))
+    plan = (instance for run in runs.values() for bundle in run
+            for instance in epoch_instances(bundle.network, list(bundle.queries),
+                                            bundle.process, bundle.epoch))
+    with reused_searches(plan) as reuse:
         for token, run in runs.items():
-            admitted = fully = solves = 0
+            admitted = fully = 0
             reused_before = reuse.reused
             rates, times, per_seed = [], [], []
             for seed, bundle in zip(seeds, run):
@@ -349,8 +350,7 @@ def compare_algorithms(bundle_builder, algorithms: list[str], seeds: list[int]):
                 summary = measure_metrics(report)
                 admitted += summary.admitted_flows
                 fully += summary.fully_sampled_flows
-                solves += len(report.solves)
-                times.append(summary.mean_solver_wall_time)
+                times.extend(s["wall_time_s"] for s in report.solves)
                 rates.extend(summary.measured_rates)
                 per_seed.append({"seed": seed, "admitted": summary.admitted_flows,
                                  "fully_sampled": summary.fully_sampled_flows})
@@ -360,7 +360,7 @@ def compare_algorithms(bundle_builder, algorithms: list[str], seeds: list[int]):
                 "fully_sampled": fully,
                 "rate_quartiles": quartiles,
                 "mean_solver_wall_time_s": float(np.mean(times)) if times else 0.0,
-                "solves": solves,
+                "solves": len(times),
                 "reused": reuse.reused - reused_before,
                 "per_seed": per_seed,
             }

@@ -405,7 +405,6 @@ class MetricSummary:
     rate_quartiles: tuple[float, float, float] | None  # over ever-admitted flows
     violation_fraction: float
     per_switch_violation: dict[str, float]
-    mean_solver_wall_time: float       # not serialized
     measured_rates: tuple[float, ...]  # of ever-admitted flows by flow id; not serialized
 
     def to_json_dict(self) -> dict:
@@ -430,14 +429,12 @@ def measure_metrics(report: SimReport) -> MetricSummary:
         if measured else None
     violations = report.switch_violations
     per_switch = violations.mean(axis=1) if violations.shape[1] else np.zeros(len(violations))
-    times = [s["wall_time_s"] for s in report.solves]
     return MetricSummary(
         admitted_flows=sum(o.ever_admitted for o in outcomes),
         fully_sampled_flows=sum(o.fully_sampled for o in outcomes),
         rate_quartiles=quartiles,
         violation_fraction=report.violation_fraction(),
         per_switch_violation=dict(zip(report.switch_ids, per_switch.tolist())),
-        mean_solver_wall_time=float(np.mean(times)) if times else 0.0,
         measured_rates=measured,
     )
 

@@ -7,6 +7,8 @@ import math
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -142,8 +144,8 @@ def blocks(monkeypatch):
     block = optimizer.reused_searches
 
     @contextlib.contextmanager
-    def recording():
-        with block() as reuse:
+    def recording(instances=()):
+        with block(instances) as reuse:
             opened.append(reuse)
             yield reuse
 
@@ -307,6 +309,56 @@ def test_compare_that_fails_mid_replay_leaves_no_worker(monkeypatch, tmp_path):
     for pid in workers:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+def test_compare_reads_its_plan_only_if_a_pool_may_start(monkeypatch):
+    def unreadable(*args):
+        raise RuntimeError("plan read")
+
+    def untimed(results):
+        return {token: {k: v for k, v in r.items() if k != "mean_solver_wall_time_s"}
+                for token, r in results.items()}
+
+    monkeypatch.setattr(optimizer, "usable_cpus", lambda: 1)
+    expected = untimed(compare_algorithms(partly_admitted_bundle, ["ds", "csamp+0"], [0, 1]))
+    monkeypatch.setattr(cli, "epoch_instances", unreadable)
+    assert untimed(compare_algorithms(partly_admitted_bundle, ["ds", "csamp+0"], [0, 1])) == \
+        expected
+    monkeypatch.setattr(optimizer, "usable_cpus", lambda: 2)
+    with pytest.raises(RuntimeError, match="plan read"):
+        compare_algorithms(partly_admitted_bundle, ["ds", "csamp+0"], [0, 1])
+    assert multiprocessing.active_children() == []
+
+
+def test_compare_mean_solve_time_is_over_the_row_solves(monkeypatch):
+    # at this inclusion probability seeds 1 and 2 draw no query and make no
+    # solve: they must not count as solves that took no time
+    walls = {}
+    solve = simulator.solve
+
+    def recording_solve(net, cfg):
+        result = solve(net, cfg)
+        walls.setdefault(cfg.formulation, []).append(result.wall_time)
+        return result
+
+    monkeypatch.setattr(simulator, "solve", recording_solve)
+    results = compare_algorithms(lambda seed: model_driven_scenario(seed, inclusion_prob=0.002),
+                                 ["ds", "apx"], [1, 2, 3, 4])
+    assert [r["admitted"] for r in results["ds"]["per_seed"]][:2] == [0, 0]
+    for token, form in (("ds", Formulation.DS), ("apx", Formulation.APX)):
+        assert results[token]["solves"] == len(walls[form]) == 6
+        assert results[token]["mean_solver_wall_time_s"] == float(np.mean(walls[form]))
+
+
+def test_importing_the_package_starts_no_pool_machinery():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import flowsamp, flowsamp.cli, flowsamp.instances; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-c", code, src],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 def test_compare_pools_per_seed_measured_rates():

@@ -547,10 +547,9 @@ def test_search_loads_are_the_applied_charges():
             search = frame.f_back.f_locals
             used_g, used_var, g, var = (search[k] for k in ("used_g", "used_var", "g", "var"))
             fresh_g, fresh_var = [0.0] * len(used_g), [0.0] * len(used_var)
-            for pos, s in enumerate(search["choice"]):
-                if s >= 0:
-                    fresh_g[s] += g[pos]
-                    fresh_var[s] += var[pos]
+            for pos, s in search["applied"]:
+                fresh_g[s] += g[pos]
+                fresh_var[s] += var[pos]
             pooled += frame.f_code.co_name == "pool_admits"
             if fresh_g != used_g or fresh_var != used_var:
                 wrong.append((frame.f_code.co_name, list(used_g), fresh_g))
@@ -682,6 +681,22 @@ def test_reused_searches_keep_only_searches_that_a_rerun_repeats(monkeypatch):
     solve(net, limited)
     solve(net, limited)
     assert len(searches) == 5
+
+
+def test_reused_searches_serve_only_solves_with_the_same_limits(monkeypatch):
+    searches = []
+    search = optimizer._bb_solve
+    monkeypatch.setattr(optimizer, "_bb_solve",
+                        lambda net, cfg: searches.append(cfg) or search(net, cfg))
+    net = runtime_comparison_network(7)
+    limited = SolverConfig(Formulation.EXACT, delta=0.2, node_limit=512)
+    with optimizer.reused_searches() as reuse:
+        solve(net, limited)
+        assert solve(net, dataclasses.replace(limited, node_limit=513)).nodes_explored == 513
+        solve(net, dataclasses.replace(limited, time_limit=2 * limited.time_limit))
+        assert len(searches) == 3 and reuse.reused == 0
+        solve(net, limited)
+        assert len(searches) == 3 and reuse.reused == 1
 
 
 def test_prune_work_on_cone_instance(monkeypatch):
