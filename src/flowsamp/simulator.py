@@ -6,17 +6,21 @@ the last ``ESTIMATOR_WINDOW`` epochs, solves for a sampling schedule, and
 then replays the epoch's buckets as one batch of whole-array passes:
 offered packets are the differences of the floored running sum of each
 flow's arrivals, started from the fraction left over by the previous
-epoch (so long-run counts are exact), one binomial draw over the
-(bucket, flow) matrix samples each offered packet independently with the
-flow's target probability (the generator yields the same variates in the
-same order as one draw per bucket), and each switch forwards at most its
-per-bucket budget of sampled packets, dropping the excess and flagging a
-capacity violation.
+epoch (so long-run counts are exact), each offered packet is sampled
+independently with the flow's target probability, and each switch
+forwards at most its per-bucket budget of sampled packets, dropping the
+excess and flagging a capacity violation. Only the admitted flows whose
+target is below 1 draw: one binomial draw over their (bucket, flow)
+columns, which yields the same variates in the same order as one draw
+per bucket. A full-rate cell samples its offered count and uses up no
+variate.
 
 Queries arriving mid-epoch wait for the next boundary. Drops on an
 overloaded switch are split across its flows proportionally to their
 sampled counts (largest-remainder rounding, ties to the earlier flow),
-for every overloaded (bucket, switch) cell of the epoch at once.
+for every overloaded (bucket, switch) cell of the epoch at once; an
+epoch with no overloaded cell forwards what it sampled and skips the
+split.
 
 The run fills one (epoch, flow) table, a row per epoch; the records,
 per-flow outcomes and metrics are all read from its columns.
@@ -32,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import FlowSpec, Network, build_network, write_json
+from .model import FlowSpec, ModelError, Network, build_network, write_json
 from .optimizer import SolverConfig, solve
 from .stats import estimate_flow_stats
 from .trafficgen import UPDATE_INTERVAL, RateProcess
@@ -191,8 +195,12 @@ class SimReport:
         return self.outcomes.get(flow_id, _NO_OUTCOME).fully_sampled
 
     def violation_fraction(self, switch_id: str | None = None) -> float:
-        flags = self.switch_violations if switch_id is None else \
-            self.switch_violations[self.switch_ids.index(switch_id)]
+        flags = self.switch_violations
+        if switch_id is not None:
+            try:
+                flags = flags[self.switch_ids.index(switch_id)]
+            except ValueError:
+                raise ModelError(f"unknown switch {switch_id!r}") from None
         return float(flags.mean()) if flags.size else 0.0
 
 
@@ -301,11 +309,17 @@ def run_simulation(network: Network, queries: list[SamplingQuery], rates: RatePr
             assigned[fidx[fid]] = sidx[sid]
         admit_mask = assigned >= 0
 
-        # the whole epoch as (bucket, flow) arrays, bucket-major: one binomial
-        # call draws the same variates in the same order as one call per bucket
+        # the whole epoch as (bucket, flow) arrays, bucket-major. Only the
+        # admitted fractional-rate columns draw, in one binomial call that
+        # yields the same variates in the same order as one call per bucket;
+        # a full-rate cell keeps its offered count and uses up no variate. An
+        # epoch with no overloaded cell forwards what it sampled, unsplit
         k0 = e * bpe
         offered, carry = _offered_counts((rate_e * config.bucket).T, carry)
-        sampled = rng.binomial(np.where(admit_mask, offered, 0), alpha)
+        sampled = np.where(admit_mask & (alpha >= 1.0), offered, 0)
+        fractional = np.nonzero(admit_mask & (alpha < 1.0))[0]
+        if len(fractional):
+            sampled[:, fractional] = rng.binomial(offered[:, fractional], alpha[fractional])
         admitted = np.nonzero(admit_mask)[0]
         totals = np.bincount((bucket_base + assigned[admitted]).ravel(),
                              weights=sampled[:, admitted].ravel(),
@@ -313,7 +327,8 @@ def run_simulation(network: Network, queries: list[SamplingQuery], rates: RatePr
         report.switch_loads[:, k0:k0 + bpe] = totals.T
         over = totals > cap_bucket
         report.switch_violations[:, k0:k0 + bpe] = over.T
-        forwarded = _split_overloads(sampled, totals, over, assigned, cap_bucket)
+        forwarded = (_split_overloads(sampled, totals, over, assigned, cap_bucket)
+                     if over.any() else sampled)
         report.offered[e] = np.where(active, offered.sum(axis=0), 0)
         report.sampled[e] = sampled.sum(axis=0)
         report.forwarded[e] = forwarded.sum(axis=0)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from flowsamp import (Distribution, EpochConfig, EstimatorMode, Formulation, FlowSpec,
-                      MixtureConfig, RateProcess, SamplingQuery, SolverConfig, SwitchSpec,
-                      build_network, generate_model_driven, measure_metrics,
+                      MixtureConfig, ModelError, RateProcess, SamplingQuery, SolverConfig,
+                      SwitchSpec, build_network, generate_model_driven, measure_metrics,
                       run_simulation, solve, write_flow_epochs_csv, write_summary_json)
 from flowsamp import simulator as fs
 from flowsamp.instances import (TWO_SIGMA_DELTA, abilene_graph, model_driven_scenario,
@@ -87,6 +87,13 @@ def test_half_capacity_halves_measured_rate():
     assert report.measured_rate("f") == pytest.approx(0.5, abs=1e-6)
     assert not report.fully_sampled("f")
     assert report.violation_fraction("s") == 1.0
+
+
+def test_violation_fraction_of_unknown_switch():
+    report = run_simulation(single_flow_net(), [], constant_process({"f": 10.0}, 10),
+                            EpochConfig(), 0)
+    with pytest.raises(ModelError, match="unknown switch 'nope'"):
+        report.violation_fraction("nope")
 
 
 def test_fully_sampled_requires_admission_in_every_active_epoch():
@@ -229,11 +236,29 @@ def _windowed_case(mode=EstimatorMode.WINDOWED):
     return net, queries, process, config
 
 
-# sha256 over the records, switch loads and violation flags, recorded with
-# the replay that drew and capped one bucket at a time. A change to the
-# carry-over or the overload split shows up in every case. The four
-# sensitivity cases sample at rate 1, where every binomial draw returns its
-# offered count, so only "windowed" and "model-driven" pin the draw order.
+def _mixed_rate_case():
+    # four 0.5 s epochs; even flows are queried at rate 1 and odd ones at
+    # 0.5 on shared Abilene switches, and bursty flows overrun some buckets,
+    # dropping packets of both kinds
+    net = uniform_rate_network(abilene_graph(), 40, capacity_pps=600.0, seed=5)
+    net = build_network(net.switches, [dataclasses.replace(f, target_rate=0.5 if i % 2 else 1.0)
+                                       for i, f in enumerate(net.flows)])
+    mixture = MixtureConfig(mean_choices_kbps=(100.0, 300.0), cov_low=0.2, cov_low_prob=0.5,
+                            cov_high=1.5)
+    process = generate_model_driven(net, mixture, 2.0, 6)
+    queries = [SamplingQuery(f.id, 0.0, 2.0, f.target_rate) for f in net.flows]
+    config = EpochConfig(epoch_length=0.5, solver=SolverConfig(Formulation.APX, node_limit=2_000),
+                         estimator_mode=EstimatorMode.DECLARED)
+    return net, queries, process, config
+
+
+# sha256 over the records, switch loads and violation flags. All but
+# "mixed-rate" were recorded with the replay that drew and capped one bucket
+# at a time. A change to the carry-over or the overload split shows up in
+# every case. The four sensitivity cases sample only at rate 1 and draw no
+# variate, so they pin only the carry-over and the split; "windowed" and
+# "model-driven" pin the draw order at one fractional rate, and "mixed-rate"
+# the draw order when full-rate flows share switches with fractional ones.
 REPLAY_FINGERPRINTS = {
     Distribution.TRUNC_NORMAL:
         "68a7d9bdb38f274eb1cf59595be1e79153ec1a19f2441bb94297bf6b24836723",
@@ -245,6 +270,7 @@ REPLAY_FINGERPRINTS = {
         "94c02239e6f659eae3393bf6245b2d4ab420342371473038b0095f8819c60260",
     "windowed": "33e2d65089b28612797ab5abc4a39c5799a3713d286a57f88e873a434141ef79",
     "model-driven": "417dd493de4bcd37f5e828858d5cf77e9cbee2b2789478e22530918ced10f2a3",
+    "mixed-rate": "7639e48a533610dc90f3e0b9e34636feac93eb2d98bba261d71a782b06961275",
 }
 
 
@@ -252,6 +278,8 @@ REPLAY_FINGERPRINTS = {
 def test_replay_fingerprint(case):
     if case == "windowed":
         report = run_simulation(*_windowed_case(), 7)
+    elif case == "mixed-rate":
+        report = run_simulation(*_mixed_rate_case(), 3)
     elif case == "model-driven":
         bundle = model_driven_scenario(1, n_epochs=2, node_limit=2_000)
         report = run_simulation(bundle.network, list(bundle.queries), bundle.process,
@@ -262,6 +290,51 @@ def test_replay_fingerprint(case):
                                 bundle.epoch, 0)
     assert report.switch_violations.any()   # every case splits overloads
     assert _replay_digest(report) == REPLAY_FINGERPRINTS[case]
+
+
+def test_full_rate_cells_use_up_no_variate():
+    # six flows over two unlimited switches for two epochs: adding full-rate
+    # queries for f1 and f4 leaves every 0.5-rate flow's samples as they were,
+    # and a full-rate cell samples its offered count
+    paths = [("a",), ("b",), ("a", "b"), ("b", "a"), ("a",), ("b",)]
+    net = build_network([SwitchSpec("a", 1e9), SwitchSpec("b", 1e9)],
+                        [FlowSpec(f"f{i}", "x", "y", path, 0.5, 500.0, 0.0)
+                         for i, path in enumerate(paths)])
+    process = constant_process({f"f{i}": 333.3 + 100.0 * i for i in range(6)}, 20)
+    config = EpochConfig(epoch_length=1.0, estimator_mode=EstimatorMode.DECLARED)
+    fractional = [SamplingQuery(f"f{i}", 0.0, 2.0, 0.5) for i in (0, 2, 3, 5)]
+    full = [SamplingQuery(f"f{i}", 0.0, 2.0, 1.0) for i in (1, 4)]
+    alone = run_simulation(net, fractional, process, config, 11)
+    mixed = run_simulation(net, fractional + full, process, config, 11)
+    assert (mixed.assigned >= 0).all()
+    np.testing.assert_array_equal(mixed.sampled[:, [0, 2, 3, 5]], alone.sampled[:, [0, 2, 3, 5]])
+    np.testing.assert_array_equal(mixed.sampled[:, [1, 4]], mixed.offered[:, [1, 4]])
+    assert (mixed.offered[:, [1, 4]] > 0).all()
+
+
+class _CountingGenerator(np.random.Generator):
+    """A generator that counts its binomial calls in ``calls``."""
+
+    calls = 0
+
+    def binomial(self, *args, **kwargs):
+        _CountingGenerator.calls += 1
+        return super().binomial(*args, **kwargs)
+
+
+def test_binomial_draws_only_for_fractional_rates(monkeypatch):
+    # built before the generator is patched: the traffic draws are not counted
+    sensitivity = sensitivity_scenario(Distribution.GAMMA, 0)
+    model_driven = model_driven_scenario(1, n_epochs=2, node_limit=2_000)
+    monkeypatch.setattr(_CountingGenerator, "calls", 0)
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed=None: _CountingGenerator(np.random.PCG64(seed)))
+    run_simulation(sensitivity.network, list(sensitivity.queries), sensitivity.process,
+                   sensitivity.epoch, 0)
+    assert _CountingGenerator.calls == 0
+    report = run_simulation(model_driven.network, list(model_driven.queries),
+                            model_driven.process, model_driven.epoch, 1)
+    assert _CountingGenerator.calls == (report.assigned >= 0).any(axis=1).sum() > 0
 
 
 def test_windowed_estimate_reaches_solver(monkeypatch):
