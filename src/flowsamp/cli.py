@@ -20,7 +20,7 @@ from .instances import (ScenarioBundle, epoch_sweep_scenario, model_driven_scena
                         sensitivity_scenario, trace_driven_scenario, whole_epochs)
 from .model import ModelError, build_network, load_network, read_json, write_json
 from .optimizer import Formulation, SolverConfig, reused_searches, solve
-from .simulator import (EpochConfig, EstimatorMode, SamplingQuery, epoch_instances,
+from .simulator import (EpochConfig, EstimatorMode, SamplingQuery, epoch_networks,
                         measure_metrics, run_simulation, write_flow_epochs_csv,
                         write_summary_json)
 from .trafficgen import UPDATE_INTERVAL, Distribution, load_trace
@@ -191,9 +191,14 @@ def _seed(name: str, value) -> int:
 
 def _seeds(args, default) -> list[int]:
     """The run's 'seeds', or ``default`` when none were given."""
-    if args.seeds == []:
+    return _distinct_seeds([_seed("'seeds' entry", s)
+                            for s in (default if args.seeds is None else args.seeds)])
+
+
+def _distinct_seeds(seeds: list[int]) -> list[int]:
+    """``seeds`` if it lists at least one seed and none twice."""
+    if not seeds:
         raise CliError("'seeds' must list at least one seed")
-    seeds = [_seed("'seeds' entry", s) for s in args.seeds or default]
     repeated = _repeated(seeds)
     if repeated is not None:
         raise CliError(f"'seeds' lists seed {repeated} more than once")
@@ -316,15 +321,14 @@ def compare_algorithms(bundle_builder, algorithms: list[str], seeds: list[int]):
     sampled counts, pooled measured-rate quartiles, and, for the stdout
     table only (``compare --out`` leaves them out), the mean wall time over
     the row's solves, how many solves there were and how many of them an
-    identical earlier search in this call served (see :func:`optimizer.solve`).
-    Two tokens that parse to one (formulation, epsilon) are refused.
+    identical earlier search in this call served. Two tokens that parse to
+    one (formulation, epsilon) are refused, and so are no seeds or a
+    repeated seed.
 
-    One :func:`optimizer.reused_searches` block, opened on every run's
-    epoch instances, submits their distinct searches, in run order, to
-    workers on the usable CPUs. The runs then replay one at a time while
-    the workers search the later runs, each solve waiting for its own
-    search's result.
+    The runs replay in one :func:`optimizer.reused_searches` block, which
+    reads their epoch instances as its plan; its docstring gives the rules.
     """
+    _distinct_seeds(seeds)
     if len(algorithms) < 2:
         raise CliError("'algorithms' must list at least two algorithms")
     bundles = [bundle_builder(seed) for seed in seeds]
@@ -336,11 +340,18 @@ def compare_algorithms(bundle_builder, algorithms: list[str], seeds: list[int]):
             raise CliError(f"algorithms {seen[key]!r} and {token!r} are the same algorithm")
         seen[key] = token
         runs[token] = [bundle.with_solver(c) for bundle, c in zip(bundles, configs)]
+
+    def plan():
+        networks = {}   # by seed, built on that seed's first read
+        for run in runs.values():
+            for seed, bundle in zip(seeds, run):
+                if seed not in networks:
+                    networks[seed] = list(epoch_networks(bundle.network, list(bundle.queries),
+                                                         bundle.process, bundle.epoch))
+                yield from ((network, bundle.epoch.solver) for network in networks[seed])
+
     results = {}
-    plan = (instance for run in runs.values() for bundle in run
-            for instance in epoch_instances(bundle.network, list(bundle.queries),
-                                            bundle.process, bundle.epoch))
-    with reused_searches(plan) as reuse:
+    with reused_searches(plan()) as reuse:
         for token, run in runs.items():
             admitted = fully = 0
             reused_before = reuse.reused

@@ -595,11 +595,7 @@ def solve_exact(network: Network, config: SolverConfig) -> SolveResult:
 
 @dataclass
 class SearchReuse:
-    """The searches of one :func:`reused_searches` block, by what they read:
-    ``searches`` maps each :func:`_search_key` to the result kept for it,
-    or to the future of a search submitted to ``pool`` that no solve has
-    taken yet. ``searched`` counts the block's searches, in this process or
-    a worker, and ``reused`` the solves an earlier solve's result served."""
+    """The state of one :func:`reused_searches` block; see its docstring."""
     searches: dict[bytes, SolveResult | Future] = field(default_factory=dict)
     pool: Executor | None = None
     searched: int = 0
@@ -613,20 +609,29 @@ _reuse: ContextVar[SearchReuse | None] = ContextVar("flowsamp_search_reuse", def
 def reused_searches(instances=()):
     """Within the block, :func:`solve` runs each distinct search once.
 
-    As the block opens, the distinct searches among ``instances``,
-    (network, config) pairs, go in order to a pool of worker processes, one
-    per usable CPU. A solve of one of them waits for that result alone,
-    uncounted as reused, so the caller replays while the workers search. A
-    worker's ``wall_time`` can include time spent sharing a core with the
-    caller. With one usable CPU, fewer than two distinct searches, no
-    ``fork`` start method or other threads running (a forked child would
-    inherit their locks; a pool runs one), nothing is submitted and every
-    solve searches in turn. ``instances`` is read only if a pool may start.
+    A solve is keyed by :func:`_search_key`. ``searches`` maps a key to the
+    result kept for it, or to the future of a search sent to ``pool`` that
+    no solve has taken yet. ``searched`` counts the block's searches, here
+    or in a worker; ``reused`` counts the solves given an earlier solve's
+    result, ``wall_time`` included. Only a :func:`_repeatable` result is
+    kept: a worker's search that stopped at its deadline is searched again
+    by the solve that takes it.
 
-    Yields the block's :class:`SearchReuse`, which is dropped when the
-    block exits: no solve after the block is served from it. On any exit
-    the searches no worker has started are cancelled, and every worker has
-    exited when the block ends."""
+    With at least two :func:`usable_cpus`, the ``fork`` start method and no
+    other thread (a forked child would inherit its locks; a pool runs one),
+    the block starts one worker process per usable CPU. It then reads
+    ``instances``, (network, config) pairs, and sends each new key's search
+    to the workers as it is read, so a host with more usable CPUs than
+    distinct searches forks idle workers. Otherwise ``instances`` is not
+    read and every solve searches in turn. :func:`cli.compare_algorithms`
+    builds each seed's epoch networks once for its plan. A sent search's
+    first solve waits for that result alone, uncounted as reused, so the
+    caller replays while the workers search; a worker's ``wall_time`` can
+    include time spent sharing a core with the caller.
+
+    Yields the block's :class:`SearchReuse`, dropped when the block exits.
+    On any exit the searches no worker has started are cancelled, and every
+    worker has exited when the block ends."""
     reuse = SearchReuse()
     token = _reuse.set(reuse)
     try:
@@ -672,8 +677,7 @@ def usable_cpus() -> int:
 
 
 def _submit(reuse: SearchReuse, instances) -> None:
-    """Start ``reuse``'s pool on the distinct searches among ``instances``
-    when the conditions of :func:`reused_searches` allow one."""
+    """Start ``reuse``'s pool and send it ``instances`` as :func:`reused_searches` says."""
     cpus = usable_cpus()
     if cpus < 2:
         return
@@ -681,46 +685,25 @@ def _submit(reuse: SearchReuse, instances) -> None:
     import threading
     if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
         return
-    pending = {}
-    for network, config in instances:
-        pending.setdefault(_search_key(network, config), (network, config))
-    if len(pending) < 2:
-        return
     from concurrent.futures import ProcessPoolExecutor
-    searches = list(pending.values())
-    # forked workers inherit the instances, so only an index and the result
-    # cross between processes
-    reuse.pool = ProcessPoolExecutor(min(cpus, len(searches)),
-                                     mp_context=multiprocessing.get_context("fork"),
-                                     initializer=_adopt, initargs=(searches,))
-    for index, key in enumerate(pending):
-        reuse.searches[key] = reuse.pool.submit(_search_one, index)
-    reuse.searched += len(searches)
+    reuse.pool = ProcessPoolExecutor(cpus, mp_context=multiprocessing.get_context("fork"))
+    for network, config in instances:
+        key = _search_key(network, config)
+        if key not in reuse.searches:
+            reuse.searches[key] = reuse.pool.submit(_search, network, config)
+            reuse.searched += 1
 
 
-_adopted: list[tuple[Network, SolverConfig]] = []   # a worker's instances
-
-
-def _adopt(searches: list[tuple[Network, SolverConfig]]) -> None:
-    _adopted[:] = searches
-
-
-def _search_one(index: int) -> SolveResult:
-    return _bb_solve(*_adopted[index])
+def _search(network: Network, config: SolverConfig) -> SolveResult:
+    """A worker's search; it looks :func:`_bb_solve` up by name as it runs."""
+    return _bb_solve(network, config)
 
 
 def solve(network: Network, config: SolverConfig) -> SolveResult:
     """Solve the configured formulation by branch and bound.
 
-    Inside a :func:`reused_searches` block, a solve whose search reads the
-    same inputs as an earlier solve in the block (see :func:`_search_key`)
-    is given that solve's result, wall_time included, and counted in the
-    block's ``reused``. The first solve of a search that the block
-    submitted waits for that search and is given its result uncounted.
-    Only a search that did not stop at its deadline is kept: it is proven
-    optimal or explored exactly node_limit nodes, so a rerun would return
-    the same result; a worker's search that stopped at its deadline is
-    searched again here. Outside a block every call searches."""
+    Outside a :func:`reused_searches` block every call searches; inside
+    one, a solve is served as that block describes."""
     reuse = _reuse.get()
     if reuse is None:
         return _bb_solve(network, config)

@@ -204,16 +204,15 @@ class SimReport:
         return float(flags.mean()) if flags.size else 0.0
 
 
-def epoch_instances(network: Network, queries: list[SamplingQuery], rates: RateProcess,
-                    config: EpochConfig) -> Iterator[tuple[Network, SolverConfig]]:
-    """Each epoch's solve, epoch by epoch: the network of the flows queried
-    at the epoch boundary, each at its target rate and with the moments the
-    estimator gives it, and the solver configuration. These are the
-    (network, config) pairs :func:`run_simulation` passes to ``solve``, in
-    order; neither depends on a solve's result."""
-    for instance, _ in _epochs(network, _epoch_targets(network, queries, rates, config),
-                               rates, config):
-        yield instance
+def epoch_networks(network: Network, queries: list[SamplingQuery], rates: RateProcess,
+                   config: EpochConfig) -> Iterator[Network]:
+    """Each epoch's network, epoch by epoch: the flows queried at the epoch
+    boundary, each at its target rate and with the moments the estimator
+    gives it. These are the networks :func:`run_simulation` solves with
+    ``config.solver``, in order; none depends on a solve's result."""
+    for network_e, _ in _epochs(network, _epoch_targets(network, queries, rates, config),
+                                rates, config):
+        yield network_e
 
 
 def _epoch_targets(network: Network, queries: list[SamplingQuery], rates: RateProcess,
@@ -240,10 +239,10 @@ def _epoch_targets(network: Network, queries: list[SamplingQuery], rates: RatePr
 
 
 def _epochs(network: Network, target: np.ndarray, rates: RateProcess, config: EpochConfig
-            ) -> Iterator[tuple[tuple[Network, SolverConfig], np.ndarray]]:
-    """Per epoch of ``target``: the (network, solver config) its solve
-    reads, and its (flow, bucket) rates, which the replay reads and the
-    windowed estimator averages in later epochs."""
+            ) -> Iterator[tuple[Network, np.ndarray]]:
+    """Per epoch of ``target``: the network its solve reads, and its
+    (flow, bucket) rates, which the replay reads and the windowed estimator
+    averages in later epochs."""
     flows = network.flows
     bpe = config.buckets_per_epoch
     series = [rates.series(f.id) for f in flows]
@@ -262,7 +261,7 @@ def _epochs(network: Network, target: np.ndarray, rates: RateProcess, config: Ep
         k0 = e * bpe
         rate_e = np.concatenate([r[k0:k0 + bpe] for r in series]).reshape(len(flows), bpe)
         epoch_means[:, e] = rate_e.mean(axis=1)
-        yield (build_network(network.switches, epoch_flows), config.solver), rate_e
+        yield build_network(network.switches, epoch_flows), rate_e
 
 
 def run_simulation(network: Network, queries: list[SamplingQuery], rates: RateProcess,
@@ -293,12 +292,12 @@ def run_simulation(network: Network, queries: list[SamplingQuery], rates: RatePr
     rng = np.random.default_rng(seed)
     carry = np.zeros(nf)
     bucket_base = np.arange(bpe)[:, None] * ns
-    # the instances are read one epoch at a time, so a wide run holds one
-    # epoch's network and rates at once
-    for e, (instance, rate_e) in enumerate(_epochs(network, target, rates, config)):
+    # the epochs are read one at a time, so a wide run holds one epoch's
+    # network and rates at once
+    for e, (network_e, rate_e) in enumerate(_epochs(network, target, rates, config)):
         alpha = target[e]
         active = alpha > 0
-        result = solve(*instance)
+        result = solve(network_e, config.solver)
         report.solves.append({
             "epoch": e, "objective": result.objective, "optimal": result.optimal,
             "nodes_explored": result.nodes_explored, "bound": result.bound,

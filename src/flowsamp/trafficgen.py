@@ -6,9 +6,10 @@ its own generator stream derived from the run seed and the flow id, so
 flows can be generated independently and in any order.
 
 Distribution parameters are solved from (mean, cov) so the pre-truncation
-draws carry exactly the requested first two moments; truncation at zero is
-by rejection for the normal and t models and by construction for gamma and
-uniform.
+draws carry exactly the requested first two moments. Truncation at zero is
+by rejection for the normal and t models; gamma draws are never negative.
+The uniform law's lower end is clamped at 0 when cov > 1/sqrt(3), and its
+moments are then not exact, as :func:`sample_rates` warns.
 """
 
 from __future__ import annotations
@@ -291,13 +292,15 @@ def _utf8_lines(path: str):
 
 
 def save_trace(process: RateProcess, path: str) -> None:
-    """Write a rate process in the trace format (zero rates are implicit).
-    The bucket and the bucket starts keep 17 significant digits, so each
-    reloads exactly."""
+    """Write a rate process in the trace format, zero rates implicit except in
+    a flow's last bucket, so that every flow and the horizon reload. The bucket
+    and the bucket starts keep 17 significant digits, so each reloads exactly."""
     bucket_ms = process.bucket * 1000.0
     with open(path, "w") as fh:
         fh.write(f"{TRACE_HEADER}\n{BUCKET_LINE}{bucket_ms:.17g}\n")
         for fid in sorted(process.rates):
             series = process.rates[fid]
-            for idx in np.nonzero(series)[0]:
+            written = series != 0
+            written[-1:] = True
+            for idx in np.nonzero(written)[0]:
                 fh.write(f"{idx * bucket_ms:.17g},{fid},{float(series[idx])!r}\n")

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import contextlib
 import dataclasses
 import inspect
@@ -10,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +187,42 @@ def test_compare_searches_each_distinct_instance_once(monkeypatch, blocks):
     assert [b.searched for b in blocks] == [50, 50]
 
 
+def test_compare_builds_each_seeds_epoch_networks_once(monkeypatch):
+    # the plan builds seeds 1 and 2 once each for all six algorithms; each
+    # of the 12 replays builds its own
+    monkeypatch.setattr(optimizer, "usable_cpus", lambda: 2)
+    reads, epochs = [], simulator._epochs
+    monkeypatch.setattr(simulator, "_epochs", lambda *args: reads.append(1) or epochs(*args))
+    compare_algorithms(model_driven_scenario, HEADLINE_ALGOS, [1, 2])
+    assert len(reads) == 14
+
+
+def test_compare_sends_each_search_as_the_plan_is_read(monkeypatch):
+    monkeypatch.setattr(optimizer, "usable_cpus", lambda: 2)
+    log, key, submit = [], optimizer._search_key, ProcessPoolExecutor.submit
+    monkeypatch.setattr(optimizer, "_search_key",
+                        lambda net, cfg: log.append("key") or key(net, cfg))
+    monkeypatch.setattr(ProcessPoolExecutor, "submit",
+                        lambda pool, *args: log.append("submit") or submit(pool, *args))
+    compare_algorithms(model_driven_scenario, HEADLINE_ALGOS, [1, 2])
+    sent = [i for i, entry in enumerate(log) if entry == "submit"]
+    # each new key's search is sent before the plan's next instance is keyed,
+    # not after all 60 of them
+    assert len(sent) == 50 and sent[0] == 1
+    assert all(log[i - 1] == "key" for i in sent)
+
+
+def test_compare_pool_has_a_worker_per_usable_cpu(monkeypatch, blocks):
+    # two distinct searches, and one idle worker
+    monkeypatch.setattr(optimizer, "usable_cpus", lambda: 3)
+    sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda workers, **kwargs:
+                        sizes.append(workers) or ProcessPoolExecutor(workers, **kwargs))
+    compare_algorithms(lambda seed: model_driven_scenario(seed, n_epochs=1), ["ds", "apx"], [1])
+    assert sizes == [3] and blocks[0].searched == 2
+    assert multiprocessing.active_children() == []
+
+
 def _headline_compare(monkeypatch, tmp_path, capsys, cpus):
     """The headline compare at seeds 1-2 with ``cpus`` usable CPUs: its
     --out bytes, its stdout table without the mean_solve_s column, every
@@ -321,7 +359,7 @@ def test_compare_reads_its_plan_only_if_a_pool_may_start(monkeypatch):
 
     monkeypatch.setattr(optimizer, "usable_cpus", lambda: 1)
     expected = untimed(compare_algorithms(partly_admitted_bundle, ["ds", "csamp+0"], [0, 1]))
-    monkeypatch.setattr(cli, "epoch_instances", unreadable)
+    monkeypatch.setattr(cli, "epoch_networks", unreadable)
     assert untimed(compare_algorithms(partly_admitted_bundle, ["ds", "csamp+0"], [0, 1])) == \
         expected
     monkeypatch.setattr(optimizer, "usable_cpus", lambda: 2)
@@ -361,6 +399,21 @@ def test_importing_the_package_starts_no_pool_machinery():
     assert run.stdout.strip() == "[]"
 
 
+def test_the_package_needs_only_numpy_and_networkx():
+    # src/ imports no test or optional dependency, even to build a scenario
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, importlib, pkgutil; sys.path.insert(0, sys.argv[1]); import flowsamp; "
+            "[importlib.import_module('flowsamp.' + m.name) "
+            " for m in pkgutil.iter_modules(flowsamp.__path__)]; "
+            "flowsamp.instances.model_driven_scenario(1, n_epochs=1); "
+            "print(sorted({'scipy', 'jsonschema', 'hypothesis', 'pytest'} & "
+            "{name.partition('.')[0] for name in sys.modules}))")
+    run = subprocess.run([sys.executable, "-c", code, src],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
 def test_compare_pools_per_seed_measured_rates():
     seeds = [0, 1, 2]
     results = compare_algorithms(partly_admitted_bundle, ["ds", "csamp+0"], seeds)
@@ -375,6 +428,16 @@ def test_compare_pools_per_seed_measured_rates():
     expected = [float(q) for q in np.percentile(rates, [25, 50, 75])]
     assert results["ds"]["rate_quartiles"] == expected
     assert results["ds"]["admitted"] == 2 * len(seeds)
+
+
+@pytest.mark.parametrize("seeds, message", [
+    ([], "'seeds' must list at least one seed"),
+    ([1, 1], "'seeds' lists seed 1 more than once"),
+    ([2, 1, 2], "'seeds' lists seed 2 more than once"),
+])
+def test_compare_refuses_no_seeds_or_a_repeated_seed(seeds, message):
+    with pytest.raises(CliError, match=re.escape(message)):
+        compare_algorithms(model_driven_scenario, ["ds", "apx"], seeds)
 
 
 def test_compare_needs_two_algorithms():
@@ -527,6 +590,24 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
         cfg.write_text(json.dumps({key: 1}))
         assert main([command, "--config", str(cfg)]) == 2
         assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, doc, named", [
+    (["solve"], [1], "run.json: config must be a JSON object"),
+    (["solve"], {"version": "runconfig/2"}, "run.json: unsupported config version 'runconfig/2'"),
+    (["simulate"], {"preset": "warlock"}, "run.json: config key 'preset' must be one of"),
+    (["solve"], {}, "solve needs --net"),
+    (["simulate"], None, "simulate needs --preset"),
+    (["compare"], None, "compare needs --preset"),
+])
+def test_run_without_a_usable_config_or_input_exits_2(tmp_path, capsys, argv, doc, named):
+    if doc is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        argv = [*argv, "--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
 
 
 def test_config_rejects_unknown_params_key(tmp_path, capsys):

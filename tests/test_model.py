@@ -160,6 +160,8 @@ def test_allocation_rejects_off_path_switch(toy_network):
         validate_allocation(net, Allocation({"f": "s1"}))
     with pytest.raises(ModelError):
         validate_allocation(net, Allocation({"ghost": "s0"}))
+    with pytest.raises(ModelError, match="allocation: unknown switch 'nope'"):
+        validate_allocation(net, Allocation({"f": "nope"}))
 
 
 def test_network_file_round_trip(tmp_path, toy_network):
@@ -204,6 +206,8 @@ def _network_doc(**changes):
     ({"flows__id": ""}, "flows[0].id"),
     ({"switches__id": "s\r"}, "switches[0].id"),
     ({"switches__id": ""}, "switches[0].id"),
+    ({"flows__target_rate": "0.5"}, "flows[0].target_rate: wrong type"),
+    ({"switches__capacity_pps": True}, "switches[0].capacity_pps: wrong type"),
 ])
 def test_load_network_rejects_what_the_schema_rejects(tmp_path, changes, named):
     # schemas/network.schema.json: string path items, no additional properties,
@@ -214,6 +218,18 @@ def test_load_network_rejects_what_the_schema_rejects(tmp_path, changes, named):
         load_network(str(path))
     path.write_text(json.dumps(_network_doc()))
     assert load_network(str(path)).flow("f").path == ("s",)
+
+
+@pytest.mark.parametrize("doc, named", [
+    ([], "top-level document must be an object"),
+    ({"switches": [], "flows": [1]}, "flows[0]: expected an object"),
+    ({"switches": ["s"]}, "switches[0]: expected an object"),
+])
+def test_load_network_names_a_document_or_entry_that_is_not_an_object(tmp_path, doc, named):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelError, match=re.escape(f"{path}: {named}")):
+        load_network(str(path))
 
 
 @pytest.mark.parametrize("key", ["switches", "flows"])

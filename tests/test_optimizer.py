@@ -757,7 +757,9 @@ def test_load_solve_result_reads_older_files_and_names_bad_keys(tmp_path, toy_ne
                               ("nodes_explored", True, "nodes_explored has the wrong type"),
                               ("bound", 2.0, "bound has the wrong type"),
                               ("wall_time_s", "0.25", "wall_time_s has the wrong type"),
-                              ("assignment", {"f1": 3}, "assignment must map")]:
+                              ("assignment", {"f1": 3}, "assignment must map"),
+                              ("version", "solve-result/2", "not a solve-result/1 document"),
+                              ("objective", 5, "objective does not match assignment size")]:
         bad = dict(doc, **{key: value})
         if value is None:
             del bad[key]

@@ -370,7 +370,7 @@ def test_windowed_estimate_reaches_solver(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", list(EstimatorMode))
-def test_epoch_instances_are_the_solves_of_the_run(monkeypatch, mode):
+def test_epoch_networks_are_the_solves_of_the_run(monkeypatch, mode):
     # queries of several start times and rates, so that epochs differ in
     # their flows and targets as well as in their estimates
     net, queries, process, config = _windowed_case(mode)
@@ -384,10 +384,10 @@ def test_epoch_instances_are_the_solves_of_the_run(monkeypatch, mode):
     built = []
     build = fs.build_network
     monkeypatch.setattr(fs, "build_network", lambda *args: built.append(1) or build(*args))
-    instances = fs.epoch_instances(net, queries, process, config)
-    first = next(instances)
+    networks = fs.epoch_networks(net, queries, process, config)
+    first = next(networks)
     assert len(built) == 1   # read epoch by epoch
-    assert [(n.switches, n.flows, cfg) for n, cfg in (first, *instances)] == seen
+    assert [(n.switches, n.flows, config.solver) for n in (first, *networks)] == seen
 
 
 def test_active_epoch_range_matches_scan():

@@ -82,6 +82,13 @@ def test_generation_deterministic(toy_network):
         assert (a.rates[fid] == b.rates[fid]).all()
 
 
+@pytest.mark.parametrize("horizon", [0.15, 2.05, 1e-3])
+def test_generation_rejects_a_horizon_off_the_bucket_grid(toy_network, horizon):
+    with pytest.raises(ValueError, match=f"horizon must be a whole number of 0.1 s buckets, "
+                                         f"got {horizon:g} s"):
+        generate_model_driven(toy_network, MixtureConfig(), horizon, seed=0)
+
+
 def test_flow_models_match_generated_series(toy_network):
     # scenario builders rely on this: the declared model for a flow is the
     # one the generator actually uses
@@ -187,6 +194,24 @@ def test_trace_round_trip_of_a_flow_silent_in_every_odd_bucket(tmp_path):
     path = tmp_path / "sparse.trace"
     save_trace(RateProcess(0.1, 5, {"f": np.array([5.0, 0.0, 7.0, 0.0, 9.0])}), str(path))
     assert list(load_trace(str(path), 1.0, 0.1).rates["f"]) == [5.0, 0.0, 7.0, 0.0, 9.0]
+    # its last rate is not 0, so only its nonzero rates are written
+    assert path.read_text().splitlines()[2:] == ["0,f,5.0", "200,f,7.0", "400,f,9.0"]
+
+
+def test_trace_round_trip_keeps_the_horizon_and_all_zero_flows(tmp_path):
+    # zero rates are left out, so without a row for its last bucket the
+    # trailing zeros would shorten the horizon and the silent flow vanish
+    quiet_tail = np.concatenate([np.arange(1.0, 6.0), np.zeros(5)])
+    original = RateProcess(0.1, 10, {"f": quiet_tail, "silent": np.zeros(10)})
+    path = tmp_path / "tail.trace"
+    save_trace(original, str(path))
+    again = load_trace(str(path), 1.0, 0.1)
+    assert again.n_buckets == 10
+    assert sorted(again.rates) == ["f", "silent"]
+    for fid, series in original.rates.items():
+        assert again.rates[fid].tolist() == series.tolist()
+    assert [r for r in path.read_text().splitlines() if r.endswith(",0.0")] == \
+        ["900,f,0.0", "900,silent,0.0"]
 
 
 def test_empty_trace(tmp_path):
@@ -203,6 +228,7 @@ def test_empty_trace(tmp_path):
     (f"{TRACE_HEADER}\n0,f,-5\n", "negative"),
     (f"{TRACE_HEADER}\n55,f,5\n", "grid"),
     (f"{TRACE_HEADER}\n0,f,5\n0,f,6\n", "duplicate"),
+    (f"{TRACE_HEADER}\n0,f,5\n100, ,6\n", ":3: empty flow id"),
     (f"{TRACE_HEADER}\n{BUCKET_LINE}abc\n0,f,5\n", ":2: malformed bucket_ms 'abc'"),
     (f"{TRACE_HEADER}\n0,f,nan\n", ":2: rate_pps"),
     (f"{TRACE_HEADER}\n0,f,5\n100,f,inf\n", ":3: rate_pps"),
