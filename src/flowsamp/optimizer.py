@@ -77,10 +77,13 @@ class SolverConfig:
         # written so that NaN fails every check
         if not (math.isfinite(self.epsilon_pps) and self.epsilon_pps >= 0):
             raise ValueError(f"epsilon_pps must be a finite number >= 0, got {self.epsilon_pps}")
-        if not self.time_limit > 0:
-            raise ValueError(f"time_limit must be positive, got {self.time_limit}")
-        if not self.node_limit >= 1:
-            raise ValueError(f"node_limit must be >= 1, got {self.node_limit}")
+        if isinstance(self.time_limit, bool) or not isinstance(self.time_limit, (int, float)) \
+                or not self.time_limit > 0:
+            raise ValueError(f"time_limit must be a positive number, got {self.time_limit!r}")
+        # the search reports node_limit as its node count when it stops there
+        if isinstance(self.node_limit, bool) or not isinstance(self.node_limit, int) \
+                or not self.node_limit >= 1:
+            raise ValueError(f"node_limit must be an integer >= 1, got {self.node_limit!r}")
 
 
 @dataclass(frozen=True)
@@ -114,18 +117,23 @@ _RESULT_TYPES = {"objective": (int,), "optimal": (bool,), "nodes_explored": (int
 
 
 def load_solve_result(path: str) -> SolveResult:
-    """Read a solve result; a missing or wrongly typed key raises ValueError
-    naming it. An absent ``bound`` reads as unknown (None), an absent
-    ``wall_time_s`` as NaN."""
+    """Read a solve result; a missing, unknown, wrongly typed or negative
+    key raises ValueError naming it. An absent ``bound`` reads as unknown
+    (None), an absent ``wall_time_s`` as NaN."""
     doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("version") != "solve-result/1":
         raise ValueError(f"{path}: not a solve-result/1 document")
+    unknown = sorted(set(doc) - set(_RESULT_TYPES) - {"version"})
+    if unknown:
+        raise ValueError(f"{path}: unknown key {unknown[0]!r}")
     doc = {"bound": None, "wall_time_s": math.nan, **doc}
     for key, kinds in _RESULT_TYPES.items():
         if key not in doc:
             raise ValueError(f"{path}: missing key {key!r}")
         if not isinstance(doc[key], kinds) or isinstance(doc[key], bool) != (bool in kinds):
             raise ValueError(f"{path}: {key} has the wrong type: {doc[key]!r}")
+        if kinds[0] in (int, float) and doc[key] is not None and doc[key] < 0:
+            raise ValueError(f"{path}: {key} is negative: {doc[key]!r}")
     if not all(isinstance(sid, str) for sid in doc["assignment"].values()):
         raise ValueError(f"{path}: assignment must map flow ids to switch ids")
     alloc = Allocation(doc["assignment"])
@@ -315,9 +323,31 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
     before its children are built and sorted, by counting the switches that
     fit. A node limit inside such a step stops at exactly node_limit nodes.
     The deadline is read whenever the count crosses a multiple of 512; a
-    stop then reports the last multiple crossed, where the count one child
+    stop then reports the first multiple crossed, where the count one child
     at a time would have stopped. The search thus visits the same nodes in
     the same order as one that applies, bounds and releases every child.
+
+    A frame's subtree is decided by its state: the depth, the loads used_g
+    and used_var, the running pool, admitted and best_obj. first[], the
+    terms and total follow from the depth and the loads (see the undo trail
+    below), and child order, the fit test and every bound read nothing
+    else. So a search keeps a table, `explored`, from the state of each
+    frame's first visit to the nodes that frame's subtree counted, entered
+    when the subtree closes (with the frames of skip children that took
+    its place, which close with it). A later frame whose first visit finds
+    its state there counts those nodes as one step and is popped: walked,
+    its subtree would count them again and find no incumbent. The keys are
+    the exact numbers, not a hash of them, so no live subtree is skipped.
+    A new incumbent empties the table and forgets the open frames' entries:
+    every open subtree then holds it, and a subtree explored under the old
+    best_obj can be walked differently under the new. Such a step then ends
+    the search as walking the subtree would: at exactly node_limit if the
+    count reaches it, or at the first multiple of 512 crossed if the
+    deadline has passed, with the incumbent the walk would have kept. The
+    table is kept only if some switch has two members charged alike, the
+    flows that can be swapped on the way to a repeated state; otherwise a
+    state repeats only by a rounding coincidence and the table would cost
+    time and memory for nothing. It lives for one search.
 
     Backtracking restores the state from an undo trail, with no arithmetic.
     A frame's first visit (the move of first[]) and every apply push
@@ -471,13 +501,18 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
         applied.clear()
         admitted = nodes = 0
         # Frames: [depth, children (None until the frame's first visit),
-        # next index, running pool, and the trail height, total and
-        # admitted count as the frame left them].
-        stack = [[0, None, 0, pool, 0, 0, 0]]
+        # next index, running pool, the trail height, total and admitted
+        # count as the frame left them, and the (state, node count) of
+        # each first visit whose subtree closes with the frame's].
+        stack = [[0, None, 0, pool, 0, 0, 0, None]]
+        # the explored subtrees' node counts by state, kept only where two
+        # flows on a switch are charged alike, so that a state can repeat
+        charged = [(s, g[pos], var[pos]) for pos in range(n) for s in on_path[pos]]
+        explored = {} if len(set(charged)) < len(charged) else None
     deadline = t0 + config.time_limit
     while stack:
         frame = stack[-1]
-        depth, kids, idx, pool, height, saved, was = frame
+        depth, kids, idx, pool, height, saved, was, _ = frame
         nd = depth + 1
         if kids is None:
             # one pass over the flow's path takes the fit test and moves
@@ -515,31 +550,47 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
             # child too (it must admit more than need + 1)
             step = len(fits) + 1 if kids is None else len(kids) - idx
             kids = ()
-        else:
-            if kids is None:
-                if len(fits) > 1:
-                    fits.sort(key=child_key)
-                fits.append(-1)
-                kids = frame[1] = fits
+        elif kids is not None:
             frame[2] += 1
+            step = 1
+        elif explored is not None and \
+                (state := (depth, admitted, pool, *used_g, *used_var)) in explored:
+            # this state's subtree was explored: count it, walk it no more
+            step = explored[state]
+            kids = ()
+        else:
+            if explored is not None:
+                if frame[7] is None:
+                    frame[7] = []
+                frame[7].append((state, nodes))
+            if len(fits) > 1:
+                fits.sort(key=child_key)
+            fits.append(-1)
+            kids = frame[1] = fits
+            frame[2] = 1
             step = 1
         nodes += step
         if nodes >= node_limit or (nodes % 512 < step and clock() > deadline):
-            # report the step the per-step count would have stopped at
-            nodes = node_limit if nodes >= node_limit else nodes - nodes % 512
+            # report the step the per-step count would have stopped at: the
+            # limit, or the first multiple of 512 crossed
+            nodes = node_limit if nodes >= node_limit else (nodes - step) // 512 * 512 + 512
             limit_hit = True
             break
         if not kids:
             stack.pop()
+            if frame[7]:
+                explored.update((state, nodes - start) for state, start in frame[7])
             continue
         s = kids[idx]
         if s < 0:
             # the skip child, every frame's last, takes its frame's place
             need += 1
             if n - nd > need and total > need and pool_admits(nd, need, pool):
-                stack[-1] = [nd, None, 0, pool, 0, 0, 0]
+                stack[-1] = [nd, None, 0, pool, 0, 0, 0, frame[7]]
             else:
                 stack.pop()
+                if frame[7]:
+                    explored.update((state, nodes - start) for state, start in frame[7])
             continue
         if need < 0:
             best_obj = admitted + 1
@@ -547,6 +598,12 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
             if best_obj >= root:
                 break
             need = 0
+            if explored is not None:
+                # every open subtree now holds an incumbent, and no subtree
+                # explored under the old one is walked alike under the new
+                explored.clear()
+                for open_frame in stack:
+                    open_frame[7] = None
         # s's term with the flow applied; first[] is at nd
         u = used_g[s]
         ug = u + g[depth]
@@ -564,7 +621,7 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
         admitted += 1
         total += t - term[s]
         term[s] = t
-        stack.append([nd, None, 0, kid_pool, 0, 0, 0])
+        stack.append([nd, None, 0, kid_pool, 0, 0, 0, None])
 
     # positions ascend along a path, so the flows go in search order
     assignment = {flows[order[pos]].id: switch_ids[s] for pos, s in best}

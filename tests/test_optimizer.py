@@ -4,10 +4,14 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import types
 import warnings
+from pathlib import Path
 
+import jsonschema
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,8 +25,8 @@ from flowsamp import (Allocation, Formulation, FlowSpec, LoadStats, SolverConfig
                       min_required_capacity, socp_feasible, solve, solve_apx,
                       solve_exact, squared_form_feasible, validate_allocation)
 from flowsamp.cli import parse_algorithm
-from flowsamp.instances import (big_scale_free_network, model_driven_scenario,
-                                runtime_comparison_network)
+from flowsamp.instances import (abilene_graph, big_scale_free_network,
+                                model_driven_scenario, runtime_comparison_network)
 from flowsamp.optimizer import FEAS_TOL, load_solve_result
 from flowsamp.simulator import run_simulation
 
@@ -661,6 +665,120 @@ def test_time_limit_stops_the_search(monkeypatch):
         (at_512.objective, 512, at_512.bound, at_512.allocation.assignment)
 
 
+def _search_rows(solves):
+    return [[r.objective, r.optimal, r.nodes_explored, r.bound,
+             sorted(r.allocation.assignment.items())] for r in solves]
+
+
+def _digest(rows):
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+
+
+def test_explored_subtrees_counted_as_walked_on_cone_instances():
+    # Every flow of these instances has one charge, so the search meets the
+    # same state along many paths and counts a subtree it explored from
+    # that state again instead of walking it. The results were recorded
+    # while every subtree was walked. Limits of 1 and 2 stop in the greedy
+    # pass and 511-513 on either side of a multiple of 512; several stop
+    # inside a subtree that is counted, not walked.
+    solves = [solve(runtime_comparison_network(seed),
+                    SolverConfig(form, delta=0.2, node_limit=limit))
+              for seed in (7, 8, 9) for form in (Formulation.EXACT, Formulation.APX)
+              for limit in (1, 2, 511, 512, 513, 2_000, 19_999, 20_000, 200_000)]
+    rows = _search_rows(solves)
+    assert sum(r[1] for r in rows) == 21
+    assert _digest(rows) == "66303ba9f105df9d"
+
+
+def test_explored_subtrees_counted_as_walked_on_model_driven_epochs():
+    # One model-driven epoch, whose flows share a few charges, under the
+    # six compare algorithms at three node limits, recorded while every
+    # subtree was walked.
+    bundle = model_driven_scenario(1, n_epochs=1)
+    [net] = simulator.epoch_networks(bundle.network, list(bundle.queries), bundle.process,
+                                     bundle.epoch)
+    solves = [solve(net, dataclasses.replace(parse_algorithm(token, bundle.epoch.solver),
+                                             node_limit=limit))
+              for limit in (1_000, 5_000, 20_000)
+              for token in ("ds", "ds2sigma", "apx", "csamp+100", "csamp+150", "csamp+200")]
+    rows = _search_rows(solves)
+    assert sum(r[1] for r in rows) == 9
+    assert _digest(rows) == "4b87f05f36969821"
+
+
+@pytest.mark.parametrize("reads_before, stop", [(0, 512), (3, 2_048)])
+def test_time_limit_inside_a_counted_subtree(monkeypatch, reads_before, stop):
+    # The cone search counts an explored subtree in one step from 400 to
+    # 581 nodes, and another from 1,973 to 2,941. A clock first past the
+    # deadline at the read inside such a step must stop the search at the
+    # first multiple of 512 it crosses, with the incumbent of a search
+    # stopped there by its node limit. t0 and the reads at 512, 1,024 and
+    # 1,536 come before the deadline in the second case.
+    net = runtime_comparison_network(7)
+    cfg = SolverConfig(Formulation.EXACT, delta=0.2)
+    at_stop = solve(net, dataclasses.replace(cfg, node_limit=stop))
+    clock = iter([0.0] * (1 + reads_before))
+    monkeypatch.setattr(optimizer, "time",
+                        types.SimpleNamespace(perf_counter=lambda: next(clock, 1e9)))
+    r = solve(net, cfg)
+    assert not r.optimal
+    assert (r.objective, r.nodes_explored, r.bound, r.allocation.assignment) == \
+        (at_stop.objective, stop, at_stop.bound, at_stop.allocation.assignment)
+
+
+def _counting_bisects(monkeypatch):
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return bisect.bisect_right(*args)
+
+    monkeypatch.setattr(optimizer, "bisect_right", counting)
+    return calls
+
+
+def _distinct_charge_instance():
+    """Abilene with 70 flows of distinct random moments: no switch has two
+    members charged alike, so the search keeps no table of its subtrees."""
+    rng = np.random.default_rng(0)
+    graph = abilene_graph()
+    names = sorted(graph.nodes)
+    flows = []
+    for j in range(70):
+        a, b = rng.choice(len(names), 2, replace=False)
+        path = tuple(nx.shortest_path(graph, names[a], names[b]))
+        mean, var = float(rng.uniform(100, 400)), float(rng.uniform(100, 4000))
+        flows.append(FlowSpec(f"f{j}", names[a], names[b], path, 0.1, mean, var))
+    return build_network([SwitchSpec(n, 150.0) for n in names], flows)
+
+
+def test_explored_subtrees_are_not_kept_across_solves(monkeypatch):
+    # Two identical solves in one process do the same work: nothing the
+    # first search explored is kept for the second.
+    calls = _counting_bisects(monkeypatch)
+    net = runtime_comparison_network(7)
+    cfg = SolverConfig(Formulation.EXACT, delta=0.2, node_limit=20_000)
+    work = []
+    for _ in range(2):
+        calls[0] = 0
+        r = solve(net, cfg)
+        work.append((r.nodes_explored, calls[0]))
+    assert work[0] == work[1] and work[0][0] == 20_000
+
+
+def test_distinct_charges_search_as_before(monkeypatch):
+    # Where no two flows on a switch are charged alike, the search keeps no
+    # table and does the bisect work it did before there was one.
+    calls = _counting_bisects(monkeypatch)
+    net = _distinct_charge_instance()
+    work = []
+    for form in (Formulation.APX, Formulation.EXACT):
+        calls[0] = 0
+        r = solve(net, SolverConfig(form, delta=0.1, node_limit=20_000))
+        work.append((r.objective, r.optimal, r.nodes_explored, calls[0]))
+    assert work == [(55, False, 20_000, 25_711), (55, False, 20_000, 36_783)]
+
+
 def test_reused_searches_keep_only_searches_that_a_rerun_repeats(monkeypatch):
     searches = []
     search = optimizer._bb_solve
@@ -705,24 +823,20 @@ def test_prune_work_on_cone_instance(monkeypatch):
     # never do. The rem test decides nothing the pooled test would not
     # (pooled <= rem); it comes first so that the pooled test's count stays
     # inside the flows. Here it decides alone only for skip children, which
-    # compute no term, so without it the count is the same. Under DS the
+    # compute no term, so without it the count is the same. The EXACT count
+    # covers only the subtrees walked: every flow has one charge, so most
+    # of the 2,000 nodes lie in subtrees counted from a state explored
+    # before (4,350 bisections when every subtree was walked). Under DS the
     # greedy pass meets the root bound, so the solve bisects only for the
     # root bound: 11 per-switch terms and one pooled count (164 if the
     # search's own first dive found the same incumbent).
-    calls = 0
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return bisect.bisect_right(*args)
-
-    monkeypatch.setattr(optimizer, "bisect_right", counting)
+    calls = _counting_bisects(monkeypatch)
     net = runtime_comparison_network(7)
     r = solve(net, SolverConfig(Formulation.EXACT, delta=0.2, node_limit=2_000))
-    assert (r.objective, r.nodes_explored, calls) == (22, 2_000, 4_350)
-    calls = 0
+    assert (r.objective, r.nodes_explored, calls[0]) == (22, 2_000, 544)
+    calls[0] = 0
     r = solve(net, SolverConfig(Formulation.DS, delta=0.2))
-    assert (r.objective, r.optimal, r.nodes_explored, calls) == (33, True, 37, 12)
+    assert (r.objective, r.optimal, r.nodes_explored, calls[0]) == (33, True, 37, 12)
 
 
 def test_solve_result_round_trip(tmp_path, toy_network):
@@ -780,10 +894,34 @@ def test_solver_config_validation(kwargs):
 @pytest.mark.parametrize("name,value", [
     ("delta", math.nan), ("epsilon_pps", math.nan), ("epsilon_pps", math.inf),
     ("time_limit", math.nan), ("node_limit", math.nan),
+    # the search would report such a node_limit as its node count
+    ("node_limit", 100.5), ("node_limit", True), ("node_limit", "5"),
+    ("time_limit", True), ("time_limit", "1.0"),
 ])
 def test_solver_config_rejects_non_finite(name, value):
     with pytest.raises(ValueError, match=name):
         SolverConfig(**{name: value})
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("nodes_explored", -3, "nodes_explored is negative"),
+    ("wall_time_s", -1.0, "wall_time_s is negative"),
+    ("extra", 1, "unknown key 'extra'"),
+])
+def test_load_solve_result_rejects_what_the_schema_rejects(tmp_path, toy_network,
+                                                           key, value, named):
+    schema = json.loads((Path(__file__).parents[1] / "schemas" /
+                         "solve_result.schema.json").read_text())
+    path = tmp_path / "result.json"
+    solve(toy_network, SolverConfig(Formulation.APX, delta=0.08)).save(str(path))
+    doc = json.loads(path.read_text())
+    jsonschema.validate(doc, schema)
+    bad = dict(doc, **{key: value})
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(bad, schema)
+    path.write_text(json.dumps(bad))
+    with pytest.raises(ValueError, match=re.escape(named)):
+        load_solve_result(str(path))
 
 
 def _highs_optimum(net, cfg):
