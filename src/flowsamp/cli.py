@@ -1,4 +1,5 @@
-"""Command-line surface: solve instances, run simulations, compare algorithms.
+"""Command-line surface: solve instances, run simulations, compare algorithms,
+turn packet logs into traces.
 
 Exit codes: 0 success, 2 validation error, 3 solver hit its limits without
 finding any assignment. Every subcommand is a pure function of its
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
+import math
 import os
 import sys
 from collections import namedtuple
@@ -23,7 +25,8 @@ from .optimizer import Formulation, SolverConfig, reused_searches, solve
 from .simulator import (EpochConfig, EstimatorMode, SamplingQuery, epoch_networks,
                         measure_metrics, run_simulation, write_flow_epochs_csv,
                         write_summary_json)
-from .trafficgen import UPDATE_INTERVAL, Distribution, load_trace
+from .trafficgen import (UPDATE_INTERVAL, Distribution, count_packets, load_trace,
+                         write_trace)
 
 DEFAULT_COMPARE_ALGOS = ["ds", "ds2sigma", "apx", "csamp+100", "csamp+150", "csamp+200"]
 # solver setting flag destinations -> the SolverConfig field each one replaces
@@ -403,7 +406,24 @@ def cmd_compare(args) -> int:
     return 0
 
 
-_COMMANDS = {"solve": cmd_solve, "simulate": cmd_simulate, "compare": cmd_compare}
+def cmd_ingest(args) -> int:
+    """Write the trace of a packet log (see trafficgen.count_packets), rows
+    bucket by bucket; a bucket too narrow for its rates writes nothing."""
+    width = args.bucket_ms
+    if not (math.isfinite(width) and width > 0):
+        raise CliError(f"--bucket-ms must be a finite positive number, got {width!r}")
+    counts = count_packets(args.packets, width)
+    bucket_s = width / 1000.0
+    rows = [(idx, fid, n / bucket_s) for (idx, fid), n in sorted(counts.items())]
+    if not all(math.isfinite(rate) for _, _, rate in rows):
+        raise CliError(f"--bucket-ms {width!r} is too narrow: a bucket's rate is not finite")
+    write_trace(args.out, width, rows)
+    print(f"wrote {args.out}: {len(counts)} entries, {len({f for _, f in counts})} flows")
+    return 0
+
+
+_COMMANDS = {"solve": cmd_solve, "simulate": cmd_simulate, "compare": cmd_compare,
+             "ingest": cmd_ingest}
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -438,6 +458,13 @@ def parse_args(argv=None) -> argparse.Namespace:
     p_cmp.add_argument("--out", help="write aggregate JSON here")
     p_cmp.set_defaults(params=None)   # settable from a config only
 
+    p_ing = sub.add_parser("ingest", allow_abbrev=False,
+                           help="turn a packet log into a bucketed rate trace")
+    p_ing.add_argument("--packets", required=True,
+                       help="packet log: timestamp_s,flow_id or timestamp_s,src,dst lines")
+    p_ing.add_argument("--out", required=True, help="write the trace here")
+    p_ing.add_argument("--bucket-ms", dest="bucket_ms", type=float, default=100.0)
+
     for p in (p_solve, p_sim):
         p.add_argument("--formulation", choices=[f.value for f in Formulation])
         p.add_argument("--alpha", type=float, help="uniform target sampling rate override")
@@ -449,7 +476,7 @@ def parse_args(argv=None) -> argparse.Namespace:
         p.add_argument("--node-limit", dest="node_limit", type=int)
 
     args = parser.parse_args(argv)
-    if args.config:
+    if getattr(args, "config", None):   # ingest takes no config
         _merge_config(args, sub.choices[args.command])
     return args
 

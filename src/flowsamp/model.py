@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -20,6 +21,15 @@ from typing import Iterable, Mapping
 
 class ModelError(ValueError):
     """Raised when a network, flow, or allocation violates an invariant."""
+
+
+def require_real(obj, *names: str) -> None:
+    """Refuse a field of ``obj`` named in ``names`` that is a bool or not a
+    real number, with a ValueError naming it."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)

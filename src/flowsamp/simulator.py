@@ -36,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import FlowSpec, ModelError, Network, build_network, write_json
+from .model import FlowSpec, ModelError, Network, build_network, require_real, write_json
 from .optimizer import SolverConfig, solve
 from .stats import estimate_flow_stats
 from .trafficgen import UPDATE_INTERVAL, RateProcess
@@ -77,6 +77,7 @@ class EpochConfig:
     estimator_mode: EstimatorMode = EstimatorMode.WINDOWED
 
     def __post_init__(self):
+        require_real(self, "bucket", "epoch_length")
         # written so that NaN fails every check
         if not (math.isfinite(self.bucket) and self.bucket > 0):
             raise ValueError(f"bucket must be positive and finite, got {self.bucket}")

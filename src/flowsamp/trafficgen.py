@@ -17,8 +17,10 @@ from __future__ import annotations
 import math
 import warnings
 import zlib
+from collections import defaultdict
 from contextlib import closing
 from dataclasses import dataclass, field
+from decimal import Decimal, InvalidOperation
 from enum import Enum
 
 import numpy as np
@@ -195,7 +197,9 @@ def generate_model_driven(network: Network, config: MixtureConfig, horizon: floa
 # ---------------------------------------------------------------------------
 # Trace files (see docs/formats.md): a version header line, a
 # "# bucket_ms=<ms>" line, then "bucket_start_ms,flow_id,rate_pps" rows.
-# Missing (flow, bucket) pairs read as rate 0.
+# Missing (flow, bucket) pairs read as rate 0. They are written from a rate
+# process (save_trace) or from a packet log (count_packets, then
+# write_trace).
 # ---------------------------------------------------------------------------
 
 def load_trace(path: str, scale_divisor: float, bucket: float,
@@ -291,16 +295,68 @@ def _utf8_lines(path: str):
     raise ValueError(f"{path}: not UTF-8")
 
 
-def save_trace(process: RateProcess, path: str) -> None:
-    """Write a rate process in the trace format, zero rates implicit except in
-    a flow's last bucket, so that every flow and the horizon reload. The bucket
-    and the bucket starts keep 17 significant digits, so each reloads exactly."""
-    bucket_ms = process.bucket * 1000.0
+def count_packets(path: str, bucket_ms: float) -> dict[tuple[int, str], int]:
+    """Packets per (bucket, flow id) in a packet log of ``bucket_ms`` wide
+    buckets (a finite positive number), counted from the first line's
+    timestamp.
+
+    Lines are ``timestamp_s,flow_id`` or ``timestamp_s,src,dst`` (the flow
+    id then becomes ``src-dst``); blank lines and ``#`` comments are
+    skipped, and a malformed line raises ``ValueError`` naming it.
+    Timestamps are read as exact decimals, so a packet on a bucket boundary
+    opens that bucket (binary floats would put ``10.2 - 10.0`` just below
+    0.2 s)."""
+    counts: dict[tuple[int, str], int] = defaultdict(int)
+    width_ms = Decimal(repr(bucket_ms))
+    t0 = None
+    with closing(_utf8_lines(path)) as lines:
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = [p.strip() for p in line.split(",")]
+            if len(parts) not in (2, 3):
+                raise ValueError(f"{path}:{lineno}: expected 2 or 3 fields")
+            try:
+                ts = Decimal(parts[0])
+            except InvalidOperation:
+                ts = Decimal("NaN")
+            if not ts.is_finite():
+                raise ValueError(f"{path}:{lineno}: timestamp {parts[0]!r} is not a finite "
+                                 "number")
+            if not all(parts[1:]):
+                raise ValueError(f"{path}:{lineno}: empty flow id field")
+            fid = "-".join(parts[1:])
+            if t0 is None:
+                t0 = ts
+            if ts < t0:
+                raise ValueError(f"{path}:{lineno}: timestamp {parts[0]} is before the first "
+                                 f"line's {float(t0)!r}")
+            counts[(int((ts - t0) * 1000 // width_ms), fid)] += 1
+    return counts
+
+
+def write_trace(path: str, bucket_ms: float, rows) -> None:
+    """Write a trace of ``bucket_ms`` wide buckets whose rows are the
+    (bucket index, flow id, rate) triples ``rows``, in their order. The
+    bucket and the bucket starts keep 17 significant digits, so each
+    reloads exactly."""
     with open(path, "w") as fh:
         fh.write(f"{TRACE_HEADER}\n{BUCKET_LINE}{bucket_ms:.17g}\n")
+        for idx, fid, rate in rows:
+            fh.write(f"{idx * bucket_ms:.17g},{fid},{float(rate)!r}\n")
+
+
+def save_trace(process: RateProcess, path: str) -> None:
+    """Write a rate process in the trace format, flow by flow, zero rates
+    implicit except in a flow's last bucket, so that every flow and the
+    horizon reload."""
+    def rows():
         for fid in sorted(process.rates):
             series = process.rates[fid]
             written = series != 0
             written[-1:] = True
             for idx in np.nonzero(written)[0]:
-                fh.write(f"{idx * bucket_ms:.17g},{fid},{float(series[idx])!r}\n")
+                yield idx, fid, series[idx]
+
+    write_trace(path, process.bucket * 1000.0, rows())

@@ -26,7 +26,8 @@ from flowsamp.cli import (_COMPARED, _RUNS, CliError, _params, compare_algorithm
 from flowsamp.instances import (ScenarioBundle, epoch_sweep_scenario, model_driven_scenario,
                                 sensitivity_scenario, trace_driven_scenario, two_switch_toy)
 from flowsamp.optimizer import load_solve_result
-from flowsamp.trafficgen import TRACE_HEADER, Distribution, load_trace, save_trace
+from flowsamp.trafficgen import (TRACE_HEADER, Distribution, load_trace, save_trace,
+                                write_trace)
 
 from conftest import partly_admitted_bundle
 
@@ -488,11 +489,7 @@ def test_repeated_seed_exits_2(tmp_path, argv, doc, capsys):
 
 
 def _write_trace(path, flows, n_buckets, rate):
-    lines = [TRACE_HEADER]
-    for k in range(n_buckets):
-        for fid in flows:
-            lines.append(f"{k * 100},{fid},{rate}")
-    path.write_text("\n".join(lines) + "\n")
+    write_trace(str(path), 100.0, ((k, fid, rate) for k in range(n_buckets) for fid in flows))
 
 
 def test_simulate_net_and_trace_deterministic(tmp_path, capsys):

@@ -897,6 +897,8 @@ def test_solver_config_validation(kwargs):
     # the search would report such a node_limit as its node count
     ("node_limit", 100.5), ("node_limit", True), ("node_limit", "5"),
     ("time_limit", True), ("time_limit", "1.0"),
+    # a bool would charge CSAMP flows 1 pps; a string would raise TypeError
+    ("delta", True), ("delta", "0.1"), ("epsilon_pps", True), ("epsilon_pps", "1"),
 ])
 def test_solver_config_rejects_non_finite(name, value):
     with pytest.raises(ValueError, match=name):

@@ -208,9 +208,12 @@ def test_epoch_config_validation():
     for bucket in (-0.1, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="bucket"):
             EpochConfig(bucket=bucket)
-    for length in (math.nan, math.inf, -math.inf, 0.0, 1e308):
+    for length in (math.nan, math.inf, -math.inf, 0.0, 1e308, True, "5"):
         with pytest.raises(ValueError, match="epoch_length"):
             EpochConfig(epoch_length=length)
+    for bucket in (True, "0.1"):
+        with pytest.raises(ValueError, match="bucket"):
+            EpochConfig(bucket=bucket, epoch_length=5)
 
 
 def _replay_digest(report):

@@ -1,7 +1,5 @@
+import hashlib
 import math
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +7,7 @@ import pytest
 from flowsamp import (Distribution, MixtureConfig, RateModel, RateProcess,
                       draw_flow_model, generate_model_driven, kbps_to_pps,
                       load_trace, sample_rates, save_trace)
+from flowsamp.cli import main
 from flowsamp.trafficgen import BUCKET_LINE, PACKET_BYTES, TRACE_HEADER
 
 
@@ -275,28 +274,29 @@ def test_trace_rejects_bad_scale_divisor_and_bucket(tmp_path, value):
         load_trace(str(path), 1.0, value)
 
 
-MAKE_TRACE = Path(__file__).resolve().parents[1] / "scripts" / "make_trace.py"
-
-
-def _make_trace(tmp_path, log: str | bytes, *flags: str) -> subprocess.CompletedProcess:
+def _make_trace(tmp_path, capsys, log: str | bytes, *flags: str) -> tuple[int, str]:
+    """``flowsamp ingest`` from ``log`` to out.trace: its exit code and stderr."""
     (tmp_path / "packets.csv").write_bytes(log.encode() if isinstance(log, str) else log)
-    return subprocess.run([sys.executable, str(MAKE_TRACE), str(tmp_path / "packets.csv"),
-                           str(tmp_path / "out.trace"), *flags],
-                          capture_output=True, text=True, timeout=60)
+    try:
+        code = main(["ingest", "--packets", str(tmp_path / "packets.csv"),
+                     "--out", str(tmp_path / "out.trace"), *flags])
+    except SystemExit as exc:   # argparse's own rejections
+        code = exc.code
+    return code, capsys.readouterr().err
 
 
-def test_make_trace_counts_packets_per_bucket(tmp_path):
-    run = _make_trace(tmp_path, "10.0,a\n10.05,a\n10.15,x,y\n10.35,a\n")
-    assert run.returncode == 0, run.stderr
+def test_make_trace_counts_packets_per_bucket(tmp_path, capsys):
+    code, err = _make_trace(tmp_path, capsys, "10.0,a\n10.05,a\n10.15,x,y\n10.35,a\n")
+    assert code == 0, err
     p = load_trace(str(tmp_path / "out.trace"), 1.0, 0.1)
     assert list(p.rates["a"]) == [20.0, 0.0, 0.0, 10.0]
     assert list(p.rates["x-y"]) == [0.0, 10.0, 0.0, 0.0]
 
 
-def test_make_trace_packet_on_bucket_boundary_opens_that_bucket(tmp_path):
+def test_make_trace_packet_on_bucket_boundary_opens_that_bucket(tmp_path, capsys):
     # 10.2 - 10.0 is just below 0.2 in binary floats
-    run = _make_trace(tmp_path, "10.0,a\n10.2,a\n", "--bucket-ms", "100")
-    assert run.returncode == 0, run.stderr
+    code, err = _make_trace(tmp_path, capsys, "10.0,a\n10.2,a\n", "--bucket-ms", "100")
+    assert code == 0, err
     lines = (tmp_path / "out.trace").read_text().splitlines()
     assert lines[1] == f"{BUCKET_LINE}100"
     assert [line.split(",")[0] for line in lines[2:]] == ["0", "200"]
@@ -306,11 +306,11 @@ def test_make_trace_packet_on_bucket_boundary_opens_that_bucket(tmp_path):
         load_trace(str(tmp_path / "out.trace"), 1.0, 0.05)
 
 
-def test_make_trace_keeps_far_bucket_starts(tmp_path):
+def test_make_trace_keeps_far_bucket_starts(tmp_path, capsys):
     # at 1 ms buckets a packet 1234.567 s after the first starts bucket
     # 1,234,567, which six significant digits would write as 1.23457e+06
-    run = _make_trace(tmp_path, "0.0,a\n1234.567,a\n", "--bucket-ms", "1")
-    assert run.returncode == 0, run.stderr
+    code, err = _make_trace(tmp_path, capsys, "0.0,a\n1234.567,a\n", "--bucket-ms", "1")
+    assert code == 0, err
     lines = (tmp_path / "out.trace").read_text().splitlines()
     assert lines[-1].split(",")[0] == "1234567"
     p = load_trace(str(tmp_path / "out.trace"), 1.0, 0.001)
@@ -329,9 +329,39 @@ def test_make_trace_keeps_far_bucket_starts(tmp_path):
     ("1.0,a\n", ["--bucket-ms", "-5"], "--bucket-ms"),
     ("1.0,a\n", ["--bucket-ms", "x"], "--bucket-ms"),
     (b"1.0,a\n1.5,caf\xe9\n", [], "packets.csv:2: byte 0xe9 is not UTF-8"),
+    # one packet in a 1e-323 s bucket is an infinite rate, which load_trace refuses
+    ("1.0,a\n1.0,a\n", ["--bucket-ms", "1e-320"], "--bucket-ms 1e-320 is too narrow"),
 ])
-def test_make_trace_rejects_malformed_input(tmp_path, log, flags, match):
-    run = _make_trace(tmp_path, log, *flags)
-    assert run.returncode == 2
-    assert match in run.stderr and "Traceback" not in run.stderr
+def test_make_trace_rejects_malformed_input(tmp_path, capsys, log, flags, match):
+    code, err = _make_trace(tmp_path, capsys, log, *flags)
+    assert code == 2
+    assert match in err and "Traceback" not in err
     assert not (tmp_path / "out.trace").exists()
+
+
+# 2- and 3-field lines, a comment, a blank line, padded fields, two packets
+# in one bucket, packets on the 1 ms boundaries of 10.001 and 10.002 s and a
+# far bucket, 1,234,567 ms on
+PINNED_LOG = ("# tshark export\n10.0,a\n10.0002,a\n10.0004,x,y\n\n10.001,a\n10.0015, b \n"
+              "10.002,x,y\n10.002,a\n1244.567,a\n1244.5675,b\n")
+
+
+def test_make_trace_writes_the_pinned_bytes(tmp_path, capsys):
+    # the digest of what the standalone packet-log script wrote from this log
+    code, err = _make_trace(tmp_path, capsys, PINNED_LOG, "--bucket-ms", "1")
+    assert code == 0, err
+    assert hashlib.sha256((tmp_path / "out.trace").read_bytes()).hexdigest() == \
+        "969ea3df04619865d10c30159ecdb512d69e53a6d08aa5d5571f843ae402d301"
+
+
+def test_ingested_trace_round_trips_through_save_trace(tmp_path, capsys):
+    code, err = _make_trace(tmp_path, capsys, PINNED_LOG, "--bucket-ms", "1")
+    assert code == 0, err
+    first = load_trace(str(tmp_path / "out.trace"), 1.0, 0.001)
+    save_trace(first, str(tmp_path / "saved.trace"))
+    again = load_trace(str(tmp_path / "saved.trace"), 1.0, 0.001)
+    assert (again.bucket, again.n_buckets) == (first.bucket, first.n_buckets) == (0.001, 1_234_568)
+    assert again.rates.keys() == first.rates.keys() == {"a", "b", "x-y"}
+    for fid, series in first.rates.items():
+        assert np.array_equal(again.rates[fid], series)
+    assert first.rates["a"][:3].tolist() == [2000.0, 1000.0, 1000.0]
