@@ -317,16 +317,28 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def compare_algorithms(bundle_builder, algorithms: list[str], seeds: list[int]):
-    """Run every (algorithm, seed) pair and aggregate per algorithm.
+# One (algorithm, seed) run of a compare, in run order: its admitted and
+# fully-sampled counts, its measured rates, its report's solves, and how many
+# of those solves the search block served from earlier searches.
+_Row = namedtuple("_Row", "algorithm seed admitted fully_sampled rates solves reused")
+# The keys of a compare result that ``compare --out`` writes, in its order;
+# the others are for the stdout table only.
+_OUT_KEYS = ("admitted", "fully_sampled", "rate_quartiles", "per_seed")
 
-    Returns a dict keyed by algorithm token with summed admitted and fully
-    sampled counts, pooled measured-rate quartiles, and, for the stdout
-    table only (``compare --out`` leaves them out), the mean wall time over
-    the row's solves, how many solves there were and how many of them an
-    identical earlier search in this call served. Two tokens that parse to
-    one (formulation, epsilon) are refused, and so are no seeds or a
-    repeated seed.
+
+def compare_algorithms(bundle_builder, algorithms: list[str], seeds: list[int]):
+    """Run every (algorithm, seed) pair, one row each, and reduce the rows
+    per algorithm.
+
+    Returns a dict keyed by algorithm token. Each entry sums its rows'
+    admitted and fully sampled counts, pools their measured rates into
+    quartiles and lists the rows as ``per_seed``; for the stdout table only
+    (``compare --out`` writes just :data:`_OUT_KEYS`), it also holds the mean
+    wall time over the rows' solves, how many solves there were and how many
+    of them an identical earlier search in this call served. Every compare
+    output is a reduction of these rows. Two tokens that parse to one
+    (formulation, epsilon) are refused, and so are no seeds or a repeated
+    seed.
 
     The runs replay in one :func:`optimizer.reused_searches` block, which
     reads their epoch instances as its plan; its docstring gives the rules.
@@ -353,32 +365,33 @@ def compare_algorithms(bundle_builder, algorithms: list[str], seeds: list[int]):
                                                          bundle.process, bundle.epoch))
                 yield from ((network, bundle.epoch.solver) for network in networks[seed])
 
-    results = {}
+    rows = []
     with reused_searches(plan()) as reuse:
         for token, run in runs.items():
-            admitted = fully = 0
-            reused_before = reuse.reused
-            rates, times, per_seed = [], [], []
             for seed, bundle in zip(seeds, run):
+                before = reuse.reused
                 report = _simulate(bundle, seed)
                 summary = measure_metrics(report)
-                admitted += summary.admitted_flows
-                fully += summary.fully_sampled_flows
-                times.extend(s["wall_time_s"] for s in report.solves)
-                rates.extend(summary.measured_rates)
-                per_seed.append({"seed": seed, "admitted": summary.admitted_flows,
-                                 "fully_sampled": summary.fully_sampled_flows})
-            quartiles = [float(q) for q in np.percentile(rates, [25, 50, 75])] if rates else None
-            results[token] = {
-                "admitted": admitted,
-                "fully_sampled": fully,
-                "rate_quartiles": quartiles,
-                "mean_solver_wall_time_s": float(np.mean(times)) if times else 0.0,
-                "solves": len(times),
-                "reused": reuse.reused - reused_before,
-                "per_seed": per_seed,
-            }
-    return results
+                rows.append(_Row(token, seed, summary.admitted_flows,
+                                 summary.fully_sampled_flows, summary.measured_rates,
+                                 report.solves, reuse.reused - before))
+    return {token: _reduce([row for row in rows if row.algorithm == token]) for token in runs}
+
+
+def _reduce(rows: list[_Row]) -> dict:
+    """One algorithm's compare result from its rows."""
+    rates = [rate for row in rows for rate in row.rates]
+    times = [s["wall_time_s"] for row in rows for s in row.solves]
+    return {
+        "admitted": sum(row.admitted for row in rows),
+        "fully_sampled": sum(row.fully_sampled for row in rows),
+        "rate_quartiles": [float(q) for q in np.percentile(rates, [25, 50, 75])] if rates else None,
+        "mean_solver_wall_time_s": float(np.mean(times)) if times else 0.0,
+        "solves": len(times),
+        "reused": sum(row.reused for row in rows),
+        "per_seed": [{"seed": row.seed, "admitted": row.admitted,
+                      "fully_sampled": row.fully_sampled} for row in rows],
+    }
 
 
 def cmd_compare(args) -> int:
@@ -389,19 +402,18 @@ def cmd_compare(args) -> int:
                             else args.algorithms)]
     seeds = _seeds(args, [1, 2, 3, 4, 5])
     results = compare_algorithms(_run(args).bundles(args), algorithms, seeds)
-    header = ["algorithm", "admitted", "fully_sampled", "rate_q1", "rate_median",
-              "rate_q3", "mean_solve_s", "reused"]
-    rows = []
-    for token, res in results.items():
-        q = res["rate_quartiles"] or ["", "", ""]
-        rows.append([token, res["admitted"], res["fully_sampled"],
-                     *(f"{v:.4f}" if v != "" else "" for v in q),
-                     f"{res.pop('mean_solver_wall_time_s'):.4f}",
-                     f"{res.pop('reused')}/{res.pop('solves')}"])
-    _table(header, rows)
+    _table(["algorithm", "admitted", "fully_sampled", "rate_q1", "rate_median", "rate_q3",
+            "mean_solve_s", "reused"],
+           [[token, res["admitted"], res["fully_sampled"],
+             *([f"{q:.4f}" for q in res["rate_quartiles"]] if res["rate_quartiles"]
+               else ["", "", ""]),
+             f"{res['mean_solver_wall_time_s']:.4f}", f"{res['reused']}/{res['solves']}"]
+            for token, res in results.items()])
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        write_json({"version": "compare/1", "seeds": seeds, "results": results}, args.out)
+        write_json({"version": "compare/1", "seeds": seeds,
+                    "results": {token: {key: res[key] for key in _OUT_KEYS}
+                                for token, res in results.items()}}, args.out)
         print(f"wrote {args.out}")
     return 0
 
@@ -412,8 +424,10 @@ def cmd_ingest(args) -> int:
     width = args.bucket_ms
     if not (math.isfinite(width) and width > 0):
         raise CliError(f"--bucket-ms must be a finite positive number, got {width!r}")
-    counts = count_packets(args.packets, width)
     bucket_s = width / 1000.0
+    if bucket_s == 0:
+        raise CliError(f"--bucket-ms {width!r} is too narrow: it is 0 s wide")
+    counts = count_packets(args.packets, width)
     rows = [(idx, fid, n / bucket_s) for (idx, fid), n in sorted(counts.items())]
     if not all(math.isfinite(rate) for _, _, rate in rows):
         raise CliError(f"--bucket-ms {width!r} is too narrow: a bucket's rate is not finite")

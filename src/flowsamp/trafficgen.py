@@ -20,7 +20,7 @@ import zlib
 from collections import defaultdict
 from contextlib import closing
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, DecimalException, InvalidOperation
 from enum import Enum
 
 import numpy as np
@@ -254,6 +254,9 @@ def load_trace(path: str, scale_divisor: float, bucket: float,
             if known_flows is not None and fid not in known_flows:
                 raise ValueError(f"{path}:{lineno}: unknown flow {fid!r}")
             idx = start_ms / bucket_ms
+            if not math.isfinite(idx):
+                raise ValueError(f"{path}:{lineno}: bucket start {parts[0]} ms is too many "
+                                 f"{bucket_ms:g} ms buckets to index")
             if abs(idx - round(idx)) > 1e-6:
                 raise ValueError(f"{path}:{lineno}: bucket start {parts[0]} ms not on the "
                                  f"{bucket_ms:g} ms grid")
@@ -302,7 +305,8 @@ def count_packets(path: str, bucket_ms: float) -> dict[tuple[int, str], int]:
 
     Lines are ``timestamp_s,flow_id`` or ``timestamp_s,src,dst`` (the flow
     id then becomes ``src-dst``); blank lines and ``#`` comments are
-    skipped, and a malformed line raises ``ValueError`` naming it.
+    skipped, and a malformed line, or one whose bucket start is past the
+    float range, raises ``ValueError`` naming it.
     Timestamps are read as exact decimals, so a packet on a bucket boundary
     opens that bucket (binary floats would put ``10.2 - 10.0`` just below
     0.2 s)."""
@@ -332,7 +336,15 @@ def count_packets(path: str, bucket_ms: float) -> dict[tuple[int, str], int]:
             if ts < t0:
                 raise ValueError(f"{path}:{lineno}: timestamp {parts[0]} is before the first "
                                  f"line's {float(t0)!r}")
-            counts[(int((ts - t0) * 1000 // width_ms), fid)] += 1
+            try:
+                idx = int((ts - t0) * 1000 // width_ms)
+            except DecimalException:   # past the 28-digit context or its exponent range
+                raise ValueError(f"{path}:{lineno}: timestamp {parts[0]} is too many "
+                                 f"{bucket_ms!r} ms buckets after the first line's") from None
+            if not math.isfinite(idx * bucket_ms):
+                raise ValueError(f"{path}:{lineno}: timestamp {parts[0]} starts a bucket past "
+                                 "the float range")
+            counts[(idx, fid)] += 1
     return counts
 
 

@@ -415,6 +415,42 @@ def test_the_package_needs_only_numpy_and_networkx():
     assert run.stdout.strip() == "[]"
 
 
+def test_compare_outputs_are_reductions_of_the_run_rows(tmp_path, monkeypatch, capsys):
+    # "huge" is never admitted, so each run admits part of its queries
+    solves, returned = {}, []
+    simulate, compare = cli.run_simulation, cli.compare_algorithms
+
+    def counting(network, queries, process, epoch, seed):
+        report = simulate(network, queries, process, epoch, seed)
+        solves[epoch.solver] = solves.get(epoch.solver, 0) + len(report.solves)
+        return report
+
+    def recording(*args):
+        returned.append(compare(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(cli, "run_simulation", counting)
+    monkeypatch.setattr(cli, "compare_algorithms", recording)
+    monkeypatch.setitem(_RUNS, "model-driven", _RUNS["model-driven"]._replace(
+        bundles=lambda args: partly_admitted_bundle))
+    out = tmp_path / "c.json"
+    assert main(["compare", "--preset", "model-driven", "--algorithms", "ds,csamp+0",
+                 "--seeds", "0,1,2", "--out", str(out)]) == 0
+    [results] = returned
+    written = json.loads(out.read_text())["results"]
+    assert list(written) == list(results) == ["ds", "csamp+0"]
+    base = partly_admitted_bundle(0).epoch.solver
+    for token, res in results.items():
+        per_seed = res["per_seed"]
+        assert [r["seed"] for r in per_seed] == [0, 1, 2]
+        assert res["admitted"] == sum(r["admitted"] for r in per_seed) < 3 * len(per_seed)
+        assert res["fully_sampled"] == sum(r["fully_sampled"] for r in per_seed)
+        assert res["solves"] == solves[parse_algorithm(token, base)] == 6
+        assert list(written[token]) == ["admitted", "fully_sampled", "rate_quartiles",
+                                        "per_seed"]
+        assert written[token] == {key: res[key] for key in written[token]}
+
+
 def test_compare_pools_per_seed_measured_rates():
     seeds = [0, 1, 2]
     results = compare_algorithms(partly_admitted_bundle, ["ds", "csamp+0"], seeds)
@@ -881,6 +917,26 @@ def test_simulate_rejects_a_trace_too_long_to_allocate(tmp_path, toy_net_file, c
                  "--out-dir", str(tmp_path / "out")]) == 2
     assert ":3: bucket_start_ms 1e20 needs" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["compare", "simulate"])
+def test_a_bucket_too_narrow_to_index_a_trace_exits_2(tmp_path, toy_net_file, command, capsys):
+    # 100 ms is an infinite number of buckets this narrow
+    trace_path = tmp_path / "t.trace"
+    trace_path.write_text(f"{TRACE_HEADER}\n0,f1,5\n100,f1,5\n")
+    out = tmp_path / "out"
+    if command == "compare":
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"preset": "trace-driven", "out": str(out / "c.json"),
+                                   "trace": {"path": str(trace_path), "bucket": 1e-310}}))
+        argv = ["compare", "--config", str(cfg)]
+    else:
+        argv = ["simulate", "--net", toy_net_file, "--trace", str(trace_path),
+                "--epoch-len", "5e-324", "--bucket", "5e-324", "--out-dir", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "t.trace:3: bucket start 100 ms is too many" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("params", [{"n_epochs": 10 ** 15}, {"epoch_length": 1e15}])

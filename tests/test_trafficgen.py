@@ -331,6 +331,18 @@ def test_make_trace_keeps_far_bucket_starts(tmp_path, capsys):
     (b"1.0,a\n1.5,caf\xe9\n", [], "packets.csv:2: byte 0xe9 is not UTF-8"),
     # one packet in a 1e-323 s bucket is an infinite rate, which load_trace refuses
     ("1.0,a\n1.0,a\n", ["--bucket-ms", "1e-320"], "--bucket-ms 1e-320 is too narrow"),
+    # bucket indices of more digits than the 28-digit decimal context holds,
+    # and a timestamp difference past its exponent range
+    ("1.0,a\n1e400,a\n", [], "packets.csv:2: timestamp 1e400 is too many 100.0 ms buckets"),
+    ("1.0,a\n1e999999,a\n", [],
+     "packets.csv:2: timestamp 1e999999 is too many 100.0 ms buckets"),
+    ("1.0,a\n2.0,a\n", ["--bucket-ms", "1e-320"],
+     "packets.csv:2: timestamp 2.0 is too many 1e-320 ms buckets"),
+    # bucket 1e9 starts at 1e309 ms, past the float range
+    ("0,a\n1e306,a\n", ["--bucket-ms", "1e300"],
+     "packets.csv:2: timestamp 1e306 starts a bucket past the float range"),
+    # 1e-322 ms is 0 s
+    ("1.0,a\n", ["--bucket-ms", "1e-322"], "--bucket-ms 1e-322 is too narrow: it is 0 s wide"),
 ])
 def test_make_trace_rejects_malformed_input(tmp_path, capsys, log, flags, match):
     code, err = _make_trace(tmp_path, capsys, log, *flags)
