@@ -267,6 +267,21 @@ def squared_form_feasible(network: Network, alloc: Allocation, delta: float) -> 
 # Branch and bound
 # ---------------------------------------------------------------------------
 
+def _search_inputs(network: Network, config: SolverConfig) -> tuple:
+    """Everything :func:`_bb_solve` reads, as one record: (z(delta),
+    node_limit, time_limit, flows, switches), where flows lists each flow's
+    (id, path, g, var) in declaration order, its charge from
+    :func:`_charges`, and switches each switch's (id, capacity). The
+    formulation reaches the search only through the charges. Every number is
+    a plain Python number, so the search does no numpy-scalar arithmetic
+    (the values are the same either way)."""
+    return (float(normal_quantile(config.delta)), config.node_limit,
+            float(config.time_limit),
+            [(f.id, f.path, float(g), float(var))
+             for f, (g, var) in zip(network.flows, _charges(network.flows, config))],
+            [(s.id, float(s.capacity_pps)) for s in network.switches])
+
+
 def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
     """Depth-first branch and bound: each flow goes to one of the switches
     on its path that still fit it, least utilized first (ties in switch id
@@ -277,8 +292,7 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
     Flows are searched in ascending g (flow id breaking ties); per-switch
     membership is kept in that order, with prefix sums of g for the
     fractional-relaxation bounds, g being a floor on what a flow adds to
-    any switch's load. Every number is a plain float, so the search does no
-    numpy-scalar arithmetic (the values are the same either way).
+    any switch's load. The search reads only :func:`_search_inputs`.
 
     A child at depth d decides the flow at position d - 1 and is pruned
     unless the flows at positions >= d may still admit more than need =
@@ -389,29 +403,27 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
     surrogate solve on 500 switches took 89-100 ms instead of 15 (26-29 ms
     with the table off), a replay-wide run 0.36 s instead of 0.25 and a
     solve-scale run 0.097 s instead of 0.021."""
+    z, node_limit, time_limit, flows, switches = _search_inputs(network, config)
     clock = time.perf_counter    # read at call time, so a patched module is seen
     bisect = bisect_right
     t0 = clock()
-    z = float(normal_quantile(config.delta))
     sqrt = math.sqrt
-    flows = network.flows
     n = len(flows)
-    charges = _charges(flows, config)
-    order = sorted(range(n), key=lambda i: (charges[i][0], flows[i].id))
-    g = [float(charges[i][0]) for i in order]
-    var = [float(charges[i][1]) for i in order]
+    flows = sorted(flows, key=lambda f: (f[2], f[0]))   # search order: by g, then id
+    g = [f[2] for f in flows]
+    var = [f[3] for f in flows]
     prefix = [0.0] * (n + 1)
     for k in range(n):
         prefix[k + 1] = prefix[k] + g[k]
 
-    switch_ids = [s.id for s in network.switches]
+    switch_ids = [sid for sid, _ in switches]
     n_switch = len(switch_ids)
     by_id = {sid: r for r, sid in enumerate(sorted(switch_ids))}
     rank = [by_id[sid] for sid in switch_ids]   # position in switch id order
-    capacity = [float(s.capacity_pps) for s in network.switches]
+    capacity = [cap for _, cap in switches]
     limit = [c + _slack(c) for c in capacity]
     sidx = {sid: k for k, sid in enumerate(switch_ids)}
-    on_path = [[sidx[sid] for sid in flows[i].path] for i in order]
+    on_path = [[sidx[sid] for sid in f[1]] for f in flows]
     # Per-switch prefix sums of g over the switch's members in search
     # order; g is ascending in that order, so they give "k cheapest
     # remaining on this switch".
@@ -430,7 +442,6 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
     best = []                            # empty allocation is always feasible
     admitted = 0
     nodes = 0
-    node_limit = config.node_limit
     limit_hit = False
     # The running pool starts as the root's room sum and takes one rounded
     # update per apply on the path to a frame (at most n). With unit
@@ -512,7 +523,7 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
         # flows on a switch are charged alike, so that a state can repeat
         charged = [(s, g[pos], var[pos]) for pos in range(n) for s in on_path[pos]]
         explored = {} if len(set(charged)) < len(charged) else None
-    deadline = t0 + config.time_limit
+    deadline = t0 + time_limit
     while stack:
         frame = stack[-1]
         depth, kids, idx, pool, height, saved, was, _ = frame
@@ -627,7 +638,7 @@ def _bb_solve(network: Network, config: SolverConfig) -> SolveResult:
         stack.append([nd, None, 0, kid_pool, 0, 0, 0, None])
 
     # positions ascend along a path, so the flows go in search order
-    assignment = {flows[order[pos]].id: switch_ids[s] for pos, s in best}
+    assignment = {flows[pos][0]: switch_ids[s] for pos, s in best}
     return SolveResult(
         allocation=Allocation(assignment),
         objective=len(assignment),
@@ -669,13 +680,15 @@ _reuse: ContextVar[SearchReuse | None] = ContextVar("flowsamp_search_reuse", def
 def reused_searches(instances=()):
     """Within the block, :func:`solve` runs each distinct search once.
 
-    A solve is keyed by :func:`_search_key`. ``searches`` maps a key to the
-    result kept for it, or to the future of a search sent to ``pool`` that
-    no solve has taken yet. ``searched`` counts the block's searches, here
-    or in a worker; ``reused`` counts the solves given an earlier solve's
-    result, ``wall_time`` included. Only a :func:`_repeatable` result is
-    kept: a worker's search that stopped at its deadline is searched again
-    by the solve that takes it.
+    A solve is keyed by :func:`_search_key`, the digest of
+    :func:`_search_inputs`, the one list of what a search reads, so two
+    solves share a key only if they read the same inputs. ``searches`` maps
+    a key to the result kept for it, or to the future of a search sent to
+    ``pool`` that no solve has taken yet. ``searched`` counts the block's
+    searches, here or in a worker; ``reused`` counts the solves given an
+    earlier solve's result, ``wall_time`` included. Only a
+    :func:`_repeatable` result is kept: a worker's search that stopped at
+    its deadline is searched again by the solve that takes it.
 
     With at least two :func:`usable_cpus`, the ``fork`` start method and no
     other thread (a forked child would inherit its locks; a pool runs one),
@@ -704,21 +717,14 @@ def reused_searches(instances=()):
 
 
 def _search_key(network: Network, config: SolverConfig) -> bytes:
-    """A SHA-256 digest of everything :func:`_bb_solve` reads: z(delta), the
-    limits, each flow's id, path and charge, and each switch's id and
-    capacity, in declaration order. The formulation reaches the search only
-    through the charges, so formulations that charge alike share a key.
+    """A SHA-256 digest of :func:`_search_inputs`, the one list of what a
+    search reads, so formulations that charge alike share a key.
 
-    Every number enters as the repr of a Python float, which round-trips
-    exactly, so equal digests mean equal inputs. A block keeps 32 bytes per
-    search rather than its inputs, which would hold more memory than the
-    results do."""
-    inputs = (float(normal_quantile(config.delta)), config.node_limit,
-              float(config.time_limit),
-              [(f.id, f.path, float(g), float(var))
-               for f, (g, var) in zip(network.flows, _charges(network.flows, config))],
-              [(s.id, float(s.capacity_pps)) for s in network.switches])
-    return hashlib.sha256(repr(inputs).encode()).digest()
+    Every number enters as the repr of a Python float or int, which
+    round-trips exactly, so equal digests mean equal inputs. A block keeps
+    32 bytes per search rather than its inputs, which would hold more memory
+    than the results do."""
+    return hashlib.sha256(repr(_search_inputs(network, config)).encode()).digest()
 
 
 def _repeatable(result: SolveResult, config: SolverConfig) -> bool:

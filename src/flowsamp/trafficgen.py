@@ -178,7 +178,11 @@ def draw_flow_model(config: MixtureConfig, seed: int, flow_id: str) -> RateModel
 def generate_model_driven(network: Network, config: MixtureConfig, horizon: float,
                           seed: int) -> RateProcess:
     """Generate ``UPDATE_INTERVAL`` bucket rates for every flow in the network."""
-    n_buckets = int(round(horizon / UPDATE_INTERVAL))
+    buckets = horizon / UPDATE_INTERVAL
+    if not math.isfinite(buckets):
+        raise ValueError(f"horizon {horizon:g} s is not a finite number of "
+                         f"{UPDATE_INTERVAL:g} s buckets")
+    n_buckets = int(round(buckets))
     if abs(n_buckets * UPDATE_INTERVAL - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError(f"horizon must be a whole number of {UPDATE_INTERVAL:g} s buckets, "
                          f"got {horizon:g} s")
@@ -214,6 +218,8 @@ def load_trace(path: str, scale_divisor: float, bucket: float,
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be a finite positive number, got {value}")
     bucket_ms = bucket * 1000.0
+    if not math.isfinite(bucket_ms):
+        raise ValueError(f"bucket {bucket:g} s is too wide: {bucket_ms:g} ms is not finite")
     entries: dict[str, dict[int, float]] = {}
     n_buckets = 0
     with closing(_utf8_lines(path)) as lines:
@@ -263,8 +269,12 @@ def load_trace(path: str, scale_divisor: float, bucket: float,
             idx = int(round(idx))
             per_flow = entries.setdefault(fid, {})
             if idx in per_flow:
-                raise ValueError(f"{path}:{lineno}: duplicate entry for flow {fid!r}")
+                raise ValueError(f"{path}:{lineno}: duplicate entry for flow {fid!r} in "
+                                 f"bucket {idx} of {bucket_ms:g} ms")
             per_flow[idx] = rate / scale_divisor
+            if not math.isfinite(per_flow[idx]):
+                raise ValueError(f"{path}:{lineno}: rate_pps {parts[2]} over scale_divisor "
+                                 f"{scale_divisor} is not finite")
             if idx >= n_buckets:
                 n_buckets, farthest = idx + 1, f"{path}:{lineno}: bucket_start_ms {parts[0]}"
     rates = {}

@@ -919,36 +919,70 @@ def test_simulate_rejects_a_trace_too_long_to_allocate(tmp_path, toy_net_file, c
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["compare", "simulate"])
-def test_a_bucket_too_narrow_to_index_a_trace_exits_2(tmp_path, toy_net_file, command, capsys):
+_NARROW = "t.trace:3: bucket start 100 ms is too many"
+_WIDE = "bucket 1e+306 s is too wide: inf ms is not finite"
+_ALIASED = "t.trace:3: duplicate entry for flow 'f1' in bucket 0 of 1e+308 ms"
+
+
+@pytest.mark.parametrize("command,trace,message", [
     # 100 ms is an infinite number of buckets this narrow
+    pytest.param("compare", {"bucket": 1e-310}, _NARROW, id="compare"),
+    pytest.param("simulate", {"bucket": 5e-324}, _NARROW, id="simulate"),
+    # a bucket this wide is infinitely many ms
+    pytest.param("compare", {"bucket": 1e306}, _WIDE, id="compare-wide"),
+    pytest.param("simulate", {"bucket": 1e306}, _WIDE, id="simulate-wide"),
+    # 100 ms is within the grid tolerance of a 1e308 ms bucket's start
+    pytest.param("compare", {"bucket": 1e305}, _ALIASED, id="compare-aliased"),
+    pytest.param("simulate", {"bucket": 1e305}, _ALIASED, id="simulate-aliased"),
+    # 5 pps over this divisor is past the float range
+    pytest.param("compare", {"scale_divisor": 1e-320},
+                 "t.trace:2: rate_pps 5 over scale_divisor 1e-320 is not finite",
+                 id="compare-scale_divisor"),
+])
+def test_a_bucket_too_narrow_to_index_a_trace_exits_2(tmp_path, toy_net_file, command, trace,
+                                                       message, capsys):
     trace_path = tmp_path / "t.trace"
     trace_path.write_text(f"{TRACE_HEADER}\n0,f1,5\n100,f1,5\n")
     out = tmp_path / "out"
     if command == "compare":
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"preset": "trace-driven", "out": str(out / "c.json"),
-                                   "trace": {"path": str(trace_path), "bucket": 1e-310}}))
+                                   "trace": {"path": str(trace_path), **trace}}))
         argv = ["compare", "--config", str(cfg)]
     else:
+        width = str(trace["bucket"])
         argv = ["simulate", "--net", toy_net_file, "--trace", str(trace_path),
-                "--epoch-len", "5e-324", "--bucket", "5e-324", "--out-dir", str(out)]
+                "--epoch-len", width, "--bucket", width, "--out-dir", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "t.trace:3: bucket start 100 ms is too many" in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("params", [{"n_epochs": 10 ** 15}, {"epoch_length": 1e15}])
-def test_model_driven_rejects_a_horizon_too_long_to_allocate(tmp_path, params, capsys):
+_TOO_MANY = "horizon 5e+15 s needs 50000000000000000 buckets"
+_INFINITE = "horizon inf s is not a finite number of 0.1 s buckets"
+
+
+@pytest.mark.parametrize("command,params,message", [
     # 5e16 buckets of 8 bytes are 355 PiB, beyond any address space, so the
     # first draw fails at once; never test a size a host could overcommit
+    pytest.param("simulate", {"n_epochs": 10 ** 15}, _TOO_MANY, id="params0"),
+    pytest.param("simulate", {"epoch_length": 1e15}, _TOO_MANY, id="params1"),
+    # horizons that are an infinite number of buckets
+    pytest.param("simulate", {"n_epochs": 10 ** 308}, _INFINITE, id="n_epochs-1e308"),
+    pytest.param("simulate", {"epoch_length": 1e300, "n_epochs": 10 ** 9}, _INFINITE,
+                 id="epoch_length-1e300"),
+    pytest.param("compare", {"n_epochs": 4 * 10 ** 307}, _INFINITE, id="compare-n_epochs-4e307"),
+])
+def test_model_driven_rejects_a_horizon_too_long_to_allocate(tmp_path, command, params, message,
+                                                             capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"preset": "model-driven", "params": params}))
     out = tmp_path / "out"
-    assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    tail = ["--out-dir", str(out)] if command == "simulate" else ["--out", str(out / "c.json")]
+    assert main([command, "--config", str(cfg), *tail]) == 2
     err = capsys.readouterr().err
-    assert "horizon 5e+15 s needs 50000000000000000 buckets" in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
     assert not out.exists()
 
 

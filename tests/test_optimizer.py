@@ -26,7 +26,8 @@ from flowsamp import (Allocation, Formulation, FlowSpec, LoadStats, SolverConfig
                       solve_exact, squared_form_feasible, validate_allocation)
 from flowsamp.cli import parse_algorithm
 from flowsamp.instances import (abilene_graph, big_scale_free_network,
-                                model_driven_scenario, runtime_comparison_network)
+                                model_driven_scenario, runtime_comparison_network,
+                                two_switch_toy)
 from flowsamp.optimizer import FEAS_TOL, load_solve_result
 from flowsamp.simulator import run_simulation
 
@@ -815,6 +816,51 @@ def test_reused_searches_serve_only_solves_with_the_same_limits(monkeypatch):
         assert len(searches) == 3 and reuse.reused == 0
         solve(net, limited)
         assert len(searches) == 3 and reuse.reused == 1
+
+
+@pytest.mark.parametrize("form", [Formulation.DS, Formulation.EXACT])
+def test_search_inputs_are_all_that_a_search_reads_and_all_that_keys_it(monkeypatch, form):
+    # A field the search does not read leaves the record, the key and the
+    # result as they were; every field it reads changes the key.
+    net = two_switch_toy()
+    cfg = SolverConfig(form, delta=0.2, node_limit=50)
+    flows, switches = list(net.flows), list(net.switches)
+
+    def with_flow(**changes):
+        return build_network(switches, [dataclasses.replace(flows[0], **changes), *flows[1:]])
+
+    def searched(net, cfg):
+        r = optimizer._bb_solve(net, cfg)
+        return (optimizer._search_inputs(net, cfg), optimizer._search_key(net, cfg),
+                r.objective, r.optimal, r.nodes_explored, r.bound, r.allocation.assignment)
+
+    unread = [with_flow(src="x"), with_flow(dst="y")]
+    if form == Formulation.DS:
+        unread.append(with_flow(rate_var_pps2=4 * flows[0].rate_var_pps2))
+    here = searched(net, cfg)
+    assert here[2] > 0
+    for other in unread:
+        assert searched(other, cfg) == here
+    renamed = build_network(
+        [dataclasses.replace(s, id="S9") if s.id == "S2" else s for s in switches],
+        [dataclasses.replace(f, path=tuple("S9" if s == "S2" else s for s in f.path))
+         for f in flows])
+    read = [(with_flow(rate_mean_pps=2 * flows[0].rate_mean_pps), cfg),
+            (with_flow(id="f9"), cfg),
+            (with_flow(path=("S1",)), cfg),
+            (renamed, cfg),
+            (build_network([dataclasses.replace(switches[0], capacity_pps=4.0), *switches[1:]],
+                           flows), cfg),
+            (net, dataclasses.replace(cfg, node_limit=51)),
+            (net, dataclasses.replace(cfg, time_limit=2 * cfg.time_limit))]
+    if form == Formulation.EXACT:
+        read.append((net, dataclasses.replace(cfg, delta=0.1)))
+    keys = {here[1]} | {optimizer._search_key(n, c) for n, c in read}
+    assert len(keys) == len(read) + 1
+    # after taking the record the search reads neither argument
+    monkeypatch.setattr(optimizer, "_search_inputs", lambda net, cfg: here[0])
+    r = optimizer._bb_solve(None, None)
+    assert (r.objective, r.optimal, r.nodes_explored, r.bound, r.allocation.assignment) == here[2:]
 
 
 def test_prune_work_on_cone_instance(monkeypatch):
